@@ -27,7 +27,7 @@ from .graphs import SimpleGraph, clique_plus_isolated, complete_minus_clique, co
 from .hypergraphs import Uniform3Graph, balanced_bipartite3, bn_l2_closed, complete3
 from .multigraphs import MMultigraph, bipartite_construction_5, contains_k4, turan_layers_5
 from .patterns import contains_fano, contains_k53, is_bipartite3
-from .verify import report_to_json, run_suite
+from .verify import SUITE_NAMES, report_to_json, run_suite
 
 
 def _load(path: str):
@@ -217,7 +217,7 @@ def _cmd_search(args) -> int:
             print("k4multi needs --n and --m", file=sys.stderr)
             return 2
         report = search.max_k4free_multigraph(
-            args.n, args.m, engine=args.engine, budget=args.budget, workers=args.workers
+            args.n, args.m, engine=args.engine, budget=args.budget
         )
     elif objective == "ak-s2":
         if args.n is None or args.m is None:
@@ -273,10 +273,7 @@ def _cmd_search(args) -> int:
                 "unique_up_to_iso": scan.unique_up_to_iso,
             },
         )
-    payload = dataclasses.asdict(report)
-    payload["params"]["seed"] = args.seed
-    payload["params"]["workers"] = args.workers
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(
@@ -289,9 +286,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(
-        args.suite, budget=args.budget, workers=args.workers, seed=args.seed
-    )
+    report = run_suite(args.suite, budget=args.budget, seed=args.seed)
     for check in report.checks:
         line = f"{check.status.upper():7s} {check.check_id}"
         if check.status == "fail":
@@ -354,19 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--m", type=int)
     p_search.add_argument("--engine", choices=("exhaustive", "bnb"), default="exhaustive")
     p_search.add_argument("--budget", type=float)
-    p_search.add_argument("--workers", type=int, default=1)
-    p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--out")
     p_search.set_defaults(fn=_cmd_search)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "--suite",
-        required=True,
-        choices=("identities", "lemma51", "roots", "constructions", "oracles", "all"),
-    )
+    p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_verify.add_argument("--budget", type=float)
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out")
     p_verify.set_defaults(fn=_cmd_verify)

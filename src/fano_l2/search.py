@@ -11,7 +11,6 @@ Fano-free search on seven vertices, and the bipartite norm scan.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
@@ -186,13 +185,12 @@ class CensusReport:
     size_histogram: tuple[int, ...]
     witness: str
     elapsed: float
-    workers: int
 
 
 _CENSUS_CACHE: dict[int, CensusReport] = {}
 
 
-def k4_census(m: int = 5, workers: int = 1) -> CensusReport:
+def k4_census(m: int = 5) -> CensusReport:
     """Scan all (2^m)^6 color assignments on 4 vertices.
 
     Reports the pattern-free maximum size with a lexicographically minimal
@@ -202,46 +200,37 @@ def k4_census(m: int = 5, workers: int = 1) -> CensusReport:
     remaining matching, size >= 23 forces a saturated-family subgraph,
     size >= 22 forces a full-multiplicity pair, and matching sums adding to
     17 force an empty intersection.
+
+    Layer counts are limited to 1..5: the inner tables hold 2^(4m) entries
+    across about ten arrays, so m=6 already needs gigabytes.
     """
-    if m in _CENSUS_CACHE and _CENSUS_CACHE[m].workers == workers:
+    if not 1 <= m <= 5:
+        raise ValueError(f"layer count {m} outside the census range 1..5")
+    if m in _CENSUS_CACHE:
         return _CENSUS_CACHE[m]
     start = time.perf_counter()
-    blocks = (1 << m) ** 2
-    if workers <= 1:
-        parts = [_census_range(m, 0, blocks)]
-    else:
-        step = -(-blocks // workers)
-        spans = [(m, lo, min(lo + step, blocks)) for lo in range(0, blocks, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_census_worker, spans))
-    hist = sum(p["hist"] for p in parts)
-    best = max(p["best"] for p in parts)
-    # ascending spans: the first part attaining the max holds the lex-min state
-    best_state = next(p["best_state"] for p in parts if p["best"] == best)
-    witness_mg = _state_to_multigraph(m, best_state)
+    part = _census_range(m, 0, (1 << m) ** 2)
+    hist = part["hist"]
+    best = part["best"]
+    witness_mg = _state_to_multigraph(m, part["best_state"])
     if witness_mg.size != best or contains_k4(witness_mg) is not None:
         raise AssertionError("census witness failed revalidation")
     report = CensusReport(
         m=m,
         states=(1 << m) ** 6,
-        k4_free=sum(p["k4_free"] for p in parts),
+        k4_free=part["k4_free"],
         max_size=best,
         max_count=int(hist[best]),
-        clause_i_violations=sum(p["viol_i"] for p in parts),
-        clause_iii_violations=sum(p["viol_iii"] for p in parts),
-        clause_iv_violations=sum(p["viol_iv"] for p in parts),
-        clause_v_violations=sum(p["viol_v"] for p in parts),
+        clause_i_violations=part["viol_i"],
+        clause_iii_violations=part["viol_iii"],
+        clause_iv_violations=part["viol_iv"],
+        clause_v_violations=part["viol_v"],
         size_histogram=tuple(int(x) for x in hist),
         witness=write_mgraph(witness_mg),
         elapsed=time.perf_counter() - start,
-        workers=workers,
     )
     _CENSUS_CACHE[m] = report
     return report
-
-
-def _census_worker(span: tuple[int, int, int]) -> dict:
-    return _census_range(*span)
 
 
 # ----- branch and bound for multigraph Turán numbers -----------------------------
@@ -272,7 +261,6 @@ def max_k4free_multigraph(
     m: int,
     engine: str = "exhaustive",
     budget: float | None = None,
-    workers: int = 1,
 ) -> SearchReport:
     """Maximum size of a pattern-free m-layer multigraph on n vertices.
 
@@ -288,7 +276,7 @@ def max_k4free_multigraph(
     if engine == "exhaustive":
         if n != 4:
             raise ValueError("exhaustive engine requires n=4")
-        census = k4_census(m, workers=workers)
+        census = k4_census(m)
         return SearchReport(
             objective="k4multi",
             n=4,
@@ -300,7 +288,7 @@ def max_k4free_multigraph(
             elapsed=time.perf_counter() - start,
             complete=True,
             engine="exhaustive",
-            params={"workers": workers},
+            params={},
         )
     if engine != "bnb":
         raise ValueError(f"unknown engine {engine!r}")
@@ -422,6 +410,21 @@ def max_k4free_multigraph(
 # ----- two-edge-star maxima over all small graphs ---------------------------------
 
 
+def _check_scan_capacity(n: int) -> None:
+    # the graph scans hold one entry per graph: 2^21 at n=7, 2^28 (over 1 GiB
+    # across their tables) at n=8
+    if n > 7:
+        raise ValueError(f"vertex count {n} above scan capacity")
+
+
+def _incidence_masks(pairs, n: int) -> list[int]:
+    """For each vertex, the bitmask of the pairs (edge bits) that contain it."""
+    return [
+        sum(1 << i for i, (u, v) in enumerate(pairs) if w in (u, v))
+        for w in range(n)
+    ]
+
+
 _S2_TABLE_CACHE: dict[int, dict] = {}
 
 
@@ -430,17 +433,14 @@ def _graph_star_table(n: int) -> dict:
     over all n-vertex graphs, with the first attaining adjacency mask."""
     if n in _S2_TABLE_CACHE:
         return _S2_TABLE_CACHE[n]
+    _check_scan_capacity(n)
     pairs = all_pairs(n)
     nbits = len(pairs)
-    incidence = [
-        sum(1 << i for i, (u, v) in enumerate(pairs) if w in (u, v))
-        for w in range(n)
-    ]
     masks = np.arange(1 << nbits, dtype=np.uint32)
     choose2 = np.array([d * (d - 1) // 2 for d in range(n)], dtype=np.uint16)
     stars = np.zeros(len(masks), dtype=np.uint16)
-    for w in range(n):
-        stars += choose2[np.bitwise_count(masks & np.uint32(incidence[w]))]
+    for incidence in _incidence_masks(pairs, n):
+        stars += choose2[np.bitwise_count(masks & np.uint32(incidence))]
     edge_counts = np.bitwise_count(masks).astype(np.uint8)
     table: dict[int, tuple[int, int]] = {}
     for m in range(nbits + 1):
@@ -458,12 +458,10 @@ def _mask_to_graph(n: int, pairs, mask: int) -> SimpleGraph:
     return SimpleGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
-def max_s2_graph(n: int, m_edges: int, budget_ok: bool = False) -> SearchReport:
+def max_s2_graph(n: int, m_edges: int) -> SearchReport:
     """Exhaustive maximum of the two-edge-star count over n-vertex graphs
-    with exactly m_edges edges. Capacity-capped at n <= 7 unless budget_ok."""
+    with exactly m_edges edges. Capacity-capped at n <= 7."""
     start = time.perf_counter()
-    if n > 8 or (n == 8 and not budget_ok):
-        raise ValueError(f"vertex count {n} above scan capacity")
     if not 0 <= m_edges <= comb(n, 2):
         raise ValueError(f"edge count {m_edges} out of range")
     data = _graph_star_table(n)
@@ -516,14 +514,13 @@ class AesReport:
     elapsed: float
 
 
-def aes_scan(n: int, budget_ok: bool = False) -> AesReport:
+def aes_scan(n: int) -> AesReport:
     """Scan all n-vertex graphs: every triangle-free graph with minimum
     degree above 2n/5 must be bipartite. Also counts the non-bipartite
     triangle-free graphs sitting exactly at degree floor(2n/5), which stop
     the threshold from moving."""
     start = time.perf_counter()
-    if n > 8 or (n == 8 and not budget_ok):
-        raise ValueError(f"vertex count {n} above scan capacity")
+    _check_scan_capacity(n)
     pairs = all_pairs(n)
     nbits = len(pairs)
     masks = np.arange(1 << nbits, dtype=np.uint32)
@@ -536,12 +533,8 @@ def aes_scan(n: int, budget_ok: bool = False) -> AesReport:
         )
         triangle_free &= (masks & t) != t
     mindeg = np.full(len(masks), 255, dtype=np.uint8)
-    incidence = [
-        sum(1 << i for i, (u, v) in enumerate(pairs) if w in (u, v))
-        for w in range(n)
-    ]
-    for w in range(n):
-        deg = np.bitwise_count(masks & np.uint32(incidence[w])).astype(np.uint8)
+    for incidence in _incidence_masks(pairs, n):
+        deg = np.bitwise_count(masks & np.uint32(incidence)).astype(np.uint8)
         mindeg = np.minimum(mindeg, deg)
     above = triangle_free & (5 * mindeg.astype(np.int32) > 2 * n)
     violations = 0

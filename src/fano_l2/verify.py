@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import comb
 
 from .bounds import (
+    alpha1_limit,
+    alpha2_limit,
     core_rate,
     f_inverse,
     rational_identity_checks,
@@ -37,19 +39,6 @@ from .patterns import contains_fano
 
 DECIMAL_TOLERANCE = 5e-6
 
-SUITE_NAMES = (
-    "identities",
-    "lemma51",
-    "roots",
-    "constructions",
-    "oracles",
-    "all",
-)
-
-# cheapest suite first; `all` runs them in this order
-_SUITE_ORDER = ("roots", "identities", "constructions", "lemma51", "oracles")
-
-
 @dataclass(frozen=True, slots=True)
 class CheckResult:
     check_id: str
@@ -69,7 +58,6 @@ class VerifyReport:
     skipped: int
     overall: str  # pass | fail
     seed: int
-    workers: int
     budget: float | None
     elapsed: float
 
@@ -96,12 +84,12 @@ def _identity_pool(seed: int, count: int = 60):
         yield random_3graph(sizes[i % len(sizes)], probs[i % len(probs)], rng)
 
 
-def _check_l1_norm(seed: int, workers: int):
+def _check_l1_norm(seed: int):
     bad = sum(1 for H in _identity_pool(seed) if H.lp_norm(1) != 3 * H.edge_count)
     return bad, 0, 0, bad == 0
 
 
-def _check_norm_star(seed: int, workers: int):
+def _check_norm_star(seed: int):
     bad = sum(
         1
         for H in _identity_pool(seed)
@@ -110,7 +98,7 @@ def _check_norm_star(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_degree_routes(seed: int, workers: int):
+def _check_degree_routes(seed: int):
     bad = 0
     for H in _identity_pool(seed):
         for v in range(H.n):
@@ -122,7 +110,7 @@ def _check_degree_routes(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_degree_sum(seed: int, workers: int):
+def _check_degree_sum(seed: int):
     bad = sum(
         1
         for H in _identity_pool(seed)
@@ -132,7 +120,7 @@ def _check_degree_sum(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_deletion_lipschitz(seed: int, workers: int):
+def _check_deletion_lipschitz(seed: int):
     rng = random.Random(seed + 1)
     bad = 0
     for H in _identity_pool(seed):
@@ -144,7 +132,7 @@ def _check_deletion_lipschitz(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_participation(seed: int, workers: int):
+def _check_participation(seed: int):
     bad = 0
     for H in _identity_pool(seed):
         n = H.n
@@ -170,25 +158,36 @@ def _check_participation(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
+# (check id, recomputation, pinned value)
+_DECIMALS = (
+    ("roots.f_inverse_5_4", lambda: f_inverse(1.25), 0.342067),
+    ("roots.linear_branch", lambda: solve_root_equation("linear_branch"), 0.346707),
+    ("roots.claim32", lambda: solve_root_equation("claim32"), 0.344635),
+    ("roots.claim33", lambda: solve_root_equation("claim33"), 0.346577),
+    ("roots.claim34", lambda: solve_root_equation("claim34"), 0.346665),
+    ("roots.alpha1_at_61_177", lambda: alpha1_limit(61 / 177), 0.225024),
+    ("roots.alpha1_at_235_687", lambda: alpha1_limit(235 / 687), 0.171997),
+    ("roots.alpha2_at_61_177", lambda: alpha2_limit(61 / 177), 0.337536),
+    ("roots.alpha2_at_61_176", lambda: alpha2_limit(61 / 176), 0.387402),
+    ("roots.scaled_core_rate", lambda: 5 / 13 * core_rate(253 / 730), 0.322526),
+    ("roots.half_core_rate", lambda: core_rate(253 / 730) / 2, 0.419284),
+)
+
+
 def _decimal_checks() -> list[tuple[str, float, float]]:
-    from .bounds import alpha1_limit, alpha2_limit
-
-    return [
-        ("roots.f_inverse_5_4", f_inverse(1.25), 0.342067),
-        ("roots.linear_branch", solve_root_equation("linear_branch"), 0.346707),
-        ("roots.claim32", solve_root_equation("claim32"), 0.344635),
-        ("roots.claim33", solve_root_equation("claim33"), 0.346577),
-        ("roots.claim34", solve_root_equation("claim34"), 0.346665),
-        ("roots.alpha1_at_61_177", alpha1_limit(61 / 177), 0.225024),
-        ("roots.alpha1_at_235_687", alpha1_limit(235 / 687), 0.171997),
-        ("roots.alpha2_at_61_177", alpha2_limit(61 / 177), 0.337536),
-        ("roots.alpha2_at_61_176", alpha2_limit(61 / 176), 0.387402),
-        ("roots.scaled_core_rate", 5 / 13 * core_rate(253 / 730), 0.322526),
-        ("roots.half_core_rate", core_rate(253 / 730) / 2, 0.419284),
-    ]
+    return [(check_id, value(), expected) for check_id, value, expected in _DECIMALS]
 
 
-def _check_rational_identity(seed: int, workers: int):
+def _decimal_check(value, expected: float):
+    def check(seed: int):
+        measured = value()
+        ok = abs(measured - expected) <= DECIMAL_TOLERANCE
+        return measured, expected, DECIMAL_TOLERANCE, ok
+
+    return check
+
+
+def _check_rational_identity(seed: int):
     rep = rational_identity_checks()
     measured = {
         "combined": str(rep.combined_value),
@@ -206,14 +205,14 @@ def _check_rational_identity(seed: int, workers: int):
     return measured, expected, 0, ok
 
 
-def _check_bn_norm(seed: int, workers: int):
+def _check_bn_norm(seed: int):
     bad = sum(
         1 for n in range(3, 41) if balanced_bipartite3(n).lp_norm(2) != bn_l2_closed(n)
     )
     return bad, 0, 0, bad == 0
 
 
-def _check_bn_min_degree(seed: int, workers: int):
+def _check_bn_min_degree(seed: int):
     bad = 0
     for n in range(4, 15):
         H = balanced_bipartite3(n)
@@ -223,7 +222,7 @@ def _check_bn_min_degree(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_mg_sizes(seed: int, workers: int):
+def _check_mg_sizes(seed: int):
     bad = 0
     for n in range(2, 17):
         if bipartite_construction_5(n).size != 2 * comb(n, 2) + 3 * (n * n // 4):
@@ -234,7 +233,7 @@ def _check_mg_sizes(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_mg_k4free(seed: int, workers: int):
+def _check_mg_k4free(seed: int):
     bad = 0
     for n in range(4, 11):
         if contains_k4(bipartite_construction_5(n)) is not None:
@@ -244,7 +243,7 @@ def _check_mg_k4free(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_mg_crossover(seed: int, workers: int):
+def _check_mg_crossover(seed: int):
     sizes = {
         "bipartite_12": bipartite_construction_5(12).size,
         "turan_12": turan_layers_5(12).size,
@@ -255,14 +254,14 @@ def _check_mg_crossover(seed: int, workers: int):
     return sizes, expected, 0, sizes == expected
 
 
-def _check_bn_fano_free(seed: int, workers: int):
+def _check_bn_fano_free(seed: int):
     bad = sum(
         1 for n in range(4, 11) if contains_fano(balanced_bipartite3(n)) is not None
     )
     return bad, 0, 0, bad == 0
 
 
-def _check_balanced_argmax(seed: int, workers: int):
+def _check_balanced_argmax(seed: int):
     from .search import complete_bipartite_argmax
 
     bad = 0
@@ -273,24 +272,24 @@ def _check_balanced_argmax(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _census(workers: int):
+def _census():
     from .search import k4_census
 
-    return k4_census(5, workers=workers)
+    return k4_census(5)
 
 
-def _check_census_max(seed: int, workers: int):
-    c = _census(workers)
+def _check_census_max(seed: int):
+    c = _census()
     return c.max_size, 25, 0, c.max_size == 25
 
 
-def _check_census_count(seed: int, workers: int):
-    c = _census(workers)
+def _check_census_count(seed: int):
+    c = _census()
     return c.max_count, 96, 0, c.max_count == 96
 
 
-def _check_census_clauses(seed: int, workers: int):
-    c = _census(workers)
+def _check_census_clauses(seed: int):
+    c = _census()
     measured = [
         c.clause_i_violations,
         c.clause_iii_violations,
@@ -300,14 +299,14 @@ def _check_census_clauses(seed: int, workers: int):
     return measured, [0, 0, 0, 0], 0, measured == [0, 0, 0, 0]
 
 
-def _check_census_m4(seed: int, workers: int):
+def _check_census_m4(seed: int):
     from .search import k4_census
 
-    c = k4_census(4, workers=workers)
+    c = k4_census(4)
     return c.max_size, 20, 0, c.max_size == 20
 
 
-def _check_s2_oracle(seed: int, workers: int):
+def _check_s2_oracle(seed: int):
     from .search import s2_quasi_agreement
 
     bad = 0
@@ -318,7 +317,7 @@ def _check_s2_oracle(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_ak_asymptotic(seed: int, workers: int):
+def _check_ak_asymptotic(seed: int):
     from .bounds import ak_s2_bound
     from .search import s2_quasi_agreement
 
@@ -331,14 +330,14 @@ def _check_ak_asymptotic(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_aes(seed: int, workers: int):
+def _check_aes(seed: int):
     from .search import aes_scan
 
     bad = sum(aes_scan(n).violations for n in range(3, 8))
     return bad, 0, 0, bad == 0
 
 
-def _check_fano_free_max(seed: int, workers: int):
+def _check_fano_free_max(seed: int):
     from .search import max_l2_fano_free
 
     measured = {n: max_l2_fano_free(n).optimum for n in (5, 6, 7)}
@@ -346,7 +345,7 @@ def _check_fano_free_max(seed: int, workers: int):
     return measured, expected, 0, measured == expected
 
 
-def _check_bipartite_scan(seed: int, workers: int):
+def _check_bipartite_scan(seed: int):
     from .search import bipartite_l2_scan
 
     bad = 0
@@ -357,7 +356,7 @@ def _check_bipartite_scan(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_bnb_agreement(seed: int, workers: int):
+def _check_bnb_agreement(seed: int):
     from .search import max_k4free_multigraph
 
     bad = 0
@@ -369,7 +368,7 @@ def _check_bnb_agreement(seed: int, workers: int):
     return bad, 0, 0, bad == 0
 
 
-def _check_bnb_stretch(seed: int, workers: int):
+def _check_bnb_stretch(seed: int):
     from .search import max_k4free_multigraph
 
     rep = max_k4free_multigraph(5, 5, engine="bnb", budget=600.0)
@@ -377,53 +376,59 @@ def _check_bnb_stretch(seed: int, workers: int):
     return rep.optimum, 40, 0, ok
 
 
-# (check id, estimated seconds, callable)
-_SUITES: dict[str, list[tuple[str, float, object]]] = {
-    "roots": [
-        ("roots.rational_identity", 3.0, _check_rational_identity),
-    ],
-    "identities": [
-        ("identities.l1_norm", 0.5, _check_l1_norm),
-        ("identities.norm_star", 0.5, _check_norm_star),
-        ("identities.degree_routes", 2.0, _check_degree_routes),
-        ("identities.degree_sum", 1.0, _check_degree_sum),
-        ("identities.deletion_lipschitz", 1.0, _check_deletion_lipschitz),
-        ("identities.participation", 3.0, _check_participation),
-    ],
-    "constructions": [
-        ("constructions.bn_norm_closed", 2.0, _check_bn_norm),
-        ("constructions.bn_min_degree", 1.0, _check_bn_min_degree),
-        ("constructions.mg_sizes", 0.5, _check_mg_sizes),
-        ("constructions.mg_k4free", 1.0, _check_mg_k4free),
-        ("constructions.mg_crossover", 0.5, _check_mg_crossover),
-        ("constructions.bn_fano_free", 3.0, _check_bn_fano_free),
-        ("constructions.balanced_argmax", 0.5, _check_balanced_argmax),
-    ],
-    "lemma51": [
-        ("lemma51.census_max", 20.0, _check_census_max),
-        ("lemma51.census_max_count", 0.1, _check_census_count),
-        ("lemma51.census_clauses", 0.1, _check_census_clauses),
-        ("lemma51.census_m4", 0.5, _check_census_m4),
-    ],
-    "oracles": [
-        ("oracles.s2_quasi", 1.0, _check_s2_oracle),
-        ("oracles.ak_asymptotic", 0.5, _check_ak_asymptotic),
-        ("oracles.aes", 1.0, _check_aes),
-        ("oracles.fano_free_max", 1.0, _check_fano_free_max),
-        ("oracles.bipartite_scan", 2.0, _check_bipartite_scan),
-        ("oracles.bnb_agreement", 1.0, _check_bnb_agreement),
-        ("oracles.bnb_stretch", 60.0, _check_bnb_stretch),
-    ],
-}
+# (check id, estimated seconds, callable); a suite is an id prefix, and
+# `all` runs every check in this order, cheapest suite first
+_CHECKS: tuple[tuple[str, float, object], ...] = (
+    *(
+        (check_id, 0.0, _decimal_check(value, expected))
+        for check_id, value, expected in _DECIMALS
+    ),
+    ("roots.rational_identity", 3.0, _check_rational_identity),
+    ("identities.l1_norm", 0.5, _check_l1_norm),
+    ("identities.norm_star", 0.5, _check_norm_star),
+    ("identities.degree_routes", 2.0, _check_degree_routes),
+    ("identities.degree_sum", 1.0, _check_degree_sum),
+    ("identities.deletion_lipschitz", 1.0, _check_deletion_lipschitz),
+    ("identities.participation", 3.0, _check_participation),
+    ("constructions.bn_norm_closed", 2.0, _check_bn_norm),
+    ("constructions.bn_min_degree", 1.0, _check_bn_min_degree),
+    ("constructions.mg_sizes", 0.5, _check_mg_sizes),
+    ("constructions.mg_k4free", 1.0, _check_mg_k4free),
+    ("constructions.mg_crossover", 0.5, _check_mg_crossover),
+    ("constructions.bn_fano_free", 3.0, _check_bn_fano_free),
+    ("constructions.balanced_argmax", 0.5, _check_balanced_argmax),
+    ("lemma51.census_max", 20.0, _check_census_max),
+    ("lemma51.census_max_count", 0.1, _check_census_count),
+    ("lemma51.census_clauses", 0.1, _check_census_clauses),
+    ("lemma51.census_m4", 0.5, _check_census_m4),
+    ("oracles.s2_quasi", 1.0, _check_s2_oracle),
+    ("oracles.ak_asymptotic", 0.5, _check_ak_asymptotic),
+    ("oracles.aes", 1.0, _check_aes),
+    ("oracles.fano_free_max", 1.0, _check_fano_free_max),
+    ("oracles.bipartite_scan", 2.0, _check_bipartite_scan),
+    ("oracles.bnb_agreement", 1.0, _check_bnb_agreement),
+    ("oracles.bnb_stretch", 60.0, _check_bnb_stretch),
+)
+
+SUITE_NAMES = (*dict.fromkeys(check_id.split(".")[0] for check_id, _, _ in _CHECKS), "all")
 
 
-def _run_checks(
-    entries, seed: int, workers: int, budget: float | None, spent_estimate: float
-) -> tuple[list[CheckResult], float]:
-    results = []
-    for check_id, estimate, fn in entries:
-        if budget is not None and spent_estimate + estimate > budget:
-            results.append(
+def run_suite(suite: str, budget: float | None = None, seed: int = 0) -> VerifyReport:
+    """Run one named suite (or `all`) and aggregate a report.
+
+    When a budget is given, checks are skipped (deterministically, by static
+    cost estimate) once the estimated total would exceed it.
+    """
+    if suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    start = time.perf_counter()
+    checks: list[CheckResult] = []
+    spent = 0.0
+    for check_id, estimate, fn in _CHECKS:
+        if suite != "all" and not check_id.startswith(suite + "."):
+            continue
+        if budget is not None and spent + estimate > budget:
+            checks.append(
                 CheckResult(
                     check_id=check_id,
                     status="skipped",
@@ -434,9 +439,9 @@ def _run_checks(
                 )
             )
             continue
-        spent_estimate += estimate
-        measured, expected, tolerance, ok = fn(seed, workers)
-        results.append(
+        spent += estimate
+        measured, expected, tolerance, ok = fn(seed)
+        checks.append(
             CheckResult(
                 check_id=check_id,
                 status="pass" if ok else "fail",
@@ -445,41 +450,6 @@ def _run_checks(
                 tolerance=tolerance,
             )
         )
-    return results, spent_estimate
-
-
-def run_suite(
-    suite: str, budget: float | None = None, workers: int = 1, seed: int = 0
-) -> VerifyReport:
-    """Run one named suite (or `all`) and aggregate a report.
-
-    When a budget is given, checks are skipped (deterministically, by static
-    cost estimate) once the estimated total would exceed it.
-    """
-    if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    start = time.perf_counter()
-    ordered = _SUITE_ORDER if suite == "all" else (suite,)
-    checks: list[CheckResult] = []
-    spent = 0.0
-    for name in ordered:
-        entries = list(_SUITES[name])
-        if name == "roots":
-            decimal_results = [
-                CheckResult(
-                    check_id=check_id,
-                    status="pass"
-                    if abs(measured - expected) <= DECIMAL_TOLERANCE
-                    else "fail",
-                    measured=measured,
-                    expected=expected,
-                    tolerance=DECIMAL_TOLERANCE,
-                )
-                for check_id, measured, expected in _decimal_checks()
-            ]
-            checks.extend(decimal_results)
-        ran, spent = _run_checks(entries, seed, workers, budget, spent)
-        checks.extend(ran)
     passed = sum(1 for c in checks if c.status == "pass")
     failed = sum(1 for c in checks if c.status == "fail")
     skipped = sum(1 for c in checks if c.status == "skipped")
@@ -491,7 +461,6 @@ def run_suite(
         skipped=skipped,
         overall="fail" if failed else "pass",
         seed=seed,
-        workers=workers,
         budget=budget,
         elapsed=time.perf_counter() - start,
     )

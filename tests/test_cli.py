@@ -127,13 +127,18 @@ def test_search_json_shape(tmp_path, capsys):
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["optimum"] == 15
     assert data["complete"] is True
-    assert data["params"]["seed"] == 0
     mg = parse_mgraph(data["witness"])
     assert mg.size == 15
 
 
 def test_search_requires_dimensions(capsys):
     assert main(["search", "--objective", "k4multi", "--n", "4"]) == 2
+
+
+def test_census_layer_count_out_of_range_exits_2(capsys):
+    argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "6", "--engine", "exhaustive"]
+    assert main(argv) == 2
+    assert "1..5" in capsys.readouterr().err
 
 
 def test_search_aes(capsys):

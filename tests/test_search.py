@@ -37,11 +37,11 @@ def test_census_m4_frozen_values():
     assert witness.size == 20 and contains_k4(witness) is None
 
 
-def test_census_worker_split_matches_serial():
-    serial = k4_census(4, workers=1)
-    split = k4_census(4, workers=2)
-    for field in ("states", "k4_free", "max_size", "max_count", "size_histogram", "witness"):
-        assert getattr(serial, field) == getattr(split, field)
+def test_census_layer_range_guard():
+    # m=6 would allocate tables of 2^24 entries each; the guard fires first
+    for m in (0, 6):
+        with pytest.raises(ValueError, match="1..5"):
+            k4_census(m)
 
 
 def test_bnb_agrees_with_census_at_four_vertices():

@@ -1,9 +1,50 @@
+import argparse
 import json
 
 import pytest
 
 from fano_l2 import verify
+from fano_l2.cli import build_parser
 from fano_l2.verify import report_to_json, run_suite
+
+REGISTRY_IDS = (
+    "roots.f_inverse_5_4",
+    "roots.linear_branch",
+    "roots.claim32",
+    "roots.claim33",
+    "roots.claim34",
+    "roots.alpha1_at_61_177",
+    "roots.alpha1_at_235_687",
+    "roots.alpha2_at_61_177",
+    "roots.alpha2_at_61_176",
+    "roots.scaled_core_rate",
+    "roots.half_core_rate",
+    "roots.rational_identity",
+    "identities.l1_norm",
+    "identities.norm_star",
+    "identities.degree_routes",
+    "identities.degree_sum",
+    "identities.deletion_lipschitz",
+    "identities.participation",
+    "constructions.bn_norm_closed",
+    "constructions.bn_min_degree",
+    "constructions.mg_sizes",
+    "constructions.mg_k4free",
+    "constructions.mg_crossover",
+    "constructions.bn_fano_free",
+    "constructions.balanced_argmax",
+    "lemma51.census_max",
+    "lemma51.census_max_count",
+    "lemma51.census_clauses",
+    "lemma51.census_m4",
+    "oracles.s2_quasi",
+    "oracles.ak_asymptotic",
+    "oracles.aes",
+    "oracles.fano_free_max",
+    "oracles.bipartite_scan",
+    "oracles.bnb_agreement",
+    "oracles.bnb_stretch",
+)
 
 
 def strip_elapsed(payload):
@@ -55,16 +96,33 @@ def test_zero_budget_skips_everything():
     assert rep.skipped == len(rep.checks)
 
 
+def test_registry_order_and_suite_slices():
+    # a zero budget runs only the free decimals, so listing every id is fast
+    ids = tuple(c.check_id for c in run_suite("all", budget=0).checks)
+    assert ids == REGISTRY_IDS
+    suites = ("roots", "identities", "constructions", "lemma51", "oracles")
+    assert verify.SUITE_NAMES == (*suites, "all")
+    for suite in suites:
+        rep = run_suite(suite, budget=0)
+        assert tuple(c.check_id for c in rep.checks) == tuple(
+            i for i in REGISTRY_IDS if i.startswith(suite + ".")
+        )
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    suite_arg = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite_arg.choices) == verify.SUITE_NAMES
+
+
 def test_failing_check_flips_overall(monkeypatch):
-    def broken(seed, workers):
+    def broken(seed):
         return 1, 2, None, False
 
-    entries = [("synthetic-break", 0.0, broken)]
-    monkeypatch.setitem(verify._SUITES, "identities", entries)
+    entries = (("identities.synthetic-break", 0.0, broken),)
+    monkeypatch.setattr(verify, "_CHECKS", entries)
     rep = run_suite("identities")
     assert rep.overall == "fail"
     assert rep.failed == 1
-    assert rep.checks[0].check_id == "synthetic-break"
+    assert rep.checks[0].check_id == "identities.synthetic-break"
     assert rep.checks[0].measured == 1 and rep.checks[0].expected == 2
 
 
