@@ -28,10 +28,10 @@ def main() -> int:
     print("bipartite squared-norm maxima")
     for n in (3, 4, 5, 6):
         rep = bipartite_l2_scan(n)
-        tag = "unique" if rep.unique_up_to_iso else "NOT UNIQUE"
+        tag = "unique" if rep.params["unique_up_to_iso"] else "NOT UNIQUE"
         print(
-            f"  n={n}: max {rep.max_norm} (closed {rep.closed_value}), "
-            f"{rep.maximizer_count} labeled maximizers, {tag}"
+            f"  n={n}: max {rep.optimum} (closed {rep.params['closed_value']}), "
+            f"{rep.params['maximizer_count']} labeled maximizers, {tag}"
         )
 
     print("plane-free squared-norm optima")
@@ -59,8 +59,8 @@ def main() -> int:
     for n in range(3, 8):
         rep = aes_scan(n)
         print(
-            f"  n={n}: {rep.violations} violations among {rep.triangle_free} "
-            f"triangle-free graphs ({rep.above_threshold} above threshold)"
+            f"  n={n}: {rep.optimum} violations among {rep.params['triangle_free']} "
+            f"triangle-free graphs ({rep.params['above_threshold']} above threshold)"
         )
     return 0
 

@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import search
 from .bounds import ak_s2_bound, f_of, prop23_bound
 from .formats import (
     FormatError,
@@ -208,71 +209,27 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    from . import search
+# objective -> (flags it needs, engine call); every engine returns a SearchReport
+_SEARCHES = {
+    "k4multi": (
+        ("n", "m"),
+        lambda a: search.max_k4free_multigraph(a.n, a.m, engine=a.engine, budget=a.budget),
+    ),
+    "ak-s2": (("n", "m"), lambda a: search.max_s2_graph(a.n, a.m)),
+    "aes": (("n",), lambda a: search.aes_scan(a.n)),
+    "fano-l2": (("n",), lambda a: search.max_l2_fano_free(a.n, budget=a.budget)),
+    "bipartite-l2": (("n",), lambda a: search.bipartite_l2_scan(a.n)),
+}
 
+
+def _cmd_search(args) -> int:
     objective = args.objective
-    if objective == "k4multi":
-        if args.n is None or args.m is None:
-            print("k4multi needs --n and --m", file=sys.stderr)
-            return 2
-        report = search.max_k4free_multigraph(
-            args.n, args.m, engine=args.engine, budget=args.budget
-        )
-    elif objective == "ak-s2":
-        if args.n is None or args.m is None:
-            print("ak-s2 needs --n and --m", file=sys.stderr)
-            return 2
-        report = search.max_s2_graph(args.n, args.m)
-    elif objective == "aes":
-        if args.n is None:
-            print("aes needs --n", file=sys.stderr)
-            return 2
-        scan = search.aes_scan(args.n)
-        report = search.SearchReport(
-            objective="aes",
-            n=scan.n,
-            m=None,
-            optimum=scan.violations,
-            witness="",
-            witness_kind="none",
-            nodes=scan.states,
-            elapsed=scan.elapsed,
-            complete=True,
-            engine="exhaustive",
-            params={
-                "triangle_free": scan.triangle_free,
-                "above_threshold": scan.above_threshold,
-                "boundary_nonbipartite": scan.boundary_nonbipartite,
-            },
-        )
-    elif objective == "fano-l2":
-        if args.n is None:
-            print("fano-l2 needs --n", file=sys.stderr)
-            return 2
-        report = search.max_l2_fano_free(args.n, budget=args.budget)
-    else:  # bipartite-l2
-        if args.n is None:
-            print("bipartite-l2 needs --n", file=sys.stderr)
-            return 2
-        scan = search.bipartite_l2_scan(args.n)
-        report = search.SearchReport(
-            objective="bipartite-l2",
-            n=scan.n,
-            m=None,
-            optimum=scan.max_norm,
-            witness=scan.witness,
-            witness_kind="3graph",
-            nodes=scan.states,
-            elapsed=scan.elapsed,
-            complete=True,
-            engine="exhaustive",
-            params={
-                "closed_value": scan.closed_value,
-                "maximizer_count": scan.maximizer_count,
-                "unique_up_to_iso": scan.unique_up_to_iso,
-            },
-        )
+    flags, run = _SEARCHES[objective]
+    if any(getattr(args, flag) is None for flag in flags):
+        needs = " and ".join(f"--{flag}" for flag in flags)
+        print(f"{objective} needs {needs}", file=sys.stderr)
+        return 2
+    report = run(args)
     text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -343,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--objective",
         required=True,
-        choices=("k4multi", "ak-s2", "aes", "fano-l2", "bipartite-l2"),
+        choices=tuple(_SEARCHES),
     )
     p_search.add_argument("--n", type=int)
     p_search.add_argument("--m", type=int)

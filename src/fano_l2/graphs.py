@@ -16,6 +16,17 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def bipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split of the n vertices as (part holding vertex 0, other part).
+
+    The other part runs over the subsets of 1..n-1 in ascending bitmask order
+    (bit v-1 for vertex v), starting from the empty set.
+    """
+    for subset in range(1 << max(n - 1, 0)):
+        side = tuple(v for v in range(1, n) if subset >> (v - 1) & 1)
+        yield tuple(v for v in range(n) if v not in side), side
+
+
 class SimpleGraph:
     """Undirected simple graph stored as one adjacency bitmask row per vertex."""
 

@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, bipartitions
 
 Pair = tuple[int, int]
 
@@ -372,18 +372,19 @@ def is_certificate_valid(mg: MMultigraph, cert: PartitionCertificate) -> bool:
     )
 
 
-def _find_partition(mg: MMultigraph, kind: str, max_n: int) -> PartitionCertificate | None:
+# the search walks 2^(n-1) bipartitions
+PARTITION_SEARCH_CAP = 24
+
+
+def _find_partition(mg: MMultigraph, kind: str) -> PartitionCertificate | None:
     if mg.m != 5:
         raise ValueError("partition search is defined for 5-layer multigraphs")
-    if mg.n > max_n:
-        raise ValueError(f"vertex count {mg.n} above search cap {max_n}")
-    verts = tuple(range(mg.n))
-    # Vertex 0 is pinned to the first enumerated side; both role orientations
-    # of each bipartition are tried since the conditions are asymmetric.
-    for subset in range(1 << max(mg.n - 1, 0)):
-        side = tuple(v for v in range(1, mg.n) if subset >> (v - 1) & 1)
-        other = tuple(v for v in verts if v not in side)
-        for part1, part2 in ((other, side), (side, other)):
+    if mg.n > PARTITION_SEARCH_CAP:
+        raise ValueError(f"vertex count {mg.n} above search cap {PARTITION_SEARCH_CAP}")
+    # Both role orientations of each bipartition are tried since the
+    # conditions are asymmetric.
+    for pinned, side in bipartitions(mg.n):
+        for part1, part2 in ((pinned, side), (side, pinned)):
             empty1 = _layer_empty_inside(mg, part1)
             empty2 = _layer_empty_inside(mg, part2)
             if kind == "nice" and any(
@@ -411,14 +412,14 @@ def _find_partition(mg: MMultigraph, kind: str, max_n: int) -> PartitionCertific
     return None
 
 
-def find_nice_partition(mg: MMultigraph, max_n: int = 24) -> PartitionCertificate | None:
+def find_nice_partition(mg: MMultigraph) -> PartitionCertificate | None:
     """First nice partition under the fixed enumeration order, or None."""
-    return _find_partition(mg, "nice", max_n)
+    return _find_partition(mg, "nice")
 
 
-def find_good_partition(mg: MMultigraph, max_n: int = 24) -> PartitionCertificate | None:
+def find_good_partition(mg: MMultigraph) -> PartitionCertificate | None:
     """First good partition under the fixed enumeration order, or None."""
-    return _find_partition(mg, "good", max_n)
+    return _find_partition(mg, "good")
 
 
 def nice_partition_size_bound(n: int) -> int:

@@ -139,9 +139,10 @@ def contains_k53(host: Uniform3Graph) -> tuple[int, ...] | None:
 # ----- bipartiteness ---------------------------------------------------------
 
 
-def is_bipartite3(
-    H: Uniform3Graph, max_n: int = 30
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+BIPARTITENESS_CAP = 30
+
+
+def is_bipartite3(H: Uniform3Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A vertex bipartition leaving no edge inside either part, or None.
 
     Branches on the lowest unassigned vertex with unit propagation: an edge
@@ -149,8 +150,8 @@ def is_bipartite3(
     other side. Vertex 0 is pinned to the first part, which costs nothing
     since the two sides are exchangeable.
     """
-    if H.n > max_n:
-        raise ValueError(f"vertex count {H.n} above bipartiteness cap {max_n}")
+    if H.n > BIPARTITENESS_CAP:
+        raise ValueError(f"vertex count {H.n} above bipartiteness cap {BIPARTITENESS_CAP}")
     if H.n == 0:
         return ((), ())
 

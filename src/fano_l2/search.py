@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .graphs import SimpleGraph, all_pairs, quasi_complete, quasi_star
+from .graphs import SimpleGraph, all_pairs, bipartitions, quasi_complete, quasi_star
 from .hypergraphs import Uniform3Graph, bipartite3, bn_l2_closed, complete3
 from .multigraphs import MMultigraph, contains_k4, turan_layers_5
 from .patterns import FANO_EDGES, contains_fano
@@ -26,7 +26,8 @@ from .formats import write_3graph, write_graph, write_mgraph
 
 @dataclass(frozen=True, slots=True)
 class SearchReport:
-    """Outcome of one oracle run; witness is serialized in the named format."""
+    """Outcome of one oracle run; witness is serialized in the named format,
+    and params holds any further counts the engine measured."""
 
     objective: str
     n: int
@@ -269,7 +270,7 @@ def max_k4free_multigraph(
     the first pair pinned to prefix masks of maximal multiplicity (every
     assignment can be relabeled so a maximum-multiplicity pair comes first
     with a downward-closed color set), pruning by remaining-pair capacity and
-    by the census ceiling on each 4-subset. A budget (seconds) turns the
+    by the 4-vertex optimum on each 4-subset. A budget (seconds) turns the
     report incomplete instead of raising.
     """
     start = time.perf_counter()
@@ -294,6 +295,8 @@ def max_k4free_multigraph(
         raise ValueError(f"unknown engine {engine!r}")
     if n not in (4, 5):
         raise ValueError("branch and bound supports n in {4, 5}")
+    if n == 5 and not 1 <= m <= 5:
+        raise ValueError(f"layer count {m} outside the 5-vertex range 1..5")
 
     pairs = _bnb_pair_order(n)
     index = {p: i for i, p in enumerate(pairs)}
@@ -312,7 +315,8 @@ def max_k4free_multigraph(
     completes_at: dict[int, list[dict]] = {}
     for q in quads:
         completes_at.setdefault(q["last"], []).append(q)
-    quad_cap = k4_census(m).max_size if n == 5 else 6 * m
+    # every 4-subset of a 5-vertex state is itself a 4-vertex state
+    quad_cap = max_k4free_multigraph(4, m, engine="bnb").optimum if n == 5 else 6 * m
 
     # incumbent seeding: the identical-layer construction when it applies
     if n == 5 and m == 5:
@@ -403,7 +407,7 @@ def max_k4free_multigraph(
         elapsed=time.perf_counter() - start,
         complete=complete,
         engine="bnb",
-        params={"budget": budget},
+        params={},
     )
 
 
@@ -500,25 +504,13 @@ def s2_quasi_agreement(n: int = 7) -> list[tuple[int, int, int, int]]:
 # ----- minimum-degree bipartiteness scan -------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class AesReport:
-    """Exhaustive check that triangle-free graphs of high minimum degree
-    are bipartite, with boundary statistics."""
-
-    n: int
-    states: int
-    triangle_free: int
-    above_threshold: int
-    violations: int
-    boundary_nonbipartite: int
-    elapsed: float
-
-
-def aes_scan(n: int) -> AesReport:
+def aes_scan(n: int) -> SearchReport:
     """Scan all n-vertex graphs: every triangle-free graph with minimum
-    degree above 2n/5 must be bipartite. Also counts the non-bipartite
-    triangle-free graphs sitting exactly at degree floor(2n/5), which stop
-    the threshold from moving."""
+    degree above 2n/5 must be bipartite, so the optimum (the count of
+    non-bipartite ones) must be 0. The params count the triangle-free graphs,
+    those above the threshold, and the non-bipartite triangle-free graphs
+    sitting exactly at degree floor(2n/5), which stop the threshold from
+    moving."""
     start = time.perf_counter()
     _check_scan_capacity(n)
     pairs = all_pairs(n)
@@ -546,14 +538,22 @@ def aes_scan(n: int) -> AesReport:
     for mask in masks[boundary]:
         if _mask_to_graph(n, pairs, int(mask)).bipartition() is None:
             boundary_nonbip += 1
-    return AesReport(
+    return SearchReport(
+        objective="aes",
         n=n,
-        states=len(masks),
-        triangle_free=int(triangle_free.sum()),
-        above_threshold=int(above.sum()),
-        violations=violations,
-        boundary_nonbipartite=boundary_nonbip,
+        m=None,
+        optimum=violations,
+        witness="",
+        witness_kind="none",
+        nodes=len(masks),
         elapsed=time.perf_counter() - start,
+        complete=True,
+        engine="exhaustive",
+        params={
+            "triangle_free": int(triangle_free.sum()),
+            "above_threshold": int(above.sum()),
+            "boundary_nonbipartite": boundary_nonbip,
+        },
     )
 
 
@@ -680,7 +680,7 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
         elapsed=time.perf_counter() - start,
         complete=complete,
         engine="bnb",
-        params={"budget": budget},
+        params={},
     )
 
 
@@ -700,34 +700,22 @@ def canonical_3graph(H: Uniform3Graph) -> tuple[tuple[int, int, int], ...]:
     return best
 
 
-@dataclass(frozen=True, slots=True)
-class BipartiteScanReport:
-    """Exhaustive maximum of the squared norm over bipartite 3-graphs."""
-
-    n: int
-    max_norm: int
-    closed_value: int
-    maximizer_count: int
-    unique_up_to_iso: bool
-    witness: str
-    states: int
-    elapsed: float
-
-
-def bipartite_l2_scan(n: int) -> BipartiteScanReport:
+def bipartite_l2_scan(n: int) -> SearchReport:
     """Scan every bipartition (vertex 0 pinned to the first part) and every
     subset of its crossing triples; the maximum squared norm must match the
-    closed formula, attained only by balanced complete bipartite graphs."""
+    closed formula, attained only by balanced complete bipartite graphs.
+    The params hold the closed value, the number of labeled maximizers and
+    whether they are all isomorphic to the balanced host."""
     start = time.perf_counter()
-    if n > 6:
-        raise ValueError(f"vertex count {n} above scan capacity")
+    # below 3 vertices there is no crossing triple; above 6 the 2^|cross|
+    # subset blocks outgrow memory
+    if not 3 <= n <= 6:
+        raise ValueError(f"vertex count {n} outside the scan range 3..6")
     pairs = all_pairs(n)
     best = -1
     maximizers: list[Uniform3Graph] = []
     states = 0
-    for subset in range(1 << (n - 1)):
-        part2 = [v for v in range(1, n) if subset >> (v - 1) & 1]
-        part1 = [v for v in range(n) if v not in part2]
+    for part1, part2 in bipartitions(n):
         cross = [
             t
             for t in combinations(range(n), 3)
@@ -760,15 +748,22 @@ def bipartite_l2_scan(n: int) -> BipartiteScanReport:
     maximizers = [distinct[k] for k in sorted(distinct)]
     canon = {canonical_3graph(H) for H in maximizers}
     balanced = canonical_3graph(bipartite3((n + 1) // 2, n // 2))
-    return BipartiteScanReport(
+    return SearchReport(
+        objective="bipartite-l2",
         n=n,
-        max_norm=best,
-        closed_value=bn_l2_closed(n),
-        maximizer_count=len(maximizers),
-        unique_up_to_iso=canon == {balanced},
+        m=None,
+        optimum=best,
         witness=write_3graph(maximizers[0]),
-        states=states,
+        witness_kind="3graph",
+        nodes=states,
         elapsed=time.perf_counter() - start,
+        complete=True,
+        engine="exhaustive",
+        params={
+            "closed_value": bn_l2_closed(n),
+            "maximizer_count": len(maximizers),
+            "unique_up_to_iso": canon == {balanced},
+        },
     )
 
 

@@ -333,7 +333,7 @@ def _check_ak_asymptotic(seed: int):
 def _check_aes(seed: int):
     from .search import aes_scan
 
-    bad = sum(aes_scan(n).violations for n in range(3, 8))
+    bad = sum(aes_scan(n).optimum for n in range(3, 8))
     return bad, 0, 0, bad == 0
 
 
@@ -351,7 +351,7 @@ def _check_bipartite_scan(seed: int):
     bad = 0
     for n in range(3, 7):
         rep = bipartite_l2_scan(n)
-        if rep.max_norm != rep.closed_value or not rep.unique_up_to_iso:
+        if rep.optimum != rep.params["closed_value"] or not rep.params["unique_up_to_iso"]:
             bad += 1
     return bad, 0, 0, bad == 0
 

@@ -135,8 +135,8 @@ def test_criterion_06_bipartite_extremality(acceptance_line):
     counts = []
     for n in (4, 5, 6):
         rep = bipartite_l2_scan(n)
-        counts.append(rep.maximizer_count)
-        ok = ok and rep.max_norm == bn_l2_closed(n) and rep.unique_up_to_iso
+        counts.append(rep.params["maximizer_count"])
+        ok = ok and rep.optimum == bn_l2_closed(n) and rep.params["unique_up_to_iso"]
     acceptance_line(
         6,
         ok,
@@ -279,8 +279,8 @@ def test_criterion_12_triangle_free_bipartiteness(acceptance_line):
     scanned = 0
     for n in range(3, 8):
         rep = aes_scan(n)
-        scanned += rep.states
-        ok = ok and rep.violations == 0
+        scanned += rep.nodes
+        ok = ok and rep.optimum == 0
     acceptance_line(
         12,
         ok,

@@ -127,12 +127,49 @@ def test_search_json_shape(tmp_path, capsys):
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["optimum"] == 15
     assert data["complete"] is True
+    assert data["params"] == {}
     mg = parse_mgraph(data["witness"])
     assert mg.size == 15
 
 
+SEARCH_KEYS = {
+    "objective", "n", "m", "optimum", "witness", "witness_kind", "nodes",
+    "elapsed", "complete", "engine", "params",
+}
+
+
+def test_search_scan_json(tmp_path, capsys):
+    aes = tmp_path / "aes.json"
+    assert main(["search", "--objective", "aes", "--n", "5", "--out", str(aes)]) == 0
+    data = json.loads(aes.read_text(encoding="utf-8"))
+    assert set(data) == SEARCH_KEYS
+    assert (data["objective"], data["optimum"], data["nodes"]) == ("aes", 0, 1024)
+    assert (data["witness"], data["witness_kind"], data["engine"]) == ("", "none", "exhaustive")
+    assert data["params"] == {
+        "triangle_free": 388, "above_threshold": 0, "boundary_nonbipartite": 12,
+    }
+    bip = tmp_path / "bip.json"
+    assert main(["search", "--objective", "bipartite-l2", "--n", "4", "--out", str(bip)]) == 0
+    data = json.loads(bip.read_text(encoding="utf-8"))
+    assert set(data) == SEARCH_KEYS
+    assert (data["objective"], data["optimum"], data["nodes"]) == ("bipartite-l2", 24, 80)
+    assert (data["witness_kind"], data["engine"]) == ("3graph", "exhaustive")
+    assert parse_3graph(data["witness"]).lp_norm(2) == 24
+    assert data["params"] == {
+        "closed_value": 24, "maximizer_count": 1, "unique_up_to_iso": True,
+    }
+
+
 def test_search_requires_dimensions(capsys):
     assert main(["search", "--objective", "k4multi", "--n", "4"]) == 2
+    assert "k4multi needs --n and --m" in capsys.readouterr().err
+    assert main(["search", "--objective", "aes"]) == 2
+    assert "aes needs --n" in capsys.readouterr().err
+
+
+def test_bipartite_scan_small_host_exits_2(capsys):
+    assert main(["search", "--objective", "bipartite-l2", "--n", "2"]) == 2
+    assert "3..6" in capsys.readouterr().err
 
 
 def test_census_layer_count_out_of_range_exits_2(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from fano_l2.graphs import (
     SimpleGraph,
     all_pairs,
+    bipartitions,
     clique_plus_isolated,
     complete_bipartite,
     complete_minus_clique,
@@ -30,6 +31,18 @@ def test_basic_structure():
     assert g.degrees() == (1, 2, 2, 1)
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
     assert sorted(g.neighbors(2)) == [1, 3]
+
+
+def test_bipartition_order():
+    # vertex 0 pinned; the other part ascends as a bitmask over 1..n-1
+    assert list(bipartitions(3)) == [
+        ((0, 1, 2), ()),
+        ((0, 2), (1,)),
+        ((0, 1), (2,)),
+        ((0,), (1, 2)),
+    ]
+    assert list(bipartitions(0)) == [((), ())]
+    assert len(list(bipartitions(6))) == 32
 
 
 @given(small_graphs())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_l2.multigraphs import (
+    PARTITION_SEARCH_CAP,
     MMultigraph,
     bipartite_construction_5,
     contains_k4,
@@ -151,12 +152,19 @@ def test_partitions_on_constructions():
     assert good is not None and good.kind == "good"
     assert is_certificate_valid(bc, nice)
     assert is_certificate_valid(bc, good)
-    assert set(nice.part1) == {0, 1, 2} and set(nice.part2) == {3, 4, 5}
+    # first certificates under the fixed enumeration order
+    assert (nice.part1, nice.part2, nice.layer_roles) == ((0, 1, 2), (3, 4, 5), (1, 2, 3, 4, 5))
+    assert (good.part1, good.part2, good.layer_roles) == ((0, 1, 2), (3, 4, 5), (1, 2, 3, 4, 5))
     # all five layers live on every crossing pair of the 3-partite stack, so no
     # bipartition can silence three of them on one side
     tl = turan_layers_5(6)
     assert find_nice_partition(tl) is None
     assert find_good_partition(tl) is None
+
+
+def test_partition_search_cap():
+    with pytest.raises(ValueError, match="search cap"):
+        find_nice_partition(MMultigraph(PARTITION_SEARCH_CAP + 1, 5, {}))
 
 
 def test_certificate_tampering_detected():

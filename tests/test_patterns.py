@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fano_l2.hypergraphs import Uniform3Graph, bipartite3, complete3, random_3graph
 from fano_l2.multigraphs import verify_k4_witness
 from fano_l2.patterns import (
+    BIPARTITENESS_CAP,
     contains_fano,
     contains_k53,
     edge_link_multigraph,
@@ -102,7 +103,7 @@ def test_bipartite_recognition():
     assert is_bipartite3(complete3(4)) is not None
     assert is_bipartite3(complete3(5)) is None
     with pytest.raises(ValueError):
-        is_bipartite3(complete3(6), max_n=5)
+        is_bipartite3(Uniform3Graph(BIPARTITENESS_CAP + 1, []))
 
 
 def violating_spoke_host():

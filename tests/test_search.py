@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from fano_l2 import search
 from fano_l2.formats import parse_3graph, parse_graph, parse_mgraph
 from fano_l2.graphs import SimpleGraph
 from fano_l2.hypergraphs import bipartite3, bn_l2_closed
@@ -54,6 +55,20 @@ def test_bnb_agrees_with_census_at_four_vertices():
         assert w.size == rep.optimum and contains_k4(w) is None
 
 
+def test_five_vertex_bnb_does_not_run_the_census(monkeypatch):
+    # the 4-subset cap comes from the 4-vertex branch and bound, so the
+    # 5-vertex search neither waits for nor leans on the census it checks
+    def no_census(m):
+        raise AssertionError("census called")
+
+    monkeypatch.setattr(search, "k4_census", no_census)
+    rep = max_k4free_multigraph(5, 4, engine="bnb")
+    assert (rep.optimum, rep.nodes, rep.complete) == (32, 238160, True)
+    for m in (0, 6):
+        with pytest.raises(ValueError, match="1..5"):
+            max_k4free_multigraph(5, m, engine="bnb")
+
+
 def test_small_multigraph_turan_values():
     assert max_k4free_multigraph(4, 2, engine="bnb").optimum == 12
     assert max_k4free_multigraph(4, 3, engine="bnb").optimum == 15
@@ -97,11 +112,11 @@ def test_s2_capacity_guard():
 
 def test_aes_scan_small_values():
     a5 = aes_scan(5)
-    assert (a5.states, a5.triangle_free, a5.violations) == (1024, 388, 0)
-    assert a5.boundary_nonbipartite == 12  # the labeled pentagons
+    assert (a5.nodes, a5.params["triangle_free"], a5.optimum) == (1024, 388, 0)
+    assert a5.params["boundary_nonbipartite"] == 12  # the labeled pentagons
     a6 = aes_scan(6)
-    assert (a6.states, a6.triangle_free, a6.violations) == (32768, 5789, 0)
-    assert a6.above_threshold == 10  # the labeled 3,3 bipartite doublings
+    assert (a6.nodes, a6.params["triangle_free"], a6.optimum) == (32768, 5789, 0)
+    assert a6.params["above_threshold"] == 10  # the labeled 3,3 bipartite doublings
     with pytest.raises(ValueError):
         aes_scan(8)
 
@@ -138,12 +153,20 @@ def test_canonical_form_identifies_relabelings():
 def test_bipartite_scan_values():
     for n, norm, count in ((3, 3, 1), (4, 24, 1), (5, 75, 10)):
         rep = bipartite_l2_scan(n)
-        assert rep.max_norm == norm
-        assert rep.closed_value == bn_l2_closed(n)
-        assert rep.maximizer_count == count
-        assert rep.unique_up_to_iso
+        assert rep.optimum == norm
+        assert rep.params["closed_value"] == bn_l2_closed(n)
+        assert rep.params["maximizer_count"] == count
+        assert rep.params["unique_up_to_iso"]
         w = parse_3graph(rep.witness)
         assert w.lp_norm(2) == norm
+
+
+def test_bipartite_scan_range_guard():
+    # below 3 vertices no triple crosses a bipartition; above 6 the scan
+    # outgrows memory
+    for n in (0, 1, 2, 7):
+        with pytest.raises(ValueError, match="3..6"):
+            bipartite_l2_scan(n)
 
 
 def test_bipartite_formulas_match_constructions():
