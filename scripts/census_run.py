@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the 4-vertex multigraph census and print its findings.
 
-The scan walks every assignment of layer sets to the six vertex pairs,
-counts the pattern-free ones, and keeps the maximum size with a witness.
+The census counts every assignment of layer sets to the six vertex pairs,
+the pattern-free ones among them, and the maximum size with a witness. It
+scans one outer block per layer-relabelling orbit, weighted by the orbit
+size, instead of every block (56 of 1024 at m=5).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ def main() -> int:
         rep = k4_census(args.m)
     except ValueError as exc:
         parser.error(str(exc))
-    print(f"states scanned:      {rep.states}")
+    print(f"states counted:      {rep.states}")
+    print(f"blocks scanned:      {rep.blocks} of {4 ** args.m}")
     print(f"pattern-free:        {rep.k4_free}")
     print(f"maximum size:        {rep.max_size}")
     print(f"maximizers:          {rep.max_count}")

@@ -18,6 +18,12 @@ from .hypergraphs import Uniform3Graph
 from .multigraphs import MMultigraph
 
 
+# the in-memory graphs allocate per vertex, and a multigraph builds an
+# m-bit layer mask, before any edge is read, so a header alone could ask for
+# gigabytes; larger vertex and layer counts are refused
+MAX_HEADER_COUNT = 1 << 16
+
+
 class FormatError(ValueError):
     """Malformed serialized graph text."""
 
@@ -39,6 +45,10 @@ def _header(text: str, kind: str, argc: int) -> tuple[list[int], list]:
         args = [int(t) for t in tokens[1:]]
     except ValueError:
         raise FormatError(f"line {lineno}: non-integer header argument") from None
+    if max(args) > MAX_HEADER_COUNT:
+        raise FormatError(
+            f"line {lineno}: header count {max(args)} exceeds the cap {MAX_HEADER_COUNT}"
+        )
     return args, lines[1:]
 
 

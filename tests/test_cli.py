@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fano_l2.cli import main
-from fano_l2.formats import parse_3graph, parse_mgraph, write_3graph
+from fano_l2.formats import MAX_HEADER_COUNT, parse_3graph, parse_mgraph, write_3graph
 from fano_l2.hypergraphs import balanced_bipartite3, complete3
 
 
@@ -31,6 +31,13 @@ def test_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("3graph 4\n0 1 9\n", encoding="utf-8")
     assert main(["norm", str(bad)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_oversized_header_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.3graph"
+    big.write_text(f"3graph {MAX_HEADER_COUNT + 1}\n", encoding="utf-8")
+    assert main(["check", str(big), "--pattern", "fano"]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_l2.formats import (
+    MAX_HEADER_COUNT,
     FormatError,
     parse_3graph,
     parse_any,
@@ -71,6 +72,21 @@ def test_header_validation():
         parse_graph("graph 4 2\n")
     with pytest.raises(FormatError):
         parse_mgraph("mgraph 4\n")
+
+
+def test_header_count_cap():
+    # a header alone must not make the parser allocate past the cap, per
+    # vertex or for an m-bit layer mask
+    cap = MAX_HEADER_COUNT
+    for parse, header, field in (
+        (parse_3graph, "3graph {}", "n"),
+        (parse_graph, "graph {}", "n"),
+        (parse_mgraph, "mgraph {} 5", "n"),
+        (parse_mgraph, "mgraph 4 {}", "m"),
+    ):
+        assert getattr(parse(header.format(cap) + "\n"), field) == cap
+        with pytest.raises(FormatError, match="exceeds the cap"):
+            parse(header.format(cap + 1) + "\n")
 
 
 def test_writers_end_with_newline_and_sorted_body():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 from math import comb
@@ -5,7 +6,7 @@ from math import comb
 import pytest
 
 from fano_l2 import search
-from fano_l2.formats import parse_3graph, parse_graph, parse_mgraph
+from fano_l2.formats import parse_3graph, parse_graph, parse_mgraph, write_mgraph
 from fano_l2.graphs import SimpleGraph
 from fano_l2.hypergraphs import bipartite3, bn_l2_closed
 from fano_l2.multigraphs import bipartite_construction_5, contains_k4
@@ -36,6 +37,54 @@ def test_census_m4_frozen_values():
     assert sum(rep.size_histogram) == rep.k4_free
     witness = parse_mgraph(rep.witness)
     assert witness.size == 20 and contains_k4(witness) is None
+
+
+def full_census(m):
+    # the oracle: every outer block scanned once, at weight 1
+    return search._census_report(m, [(block, 1) for block in range(4**m)])
+
+
+def census_fields(rep):
+    fields = dataclasses.asdict(rep)
+    del fields["elapsed"], fields["blocks"]
+    return fields
+
+
+def test_orbit_census_matches_full_scan():
+    for m in (1, 2, 3, 4):
+        fast, full = k4_census(m), full_census(m)
+        assert (fast.blocks, full.blocks) == (comb(m + 3, 3), 4**m)
+        assert census_fields(fast) == census_fields(full)
+
+
+def test_block_orbits_are_the_layer_relabelling_classes():
+    # group every block by (|a1 & b1|, |a1 - b1|, |b1 - a1|): one entry per
+    # class, at its smallest block, weighted by the class size
+    for m in range(1, 6):
+        classes: dict = {}
+        for block in range(4**m):
+            a1, b1 = divmod(block, 1 << m)
+            key = ((a1 & b1).bit_count(), (a1 & ~b1).bit_count(), (b1 & ~a1).bit_count())
+            classes.setdefault(key, []).append(block)
+        orbits = search._block_orbits(m)
+        assert sum(weight for _, weight in orbits) == 4**m
+        assert orbits == sorted((min(c), len(c)) for c in classes.values())
+
+
+def test_census_m5_witness_is_pinned():
+    rep = k4_census(5)
+    assert rep.blocks == 56
+    assert rep.witness == write_mgraph(
+        search._state_to_multigraph(5, (0, 31, 31, 31, 31, 31))
+    )
+    assert rep.witness == (
+        "mgraph 4 5\n"
+        "0 2 1,2,3,4,5\n"
+        "0 3 1,2,3,4,5\n"
+        "1 2 1,2,3,4,5\n"
+        "1 3 1,2,3,4,5\n"
+        "2 3 1,2,3,4,5\n"
+    )
 
 
 def test_census_layer_range_guard():

@@ -50,6 +50,8 @@ REGISTRY_IDS = (
 def strip_elapsed(payload):
     data = json.loads(payload)
     data.pop("elapsed")
+    for check in data["checks"]:
+        check.pop("elapsed")
     return data
 
 
@@ -94,6 +96,19 @@ def test_zero_budget_skips_everything():
     rep = run_suite("lemma51", budget=0)
     assert rep.passed == 0 and rep.failed == 0
     assert rep.skipped == len(rep.checks)
+
+
+def test_checks_record_measured_seconds():
+    rep = run_suite("roots")
+    assert all(c.elapsed > 0 for c in rep.checks)
+    skipped = run_suite("lemma51", budget=0)
+    assert all(c.elapsed == 0.0 for c in skipped.checks)
+
+
+def test_census_estimate_fits_a_small_budget():
+    # the orbit census takes about two seconds, so a 5 s budget runs it
+    rep = run_suite("lemma51", budget=5)
+    assert rep.skipped == 0 and rep.passed == 4
 
 
 def test_registry_order_and_suite_slices():
