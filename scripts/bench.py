@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Time the 4-vertex census and write BENCH_census.json.
+"""Time one engine and write BENCH_<topic>.json.
 
-For each layer count m = 1..5 it times the cold build of the inner tables,
-then the block scan of the orbit census (one outer block per
+census: for each layer count m = 1..5 it times the cold build of the inner
+tables, then the block scan of the orbit census (one outer block per
 layer-relabelling orbit, as `k4_census` runs it) and of the full scan
 (every outer block at weight 1, the oracle the tests compare it with). The
-full scan at m=5 takes about half a minute. The machine (nproc, cpu count)
-and the Python and NumPy versions are recorded with the timings.
+full scan at m=5 takes about half a minute.
 
-    python scripts/bench.py [OUT]    default OUT: BENCH_census.json
+fano: for n = 7..14 it times `contains_fano` and `link_triple_violation` on
+`balanced_bipartite3(n)` (plane-free, so every branch is searched) and on
+`complete3(n)` (a plane at the first branch), and for n <= 12 the generic
+embedder `contains_pattern(host, fano_plane())`, the oracle the plane
+embedder is tested against; it takes about ten seconds at n = 12. Each row
+asserts that the three agree.
+
+The machine (nproc, cpu count) and the Python and NumPy versions are
+recorded with the timings.
+
+    python scripts/bench.py [census|fano] [OUT]    default OUT: BENCH_<topic>.json
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from fano_l2 import search
+from fano_l2.hypergraphs import balanced_bipartite3, complete3
+from fano_l2.patterns import contains_fano, contains_pattern, fano_plane, link_triple_violation
 
 
 def _scan_row(m: int, blocks) -> tuple[dict, dict]:
@@ -41,8 +52,7 @@ def _scan_row(m: int, blocks) -> tuple[dict, dict]:
     return row, fields
 
 
-def main() -> int:
-    out = Path(sys.argv[1] if len(sys.argv) > 1 else "BENCH_census.json")
+def _census_rows() -> list[dict]:
     rows = []
     for m in range(1, 6):
         search._INNER_CACHE.pop(m, None)
@@ -59,8 +69,60 @@ def main() -> int:
             f"({orbit['blocks']} blocks), full {full['scan_s']:.3f}s "
             f"({full['blocks']} blocks)"
         )
+    return rows
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+def _fano_rows() -> list[dict]:
+    plane = fano_plane()
+    rows = []
+    for build in (balanced_bipartite3, complete3):
+        host_name = build.__name__
+        for n in range(7, 15):
+            host = build(n)
+            witness, fano_s = _timed(contains_fano, host)
+            violation, link_s = _timed(link_triple_violation, host)
+            oracle_s = None
+            if n <= 12:
+                expected, oracle_s = _timed(contains_pattern, host, plane)
+                if witness != expected:
+                    raise AssertionError(f"plane embedder and oracle disagree on {host_name}({n})")
+            if (violation is None) != (witness is None):
+                raise AssertionError(f"link test and plane embedder disagree on {host_name}({n})")
+            rows.append(
+                {
+                    "host": host_name,
+                    "n": n,
+                    "edges": host.edge_count,
+                    "plane": witness is not None,
+                    "contains_fano_s": fano_s,
+                    "contains_pattern_s": oracle_s,
+                    "link_triple_violation_s": link_s,
+                }
+            )
+            oracle = "-" if oracle_s is None else f"{oracle_s:.3f}s"
+            print(
+                f"{host_name}({n}): contains_fano {fano_s:.4f}s, oracle {oracle}, "
+                f"link_triple_violation {link_s:.4f}s"
+            )
+    return rows
+
+
+TOPICS = {"census": _census_rows, "fano": _fano_rows}
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    topic = args.pop(0) if args and args[0] in TOPICS else "census"
+    out = Path(args[0] if args else f"BENCH_{topic}.json")
+    rows = TOPICS[topic]()
     payload = {
-        "topic": "census",
+        "topic": topic,
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "cpu_count": os.cpu_count(),

@@ -1,11 +1,16 @@
 """Forbidden-pattern detection for 3-graphs.
 
-Backtracking embedding search for fixed patterns (the Fano plane, the
-complete 3-graph on five vertices, or anything loaded from a file),
-bipartiteness testing, and the two link-based necessary conditions satisfied
-by every Fano-free host: no edge whose three links stack into the
-three-matching multigraph pattern, and no vertex whose link holds three
-disjoint edges with all eight crossing triples present.
+The Fano plane has its own embedder: a table of "common third vertex"
+bitmasks, built once per host over the shadow pairs, lets two placed points
+fix the third point of their line, so the images of points 3..6 come from
+bitmask intersections. The same kernel answers, for one edge, whether some
+plane has that edge as a line. The generic backtracking embedder
+(`contains_pattern`) serves the complete 3-graph on five vertices and any
+pattern loaded from a file, and is the oracle the plane embedder is tested
+against. Also here: bipartiteness testing, and the two link-based necessary
+conditions satisfied by every Fano-free host: no edge whose three links stack
+into the three-matching multigraph pattern, and no vertex whose link holds
+three disjoint edges with all eight crossing triples present.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ class Pattern3:
         self._completed = tuple(tuple(es) for es in completed)
 
 
-_FANO_PATTERN: Pattern3 | None = None
 _K53_PATTERN: Pattern3 | None = None
 
 
@@ -118,12 +122,123 @@ def contains_pattern(
     return tuple(witness) if extend(0) else None
 
 
+# the plane table holds one bitmask per shadow pair, as wide as the largest
+# third vertex of that pair, so on sparse hosts with large labels it grows as
+# the square of the vertex count (about 800 MB for a random 65,536-vertex
+# host with one edge per vertex); a larger table is refused before any mask
+# is built
+PLANE_TABLE_BITS = 1 << 28
+
+
+def _pair_thirds(host: Uniform3Graph):
+    """(pair, third vertex) for the three pairs of every edge."""
+    for a, b, c in host.triples():
+        yield (a, b), c
+        yield (a, c), b
+        yield (b, c), a
+
+
+def _plane_rows(host: Uniform3Graph) -> dict[int, dict[int, int]]:
+    """rows[u][v]: the bitmask of the vertices w such that uvw is an edge.
+
+    Only shadow pairs are stored; rows[u][v] and rows[v][u] are the same
+    mask, and each row holds its keys in ascending order.
+    """
+    width: dict[tuple[int, int], int] = {}
+    for pair, w in _pair_thirds(host):
+        width[pair] = max(width.get(pair, 0), w + 1)
+    bits = sum(width.values())
+    if bits > PLANE_TABLE_BITS:
+        raise ValueError(f"plane table of {bits} bits above the cap {PLANE_TABLE_BITS}")
+    masks: dict[tuple[int, int], int] = {}
+    for pair, w in _pair_thirds(host):
+        masks[pair] = masks.get(pair, 0) | 1 << w
+    rows: dict[int, dict[int, int]] = {}
+    # sorted pairs (u, v), u < v, reach every row in ascending key order
+    for (u, v), mask in sorted(masks.items()):
+        rows.setdefault(u, {})[v] = mask
+        rows.setdefault(v, {})[u] = mask
+    return rows
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _complete_plane(
+    rows: dict[int, dict[int, int]], h0: int, h1: int, h2: int
+) -> tuple[int, int, int, int] | None:
+    """The lexicographically first (h3, h4, h5, h6) completing a plane whose
+    line (0, 1, 2) is (h0, h1, h2), or None.
+
+    Each point after h3 is fixed by lines through two placed points:
+    h4 on (2, 3, 4), h5 on (4, 5, 0) and (1, 3, 5), h6 on (0, 6, 3),
+    (1, 6, 4) and (2, 6, 5). Every two points of the plane share a line, so
+    a map sending every line to an edge is injective.
+    """
+    r0, r1, r2 = rows[h0], rows[h1], rows[h2]
+    for h3, m23 in r2.items():
+        m03 = r0.get(h3, 0)
+        m13 = r1.get(h3, 0)
+        if not (m03 and m13):
+            continue
+        for h4 in _bits(m23):
+            m5 = r0.get(h4, 0) & m13
+            m6 = r1.get(h4, 0) & m03
+            if not (m5 and m6):
+                continue
+            for h5 in _bits(m5):
+                last = m6 & r2.get(h5, 0)
+                if last:
+                    return h3, h4, h5, (last & -last).bit_length() - 1
+    return None
+
+
+def _first_plane_line(
+    host: Uniform3Graph, rows: dict[int, dict[int, int]]
+) -> tuple[int, int, int] | None:
+    """The first edge of host, in `triples()` order, that is a line of some
+    Fano plane in host, or None.
+
+    One orientation per edge suffices: the stabilizer of a line in the
+    plane's automorphism group permutes that line's three points
+    arbitrarily, so a plane through (a, b, c) also maps line (0, 1, 2) onto
+    (a, b, c) in this order.
+    """
+    for edge in host.triples():
+        if _complete_plane(rows, *edge) is not None:
+            return edge
+    return None
+
+
 def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
-    """Embedding of the Fano plane into host, or None."""
-    global _FANO_PATTERN
-    if _FANO_PATTERN is None:
-        _FANO_PATTERN = Pattern3(fano_plane())
-    return contains_pattern(host, _FANO_PATTERN)
+    """Embedding of the Fano plane into host, or None.
+
+    The witness maps point i of `fano_plane()` to host vertex witness[i] and
+    is the lexicographically first such map over (witness[0], ...,
+    witness[6]), the one `contains_pattern(host, fano_plane())` returns.
+    Its witness[0] is the smallest vertex on any plane, since the plane's
+    automorphisms move point 0 to every point. Each plane line through that
+    vertex starts with it, so it starts the first plane line too, and the
+    search runs at that h0 alone, over h1 ascending and h2 in rows[h0][h1]
+    ascending. Raises ValueError when the host's plane table would exceed
+    `PLANE_TABLE_BITS`.
+    """
+    rows = _plane_rows(host)
+    first = _first_plane_line(host, rows)
+    if first is None:
+        return None
+    h0 = first[0]
+    return next(
+        (h0, h1, h2, *rest)
+        for h1, line in rows[h0].items()
+        for h2 in _bits(line)
+        if (rest := _complete_plane(rows, h0, h1, h2)) is not None
+    )
 
 
 def contains_k53(host: Uniform3Graph) -> tuple[int, ...] | None:
@@ -241,9 +356,18 @@ def link_triple_violation(
 ) -> tuple[tuple[int, int, int], K4Witness] | None:
     """First edge whose three stacked links contain the three-matching
     pattern, with the pattern witness, or None. Fano-free hosts never
-    produce one."""
-    for edge in H.triples():
-        w = contains_k4(edge_link_multigraph(H, edge))
-        if w is not None:
-            return edge, w
-    return None
+    produce one.
+
+    The pattern sits in the links of an edge e exactly when some Fano plane
+    has e as a line. Its quad avoids e: every matching covers all four quad
+    vertices, and each vertex x of e is isolated in its own link, which
+    carries one matching. That matching gives the two other lines through
+    x, and with e these are the seven lines. So the edges are tested with
+    the plane kernel, and only the first edge that passes is handed to
+    `contains_k4` for its witness. Raises ValueError when the host's plane
+    table would exceed `PLANE_TABLE_BITS`.
+    """
+    edge = _first_plane_line(H, _plane_rows(H))
+    if edge is None:
+        return None
+    return edge, contains_k4(edge_link_multigraph(H, edge))

@@ -397,7 +397,7 @@ _CHECKS: tuple[tuple[str, float, object], ...] = (
     ("constructions.mg_sizes", 0.5, _check_mg_sizes),
     ("constructions.mg_k4free", 1.0, _check_mg_k4free),
     ("constructions.mg_crossover", 0.5, _check_mg_crossover),
-    ("constructions.bn_fano_free", 3.0, _check_bn_fano_free),
+    ("constructions.bn_fano_free", 0.1, _check_bn_fano_free),
     ("constructions.balanced_argmax", 0.5, _check_balanced_argmax),
     ("lemma51.census_max", 2.0, _check_census_max),
     ("lemma51.census_max_count", 0.1, _check_census_count),
@@ -409,7 +409,7 @@ _CHECKS: tuple[tuple[str, float, object], ...] = (
     ("oracles.fano_free_max", 1.0, _check_fano_free_max),
     ("oracles.bipartite_scan", 2.0, _check_bipartite_scan),
     ("oracles.bnb_agreement", 1.0, _check_bnb_agreement),
-    ("oracles.bnb_stretch", 60.0, _check_bnb_stretch),
+    ("oracles.bnb_stretch", 15.0, _check_bnb_stretch),
 )
 
 SUITE_NAMES = (*dict.fromkeys(check_id.split(".")[0] for check_id, _, _ in _CHECKS), "all")

@@ -40,6 +40,15 @@ def test_oversized_header_exits_2(tmp_path, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_oversized_plane_table_exits_2(tmp_path, capsys):
+    n = MAX_HEADER_COUNT
+    sparse = tmp_path / "sparse.3graph"
+    lines = [f"{v} {v + 1} {v + 2}" for v in range(n - 3 * 4096, n, 3)]
+    sparse.write_text("\n".join([f"3graph {n}", *lines]) + "\n", encoding="utf-8")
+    assert main(["check", str(sparse), "--pattern", "fano"]) == 2
+    assert "plane table" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["norm", "/nonexistent/x.3graph"]) == 2
 

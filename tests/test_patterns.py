@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_l2.hypergraphs import Uniform3Graph, bipartite3, complete3, random_3graph
-from fano_l2.multigraphs import verify_k4_witness
+from fano_l2.multigraphs import K4Witness, contains_k4, verify_k4_witness
 from fano_l2.patterns import (
     BIPARTITENESS_CAP,
     contains_fano,
     contains_k53,
+    contains_pattern,
     edge_link_multigraph,
     fano_plane,
     is_bipartite3,
@@ -44,6 +46,78 @@ def test_fano_detection_endpoints():
     assert contains_fano(complete3(6)) is None
     for n in range(3, 13):
         assert contains_fano(bipartite3((n + 1) // 2, n // 2)) is None
+
+
+def random_host(seed):
+    """A host on 7..10 vertices at a density from sparse (plane-free) to
+    dense (plane found early)."""
+    rng = random.Random(seed)
+    return random_3graph(rng.randint(7, 10), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)), rng)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_fano_witness_matches_generic_embedder(seed):
+    host = random_host(seed)
+    assert contains_fano(host) == contains_pattern(host, fano_plane())
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_link_triple_violation_matches_edge_scan(seed):
+    host = random_host(seed)
+    scan = next(
+        (
+            (edge, w)
+            for edge in host.triples()
+            if (w := contains_k4(edge_link_multigraph(host, edge))) is not None
+        ),
+        None,
+    )
+    found = link_triple_violation(host)
+    assert found == scan
+    assert (found is None) == (contains_fano(host) is None)
+
+
+def test_plane_witnesses_are_pinned():
+    assert contains_fano(complete3(8)) == (0, 1, 2, 3, 4, 5, 6)
+    assert contains_fano(violating_spoke_host()) == (0, 1, 2, 3, 5, 6, 4)
+    assert link_triple_violation(fano_plane()) == (
+        (0, 1, 2),
+        K4Witness((3, 4, 5, 6), (3, 2, 1)),
+    )
+
+
+def test_plane_search_on_a_large_sparse_host_stays_small():
+    # a dense n-by-n table would take gigabytes at this vertex count
+    n = 65536
+    host = Uniform3Graph(n, [tuple(n - 7 + x for x in line) for line in fano_plane().triples()])
+    tracemalloc.start()
+    try:
+        image = contains_fano(host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image == tuple(range(n - 7, n))
+    assert peak < 1 << 20
+
+
+def test_plane_table_cap():
+    # 4096 disjoint edges on high labels: the table would need about 7.3e8
+    # bits (91 MB), since each pair's mask is about 2^16 bits wide
+    n = 65536
+    edges = [(v, v + 1, v + 2) for v in range(n - 3 * 4096, n, 3)]
+    host = Uniform3Graph(n, edges)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="plane table"):
+            contains_fano(host)
+        with pytest.raises(ValueError, match="plane table"):
+            link_triple_violation(host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_fano_witness_is_an_embedding():

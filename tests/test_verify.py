@@ -111,6 +111,12 @@ def test_census_estimate_fits_a_small_budget():
     assert rep.skipped == 0 and rep.passed == 4
 
 
+def test_construction_estimates_fit_a_small_budget():
+    # the plane embedder clears the bipartite hosts in a fraction of a second
+    rep = run_suite("constructions", budget=6)
+    assert rep.skipped == 0 and rep.passed == len(rep.checks)
+
+
 def test_registry_order_and_suite_slices():
     # a zero budget runs only the free decimals, so listing every id is fast
     ids = tuple(c.check_id for c in run_suite("all", budget=0).checks)
