@@ -1,9 +1,9 @@
 """Forbidden-pattern detection for 3-graphs.
 
 The Fano plane has its own embedder: a table of "common third vertex"
-bitmasks, built once per host over the shadow pairs, lets two placed points
-fix the third point of their line, so the images of points 3..6 come from
-bitmask intersections. The same kernel answers, for one edge, whether some
+sets, built once per host over the shadow pairs, lets two placed points fix
+the third point of their line, so the images of points 3..6 come from set
+intersections. The same kernel answers, for one edge, whether some
 plane has that edge as a line. The generic backtracking embedder
 (`contains_pattern`) serves the complete 3-graph on five vertices and any
 pattern loaded from a file, and is the oracle the plane embedder is tested
@@ -122,55 +122,34 @@ def contains_pattern(
     return tuple(witness) if extend(0) else None
 
 
-# the plane table holds one bitmask per shadow pair, as wide as the largest
-# third vertex of that pair, so on sparse hosts with large labels it grows as
-# the square of the vertex count (about 800 MB for a random 65,536-vertex
-# host with one edge per vertex); a larger table is refused before any mask
-# is built
-PLANE_TABLE_BITS = 1 << 28
+def _plane_rows(host: Uniform3Graph) -> dict[int, dict[int, set[int]]]:
+    """rows[u][v]: the set of vertices w such that uvw is an edge.
 
-
-def _pair_thirds(host: Uniform3Graph):
-    """(pair, third vertex) for the three pairs of every edge."""
-    for a, b, c in host.triples():
-        yield (a, b), c
-        yield (a, c), b
-        yield (b, c), a
-
-
-def _plane_rows(host: Uniform3Graph) -> dict[int, dict[int, int]]:
-    """rows[u][v]: the bitmask of the vertices w such that uvw is an edge.
-
-    Only shadow pairs are stored; rows[u][v] and rows[v][u] are the same
-    mask, and each row holds its keys in ascending order.
+    Only edges whose three vertices have degree at least 3, as every point of
+    a plane does, enter the table, so it holds three sets per such edge and
+    nothing else. rows[u][v] and rows[v][u] are the same set, and each row
+    holds its keys in ascending order.
     """
-    width: dict[tuple[int, int], int] = {}
-    for pair, w in _pair_thirds(host):
-        width[pair] = max(width.get(pair, 0), w + 1)
-    bits = sum(width.values())
-    if bits > PLANE_TABLE_BITS:
-        raise ValueError(f"plane table of {bits} bits above the cap {PLANE_TABLE_BITS}")
-    masks: dict[tuple[int, int], int] = {}
-    for pair, w in _pair_thirds(host):
-        masks[pair] = masks.get(pair, 0) | 1 << w
-    rows: dict[int, dict[int, int]] = {}
+    thirds: dict[tuple[int, int], set[int]] = {}
+    for a, b, c in host.triples():
+        if min(host.degree(a), host.degree(b), host.degree(c)) < 3:
+            continue
+        thirds.setdefault((a, b), set()).add(c)
+        thirds.setdefault((a, c), set()).add(b)
+        thirds.setdefault((b, c), set()).add(a)
+    rows: dict[int, dict[int, set[int]]] = {}
     # sorted pairs (u, v), u < v, reach every row in ascending key order
-    for (u, v), mask in sorted(masks.items()):
-        rows.setdefault(u, {})[v] = mask
-        rows.setdefault(v, {})[u] = mask
+    for (u, v), ws in sorted(thirds.items()):
+        rows.setdefault(u, {})[v] = ws
+        rows.setdefault(v, {})[u] = ws
     return rows
 
 
-def _bits(mask: int):
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_EMPTY: frozenset[int] = frozenset()
 
 
 def _complete_plane(
-    rows: dict[int, dict[int, int]], h0: int, h1: int, h2: int
+    rows: dict[int, dict[int, set[int]]], h0: int, h1: int, h2: int
 ) -> tuple[int, int, int, int] | None:
     """The lexicographically first (h3, h4, h5, h6) completing a plane whose
     line (0, 1, 2) is (h0, h1, h2), or None.
@@ -181,25 +160,25 @@ def _complete_plane(
     a map sending every line to an edge is injective.
     """
     r0, r1, r2 = rows[h0], rows[h1], rows[h2]
-    for h3, m23 in r2.items():
-        m03 = r0.get(h3, 0)
-        m13 = r1.get(h3, 0)
-        if not (m03 and m13):
+    for h3, s23 in r2.items():
+        s03 = r0.get(h3, _EMPTY)
+        s13 = r1.get(h3, _EMPTY)
+        if not (s03 and s13):
             continue
-        for h4 in _bits(m23):
-            m5 = r0.get(h4, 0) & m13
-            m6 = r1.get(h4, 0) & m03
-            if not (m5 and m6):
+        for h4 in sorted(s23):
+            s5 = r0.get(h4, _EMPTY) & s13
+            s6 = r1.get(h4, _EMPTY) & s03
+            if not (s5 and s6):
                 continue
-            for h5 in _bits(m5):
-                last = m6 & r2.get(h5, 0)
+            for h5 in sorted(s5):
+                last = s6 & r2.get(h5, _EMPTY)
                 if last:
-                    return h3, h4, h5, (last & -last).bit_length() - 1
+                    return h3, h4, h5, min(last)
     return None
 
 
 def _first_plane_line(
-    host: Uniform3Graph, rows: dict[int, dict[int, int]]
+    host: Uniform3Graph, rows: dict[int, dict[int, set[int]]]
 ) -> tuple[int, int, int] | None:
     """The first edge of host, in `triples()` order, that is a line of some
     Fano plane in host, or None.
@@ -207,10 +186,11 @@ def _first_plane_line(
     One orientation per edge suffices: the stabilizer of a line in the
     plane's automorphism group permutes that line's three points
     arbitrarily, so a plane through (a, b, c) also maps line (0, 1, 2) onto
-    (a, b, c) in this order.
+    (a, b, c) in this order. An edge with a vertex outside the table lies
+    on no plane.
     """
     for edge in host.triples():
-        if _complete_plane(rows, *edge) is not None:
+        if all(x in rows for x in edge) and _complete_plane(rows, *edge) is not None:
             return edge
     return None
 
@@ -225,8 +205,7 @@ def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
     automorphisms move point 0 to every point. Each plane line through that
     vertex starts with it, so it starts the first plane line too, and the
     search runs at that h0 alone, over h1 ascending and h2 in rows[h0][h1]
-    ascending. Raises ValueError when the host's plane table would exceed
-    `PLANE_TABLE_BITS`.
+    ascending.
     """
     rows = _plane_rows(host)
     first = _first_plane_line(host, rows)
@@ -236,7 +215,7 @@ def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
     return next(
         (h0, h1, h2, *rest)
         for h1, line in rows[h0].items()
-        for h2 in _bits(line)
+        for h2 in sorted(line)
         if (rest := _complete_plane(rows, h0, h1, h2)) is not None
     )
 
@@ -364,8 +343,7 @@ def link_triple_violation(
     carries one matching. That matching gives the two other lines through
     x, and with e these are the seven lines. So the edges are tested with
     the plane kernel, and only the first edge that passes is handed to
-    `contains_k4` for its witness. Raises ValueError when the host's plane
-    table would exceed `PLANE_TABLE_BITS`.
+    `contains_k4` for its witness.
     """
     edge = _first_plane_line(H, _plane_rows(H))
     if edge is None:

@@ -89,34 +89,23 @@ def test_plane_witnesses_are_pinned():
 
 
 def test_plane_search_on_a_large_sparse_host_stays_small():
-    # a dense n-by-n table would take gigabytes at this vertex count
-    n = 65536
-    host = Uniform3Graph(n, [tuple(n - 7 + x for x in line) for line in fano_plane().triples()])
+    # a plane on the last 7 of 65,536 vertices, below it a tight cycle on
+    # 2048 vertices (every vertex of degree 3, no plane): a table sized by
+    # vertex labels would take about 37 MB, a dense n-by-n one gigabytes
+    n, k = 65536, 2048
+    base = n - 7 - k
+    cycle = [tuple(sorted(base + (i + d) % k for d in range(3))) for i in range(k)]
+    plane = [tuple(n - 7 + x for x in line) for line in fano_plane().triples()]
+    host, free = Uniform3Graph(n, cycle + plane), Uniform3Graph(n, cycle)
     tracemalloc.start()
     try:
         image = contains_fano(host)
+        violation = link_triple_violation(free)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert image == tuple(range(n - 7, n))
-    assert peak < 1 << 20
-
-
-def test_plane_table_cap():
-    # 4096 disjoint edges on high labels: the table would need about 7.3e8
-    # bits (91 MB), since each pair's mask is about 2^16 bits wide
-    n = 65536
-    edges = [(v, v + 1, v + 2) for v in range(n - 3 * 4096, n, 3)]
-    host = Uniform3Graph(n, edges)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="plane table"):
-            contains_fano(host)
-        with pytest.raises(ValueError, match="plane table"):
-            link_triple_violation(host)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert violation is None
     assert peak < 4 << 20
 
 
