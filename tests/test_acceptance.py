@@ -1,248 +1,124 @@
-"""One test per acceptance criterion, each emitting a PASS/FAIL/SKIP line.
-
-Budgets are wall-clock ceilings, not targets; every exact claim is asserted
-with zero tolerance and every decimal claim with the stated 5e-6.
-"""
+"""One test per acceptance criterion, each emitting a PASS/FAIL line. Most run
+checks of the `verify` registry, so each frozen value is written once; criteria
+10, 13 and 15 have no registry counterpart and keep their own code."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from fano_l2.bounds import (
-    ak_s2_bound,
-    core_size_bound,
-    extremal_density_stats,
-    rational_identity_checks,
-)
+from fano_l2 import verify
+from fano_l2.bounds import core_size_bound, extremal_density_stats
 from fano_l2.formats import parse_3graph
-from fano_l2.hypergraphs import (
-    balanced_bipartite3,
-    bn_l2_closed,
-    bn_min_l2_degree,
-    complete3,
-    random_3graph,
-)
-from fano_l2.multigraphs import (
-    bipartite_construction_5,
-    extract_dense_core,
-    is_k4_free,
-    turan_layers_5,
-)
-from fano_l2.patterns import (
-    contains_fano,
-    link_matching_check,
-    link_triple_violation,
-)
-from fano_l2.search import (
-    aes_scan,
-    bipartite_l2_scan,
-    k4_census,
-    max_k4free_multigraph,
-    max_l2_fano_free,
-    random_sub_multigraph,
-    s2_quasi_agreement,
-)
-from fano_l2.verify import DECIMAL_TOLERANCE, _decimal_checks
+from fano_l2.hypergraphs import balanced_bipartite3, bn_l2_closed, bn_min_l2_degree
+from fano_l2.multigraphs import bipartite_construction_5, extract_dense_core
+from fano_l2.patterns import contains_fano, link_matching_check, link_triple_violation
+from fano_l2.search import bipartite_l2_scan, max_l2_fano_free, random_sub_multigraph
+from fano_l2.search import s2_quasi_agreement
+
+CHECKS = {check_id: fn for check_id, _, fn in verify._CHECKS}
+
+
+def run_criterion(acceptance_line, criterion, ids, text, seeds=(0,), also=True):
+    """Run the registry checks `ids` at each seed, print the criterion line and
+    assert that they pass and the criterion's own claim `also` holds. `text` is
+    formatted with the last seed's measured values, keyed by id minus suite."""
+    start = time.perf_counter()
+    measured, failing = {}, []
+    for seed in seeds:
+        for check_id in ids:
+            value, expected, _, ok = CHECKS[check_id](seed)
+            measured[check_id.split(".", 1)[1]] = value
+            if not ok:
+                failing.append(f"{check_id} seed {seed}: {value!r} != {expected!r}")
+    ok = also and not failing
+    elapsed = time.perf_counter() - start
+    acceptance_line(criterion, ok, f"{text.format_map(measured)} ({elapsed:.1f}s)")
+    assert ok, failing
 
 
 def test_criterion_01_census_five_layers(acceptance_line):
-    rep = k4_census(5)
-    ok = (
-        rep.states == 32**6
-        and rep.k4_free == 683278578
-        and rep.max_size == 25
-        and rep.max_count == 96
-        and rep.clause_i_violations == 0
-        and rep.clause_iii_violations == 0
-        and rep.clause_iv_violations == 0
-        and rep.clause_v_violations == 0
+    ids = ["lemma51.census_max", "lemma51.census_max_count", "lemma51.census_clauses",
+           "lemma51.census_k4_free"]
+    text = (
+        "5-layer 4-vertex census: {census_k4_free[k4_free]} of "
+        "{census_k4_free[states]} states pattern-free, max size {census_max} "
+        "with {census_max_count} maximizers, all structural clauses clean"
     )
-    acceptance_line(
-        1,
-        ok,
-        f"5-layer 4-vertex census: max size {rep.max_size} with {rep.max_count} "
-        f"maximizers, all structural clauses clean ({rep.elapsed:.0f}s)",
-    )
-    assert ok
+    run_criterion(acceptance_line, 1, ids, text)
 
 
 def test_criterion_02_census_four_layers(acceptance_line):
-    rep = k4_census(4)
-    ok = rep.states == 16**6 and rep.max_size == 20 and rep.max_count == 48
-    acceptance_line(
-        2,
-        ok,
-        f"4-layer 4-vertex exhaustive maximum {rep.max_size} ({rep.elapsed:.1f}s)",
-    )
-    assert ok
+    text = "4-layer 4-vertex exhaustive maximum {census_m4}"
+    run_criterion(acceptance_line, 2, ["lemma51.census_m4"], text)
 
 
 def test_criterion_03_five_vertex_stretch(acceptance_line):
-    rep = max_k4free_multigraph(5, 5, engine="bnb", budget=600)
-    if not rep.complete:
-        acceptance_line(
-            3,
-            None,
-            f"5-vertex 5-layer branch and bound hit the 600s budget "
-            f"after {rep.nodes} nodes (best so far {rep.optimum})",
-        )
-        pytest.skip("branch and bound budget exhausted before completion")
-    ok = rep.optimum == 40
-    acceptance_line(
-        3,
-        ok,
-        f"5-vertex 5-layer maximum {rep.optimum} proven optimal in "
-        f"{rep.nodes} nodes ({rep.elapsed:.0f}s)",
-    )
-    assert ok
+    text = "5-vertex 5-layer maximum {bnb_stretch} proven optimal by branch and bound"
+    run_criterion(acceptance_line, 3, ["oracles.bnb_stretch"], text)
 
 
 def test_criterion_04_construction_sizes(acceptance_line):
-    ok = True
-    for n in range(2, 11):
-        bc = bipartite_construction_5(n)
-        ok = ok and bc.size == 2 * comb(n, 2) + 3 * (n * n // 4) and is_k4_free(bc)
-    for n in range(3, 11):
-        tl = turan_layers_5(n)
-        ok = ok and tl.size == 5 * (n * n // 3) and is_k4_free(tl)
-    tie = bipartite_construction_5(12).size == turan_layers_5(12).size == 240
-    lead = (bipartite_construction_5(13).size, turan_layers_5(13).size) == (282, 280)
-    ok = ok and tie and lead
-    acceptance_line(
-        4,
-        ok,
-        "both 5-layer constructions pattern-free with stated sizes; "
-        "tie 240 at n=12, bipartite leads 282:280 at n=13",
+    ids = ["constructions.mg_sizes", "constructions.mg_k4free",
+           "constructions.mg_crossover"]
+    text = (
+        "both 5-layer constructions pattern-free with stated sizes; tie "
+        "{mg_crossover[turan_12]} at n=12, bipartite leads "
+        "{mg_crossover[bipartite_13]}:{mg_crossover[turan_13]} at n=13"
     )
-    assert ok
+    run_criterion(acceptance_line, 4, ids, text)
 
 
 def test_criterion_05_closed_norm_formula(acceptance_line):
-    ok = all(
-        balanced_bipartite3(n).lp_norm(2) == bn_l2_closed(n) for n in range(3, 41)
-    )
-    ok = ok and bn_l2_closed(4) == 24 and bn_l2_closed(5) == 75
-    acceptance_line(
-        5, ok, "closed squared-norm formula exact for 3 <= n <= 40; 24 and 75 at 4, 5"
-    )
-    assert ok
+    text = "closed squared-norm formula exact for 3 <= n <= 40; 24 and 75 at 4, 5"
+    pins = bn_l2_closed(4) == 24 and bn_l2_closed(5) == 75
+    run_criterion(acceptance_line, 5, ["constructions.bn_norm_closed"], text, also=pins)
 
 
 def test_criterion_06_bipartite_extremality(acceptance_line):
-    ok = True
-    counts = []
-    for n in (4, 5, 6):
-        rep = bipartite_l2_scan(n)
-        counts.append(rep.params["maximizer_count"])
-        ok = ok and rep.optimum == bn_l2_closed(n) and rep.params["unique_up_to_iso"]
-    acceptance_line(
-        6,
-        ok,
-        f"bipartite maxima at n=4,5,6 all equal the closed value with a unique "
-        f"isomorphism class ({counts} labeled maximizers)",
-    )
-    assert ok
+    text = "bipartite maxima at n=3..6 equal the closed value, unique up to isomorphism"
+    run_criterion(acceptance_line, 6, ["oracles.bipartite_scan"], text)
 
 
 def test_criterion_07_identity_suite(acceptance_line):
-    rng = random.Random(20260819)
-    checked = 0
-    ok = True
-    for i in range(500):
-        n = 4 + i % 9
-        H = random_3graph(n, (0.15, 0.3, 0.5, 0.7)[i % 4], rng)
-        norm2 = H.lp_norm(2)
-        ok = ok and norm2 == 2 * H.count_stars(2) + 3 * H.edge_count
-        total = 0
-        for v in range(n):
-            expanded = H.l2_degree_expanded(v)
-            definitional = norm2 - H.remove_vertex(v).lp_norm(2)
-            ok = ok and expanded == definitional
-            ok = ok and 2 * H.star_degree(v) + 3 * H.degree(v) == expanded
-            total += expanded
-        ok = ok and total == 4 * norm2 - 3 * H.edge_count
-        sub = type(H)(n, [t for t in H.triples() if rng.random() < 0.7])
-        ok = ok and norm2 - sub.lp_norm(2) <= 6 * n * (H.edge_count - sub.edge_count)
-        per_edge: dict = {}
-        per_vertex = [0] * n
-        per_pair: dict = {}
-        for (u, v), a, b in H.two_edge_stars():
-            e1, e2 = tuple(sorted((u, v, a))), tuple(sorted((u, v, b)))
-            for e in (e1, e2):
-                per_edge[e] = per_edge.get(e, 0) + 1
-            for w in set(e1) | set(e2):
-                per_vertex[w] += 1
-            for q in {
-                tuple(sorted(p)) for e in (e1, e2)
-                for p in ((e[0], e[1]), (e[0], e[2]), (e[1], e[2]))
-            }:
-                per_pair[q] = per_pair.get(q, 0) + 1
-        ok = ok and max(per_edge.values(), default=0) <= 3 * (n - 3)
-        ok = ok and max(per_vertex, default=0) <= 24 * comb(n - 1, 3)
-        ok = ok and max(per_pair.values(), default=0) <= 24 * comb(n - 2, 2)
-        checked += 1
-        if not ok:
-            break
-    acceptance_line(
-        7,
-        ok,
-        f"norm, degree-route, degree-sum, deletion and participation "
-        f"identities exact on {checked} seeded 3-graphs",
+    seeds = range(20260819, 20260828)
+    graphs = len(seeds) * sum(1 for _ in verify._identity_pool(0))
+    ids = [check_id for check_id in CHECKS if check_id.startswith("identities.")]
+    text = (
+        f"norm, degree-route, degree-sum, deletion and participation identities "
+        f"exact on {graphs} seeded 3-graphs"
     )
-    assert ok
+    run_criterion(acceptance_line, 7, ids, text, seeds=seeds)
 
 
 def test_criterion_08_pinned_decimals(acceptance_line):
-    rows = _decimal_checks()
-    worst = max(abs(measured - expected) for _, measured, expected in rows)
-    ok = len(rows) == 11 and worst <= DECIMAL_TOLERANCE
-    acceptance_line(
-        8,
-        ok,
-        f"all 11 pinned decimals reproduced, worst deviation {worst:.2e} <= 5e-6",
-    )
-    assert ok
+    ids = [check_id for check_id, _, _ in verify._DECIMALS]
+    text = "all 11 pinned decimals reproduced within 5e-6"
+    run_criterion(acceptance_line, 8, ids, text, also=len(ids) == 11)
 
 
 def test_criterion_09_exact_rational_checks(acceptance_line):
-    rep = rational_identity_checks(scan_limit=10**6)
-    ok = (
-        rep.identity_exact
-        and rep.exceeds_61_34
-        and rep.combined_value == Fraction(5154779, 2872915)
-        and rep.g_step_holds_from_30
-        and rep.g_step_largest_failing == 29
+    text = (
+        "combined degree density equals {rational_identity[combined]} > 61/34; "
+        "size step beats 44m/13 for every m in {rational_identity[threshold]}..10^6"
     )
-    acceptance_line(
-        9,
-        ok,
-        "combined degree density equals 5154779/2872915 > 61/34; size step "
-        "beats 44m/13 for every m in 30..10^6",
-    )
-    assert ok
+    run_criterion(acceptance_line, 9, ["roots.rational_identity"], text)
 
 
 def test_criterion_10_density_envelopes(acceptance_line):
-    norm_ok = True
-    degree_ok = True
+    norm_ok = degree_ok = True
     for n in (100, 1000, 10000):
         stats = extremal_density_stats(n)
         norm_ok = norm_ok and abs(stats.norm_ratio - 5 / 16) <= 1.2 / n
         degree_ok = degree_ok and abs(stats.min_degree_ratio - 5 / 4) <= 3 / n
     ok = norm_ok and degree_ok
-    acceptance_line(
-        10,
-        ok,
-        "norm ratio within 1.2/n of 5/16"
-        + (
-            "; min-degree ratio within 3/n of 5/4"
-            if degree_ok
-            else "; min-degree ratio misses the stated 3/n envelope "
-            "(true gap is (39n-38)/(8n^2) ~ 4.875/n)"
-        ),
+    degree_text = "min-degree ratio within 3/n of 5/4" if degree_ok else (
+        "min-degree ratio misses the stated 3/n envelope "
+        "(true gap is (39n-38)/(8n^2) ~ 4.875/n)"
     )
+    acceptance_line(10, ok, f"norm ratio within 1.2/n of 5/16; {degree_text}")
     if norm_ok and not degree_ok:
         pytest.xfail(
             "the min-degree deviation from 5/4 is exactly (39n-38)/(8n^2), "
@@ -258,43 +134,23 @@ def test_min_degree_true_envelope():
 
 
 def test_criterion_11_two_edge_star_oracle(acceptance_line):
-    rows = s2_quasi_agreement(7)
-    exact_ok = all(best == max(star, clique) for _, best, star, clique in rows)
-    bound_ok = all(
-        ak_s2_bound(m / 49).value >= best / 343 - 2 / 7 for m, best, _, _ in rows
+    text = (
+        "exhaustive star maxima for n <= 7 equal the better extremal family, all "
+        "22 edge counts at n=7; analytic bound clears each density by the 2/n margin"
     )
-    ok = exact_ok and len(rows) == 22 and bound_ok
-    acceptance_line(
-        11,
-        ok,
-        "exhaustive 7-vertex star maxima equal the better of the two "
-        "extremal families for all 22 edge counts; analytic bound clears "
-        "every density by the 2/n margin",
-    )
-    assert ok
+    ids = ["oracles.s2_quasi", "oracles.ak_asymptotic"]
+    run_criterion(acceptance_line, 11, ids, text, also=len(s2_quasi_agreement(7)) == 22)
 
 
 def test_criterion_12_triangle_free_bipartiteness(acceptance_line):
-    ok = True
-    scanned = 0
-    for n in range(3, 8):
-        rep = aes_scan(n)
-        scanned += rep.nodes
-        ok = ok and rep.optimum == 0
-    acceptance_line(
-        12,
-        ok,
-        f"no triangle-free graph with minimum degree above 2n/5 is "
-        f"non-bipartite across {scanned} states, n <= 7",
-    )
-    assert ok
+    text = "no triangle-free graph of minimum degree > 2n/5 is non-bipartite, n <= 7"
+    run_criterion(acceptance_line, 12, ["oracles.aes"], text)
 
 
 def test_criterion_13_peeling_contract(acceptance_line):
     rng = random.Random(20260819)
     beta = Fraction(3)
-    degree_ok = True
-    size_ok = True
+    degree_ok = size_ok = True
     bounded = 0
     for i in range(100):
         n = 10 + i % 7
@@ -307,14 +163,12 @@ def test_criterion_13_peeling_contract(acceptance_line):
         if sub.size >= beta * comb(n + 1, 2):
             bounded += 1
             size_ok = size_ok and len(core) >= core_size_bound(sub.size, n, beta)
-    spot = extract_dense_core(bipartite_construction_5(12), Fraction(10, 3))
-    size_ok = size_ok and len(spot) >= core_size_bound(
-        bipartite_construction_5(12).size, 12, Fraction(10, 3)
-    )
+    host = bipartite_construction_5(12)
+    spot = extract_dense_core(host, Fraction(10, 3))
+    size_ok = size_ok and len(spot) >= core_size_bound(host.size, 12, Fraction(10, 3))
     ok = degree_ok and size_ok
     acceptance_line(
-        13,
-        ok,
+        13, ok,
         f"dense-core degree guarantee exact on 100 seeded sub-multigraphs; "
         f"size bound verified on the {bounded} heavy cases plus a 10/3 spot check",
     )
@@ -322,36 +176,24 @@ def test_criterion_13_peeling_contract(acceptance_line):
 
 
 def test_criterion_14_fano_basics(acceptance_line):
-    free_ok = all(contains_fano(balanced_bipartite3(n)) is None for n in range(3, 13))
-    found_ok = contains_fano(complete3(7)) is not None
-    optima_ok = (
-        max_l2_fano_free(5).optimum == 90 and max_l2_fano_free(6).optimum == 240
+    text = (
+        "balanced bipartite hosts plane-free for 3 <= n <= 12; plane-free optima "
+        "{fano_free_max[5]}, {fano_free_max[6]}, {fano_free_max[7]} at n=5,6,7"
     )
-    ok = free_ok and found_ok and optima_ok
-    acceptance_line(
-        14,
-        ok,
-        "balanced bipartite hosts plane-free through n=12, complete 7-vertex "
-        "host carries it, plane-free optima 90 and 240 at n=5,6",
-    )
-    assert ok
+    ids = ["constructions.bn_fano_free", "oracles.fano_free_max"]
+    run_criterion(acceptance_line, 14, ids, text)
 
 
 def test_criterion_15_link_validators(acceptance_line):
-    ok = True
-    for n in range(3, 11):
-        h = balanced_bipartite3(n)
-        ok = ok and all(link_matching_check(h, v) for v in range(n))
-        ok = ok and link_triple_violation(h) is None
     witnesses = [parse_3graph(max_l2_fano_free(n).witness) for n in (5, 6, 7)]
     witnesses += [parse_3graph(bipartite_l2_scan(n).witness) for n in (4, 5, 6)]
-    for w in witnesses:
-        ok = ok and contains_fano(w) is None
-        ok = ok and all(link_matching_check(w, v) for v in range(w.n))
-        ok = ok and link_triple_violation(w) is None
+    ok = True
+    for h in [balanced_bipartite3(n) for n in range(3, 11)] + witnesses:
+        ok = ok and contains_fano(h) is None
+        ok = ok and all(link_matching_check(h, v) for v in range(h.n))
+        ok = ok and link_triple_violation(h) is None
     acceptance_line(
-        15,
-        ok,
+        15, ok,
         f"link matching and stacked-link validators clean on balanced "
         f"bipartite hosts through n=10 and on {len(witnesses)} search witnesses",
     )

@@ -5,6 +5,7 @@ import pytest
 
 from fano_l2 import verify
 from fano_l2.cli import build_parser
+from fano_l2.hypergraphs import Uniform3Graph
 from fano_l2.verify import report_to_json, run_suite
 
 REGISTRY_IDS = (
@@ -36,6 +37,7 @@ REGISTRY_IDS = (
     "lemma51.census_max",
     "lemma51.census_max_count",
     "lemma51.census_clauses",
+    "lemma51.census_k4_free",
     "lemma51.census_m4",
     "oracles.s2_quasi",
     "oracles.ak_asymptotic",
@@ -108,7 +110,24 @@ def test_checks_record_measured_seconds():
 def test_census_estimate_fits_a_small_budget():
     # the orbit census takes about two seconds, so a 5 s budget runs it
     rep = run_suite("lemma51", budget=5)
-    assert rep.skipped == 0 and rep.passed == 4
+    assert rep.skipped == 0 and rep.passed == 5
+
+
+def test_identity_estimates_fit_a_small_budget():
+    # each identity check takes well under 0.1 s, so one second runs all six
+    rep = run_suite("identities", budget=1)
+    assert rep.skipped == 0 and rep.passed == 6
+
+
+def test_degree_routes_checks_the_deletion_route(monkeypatch):
+    # the direct route is the drop in the norm when a vertex is deleted, so a
+    # broken deletion must fail the check
+    def emptied(self, v):
+        return Uniform3Graph(self.n - 1, [])
+
+    monkeypatch.setattr(Uniform3Graph, "remove_vertex", emptied)
+    measured, _, _, ok = verify._check_degree_routes(0)
+    assert not ok and measured > 0
 
 
 def test_construction_estimates_fit_a_small_budget():
