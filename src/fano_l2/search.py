@@ -368,16 +368,17 @@ def max_k4free_multigraph(
     # every 4-subset of a 5-vertex state is itself a 4-vertex state
     quad_cap = max_k4free_multigraph(4, m, engine="bnb").optimum if n == 5 else 6 * m
 
-    # incumbent seeding: the identical-layer construction when it applies
+    # incumbent seeding: the identical-layer construction when it applies,
+    # else the empty state, so a deadline before the first leaf still reports
+    masks = [0] * total
     if n == 5 and m == 5:
         seed = turan_layers_5(5)
         best = seed.size
         best_masks = [seed.mask(u, v) for u, v in pairs]
     else:
-        best = -1
-        best_masks = None
+        best = 0
+        best_masks = masks.copy()
 
-    masks = [0] * total
     nodes = 0
     deadline = None if budget is None else start + budget
     complete = True
@@ -439,8 +440,6 @@ def max_k4free_multigraph(
         masks[depth] = 0
 
     descend(0, 0)
-    if best_masks is None:
-        raise AssertionError("search ended with no feasible state")
     witness_mg = MMultigraph.from_masks(
         n, m, {p: mk for p, mk in zip(pairs, best_masks) if mk}
     )

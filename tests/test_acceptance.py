@@ -18,7 +18,7 @@ from fano_l2.patterns import contains_fano, link_matching_check, link_triple_vio
 from fano_l2.search import bipartite_l2_scan, max_l2_fano_free, random_sub_multigraph
 from fano_l2.search import s2_quasi_agreement
 
-CHECKS = {check_id: fn for check_id, _, fn in verify._CHECKS}
+CHECKS = {c.check_id: c for c in verify._CHECKS}
 
 
 def run_criterion(acceptance_line, criterion, ids, text, seeds=(0,), also=True):
@@ -29,10 +29,10 @@ def run_criterion(acceptance_line, criterion, ids, text, seeds=(0,), also=True):
     measured, failing = {}, []
     for seed in seeds:
         for check_id in ids:
-            value, expected, _, ok = CHECKS[check_id](seed)
-            measured[check_id.split(".", 1)[1]] = value
-            if not ok:
-                failing.append(f"{check_id} seed {seed}: {value!r} != {expected!r}")
+            result = verify.run_check(CHECKS[check_id], seed)
+            measured[check_id.split(".", 1)[1]] = result.measured
+            if result.status != "pass":
+                failing.append(f"seed {seed}: {result}")
     ok = also and not failing
     elapsed = time.perf_counter() - start
     acceptance_line(criterion, ok, f"{text.format_map(measured)} ({elapsed:.1f}s)")
@@ -94,7 +94,7 @@ def test_criterion_07_identity_suite(acceptance_line):
 
 
 def test_criterion_08_pinned_decimals(acceptance_line):
-    ids = [check_id for check_id, _, _ in verify._DECIMALS]
+    ids = [check_id for check_id, c in CHECKS.items() if c.tolerance]
     text = "all 11 pinned decimals reproduced within 5e-6"
     run_criterion(acceptance_line, 8, ids, text, also=len(ids) == 11)
 

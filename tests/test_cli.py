@@ -150,6 +150,13 @@ def test_search_json_shape(tmp_path, capsys):
     assert mg.size == 15
 
 
+def test_search_budget_zero_reports_incomplete(capsys):
+    argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "3",
+            "--engine", "bnb", "--budget", "0"]
+    assert main(argv) == 0
+    assert "complete=False" in capsys.readouterr().out
+
+
 SEARCH_KEYS = {
     "objective", "n", "m", "optimum", "witness", "witness_kind", "nodes",
     "elapsed", "complete", "engine", "params",

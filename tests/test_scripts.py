@@ -1,0 +1,29 @@
+"""Smoke tests: each script runs from a checkout with `src` on the path."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_decimal_table_prints_every_pinned_constant():
+    proc = run_script("decimal_table.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.startswith("roots.")]
+    assert len(rows) == 11
+
+
+def test_census_run_scans_one_block_per_orbit():
+    proc = run_script("census_run.py", "--m", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "blocks scanned:      20 of 64" in proc.stdout

@@ -118,6 +118,11 @@ def test_five_vertex_bnb_does_not_run_the_census(monkeypatch):
             max_k4free_multigraph(5, m, engine="bnb")
 
 
+def test_bnb_deadline_before_the_first_leaf_reports_the_empty_state():
+    rep = max_k4free_multigraph(4, 3, engine="bnb", budget=0)
+    assert (rep.optimum, rep.complete, rep.witness) == (0, False, "mgraph 4 3\n")
+
+
 def test_small_multigraph_turan_values():
     assert max_k4free_multigraph(4, 2, engine="bnb").optimum == 12
     assert max_k4free_multigraph(4, 3, engine="bnb").optimum == 15
