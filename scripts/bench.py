@@ -14,10 +14,16 @@ embedder `contains_pattern(host, fano_plane())`, the oracle the plane
 embedder is tested against; it takes about ten seconds at n = 12. Each row
 asserts that the three agree.
 
+bnb: times the branch and bound `max_k4free_multigraph(n, m, "bnb")` at
+(4,5), (5,4) and (5,5), three runs each, and records the median seconds with
+the optimum, the candidate trials (`nodes`) and the report's counters (its
+`params`: trials by outcome). The 5-vertex runs include their 4-vertex
+quad-cap search, as a caller sees them.
+
 The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
 
-    python scripts/bench.py [census|fano] [OUT]    default OUT: BENCH_<topic>.json
+    python scripts/bench.py [census|fano|bnb] [OUT]    default OUT: BENCH_<topic>.json
 """
 
 from __future__ import annotations
@@ -113,7 +119,30 @@ def _fano_rows() -> list[dict]:
     return rows
 
 
-TOPICS = {"census": _census_rows, "fano": _fano_rows}
+def _bnb_rows() -> list[dict]:
+    rows = []
+    for n, m in ((4, 5), (5, 4), (5, 5)):
+        runs = [_timed(search.max_k4free_multigraph, n, m, "bnb") for _ in range(3)]
+        if len({(rep.optimum, rep.witness, rep.nodes) for rep, _ in runs}) != 1:
+            raise AssertionError(f"branch and bound runs disagree at ({n},{m})")
+        rep = runs[0][0]
+        seconds = sorted(s for _, s in runs)
+        rows.append(
+            {
+                "n": n,
+                "m": m,
+                "seconds": seconds[1],
+                "runs_s": seconds,
+                "optimum": rep.optimum,
+                "nodes": rep.nodes,
+                "params": rep.params,
+            }
+        )
+        print(f"({n},{m}): optimum {rep.optimum}, {rep.nodes} nodes, {seconds[1]:.2f}s {rep.params}")
+    return rows
+
+
+TOPICS = {"census": _census_rows, "fano": _fano_rows, "bnb": _bnb_rows}
 
 
 def main() -> int:

@@ -318,10 +318,19 @@ def max_k4free_multigraph(
     orbit. Branch and bound supports n in {4, 5}: depth-first over pair
     color masks in a fixed order, the first pair pinned to prefix masks of
     maximal multiplicity (every assignment can be relabeled so a
-    maximum-multiplicity pair comes first with a downward-closed color set),
-    pruning by remaining-pair capacity and by the 4-vertex optimum on each
-    4-subset. A budget (seconds) turns the report incomplete instead of
-    raising.
+    maximum-multiplicity pair comes first with a downward-closed color set).
+    Each pair tries its candidate masks in non-increasing popcount order
+    against three tests: the capacity bound (size so far plus m for every
+    open pair), the quad bound (each 4-subset capped by the 4-vertex optimum,
+    from per-subset popcount sums kept on push and pop), and the pattern
+    test on each 4-subset the pair completes. Both bounds depend only on the
+    popcount and never fall as it grows, so the first candidate that fails
+    one ends the loop; a pattern hit skips only that candidate. A subtree is
+    cut only when it cannot beat the incumbent, so the incumbent updates, and
+    the witness, are those of the unpruned search. params counts the
+    candidate trials by outcome: capacity_prunes, pattern_prunes,
+    bound_prunes and descents sum to nodes on a complete run. A budget
+    (seconds) turns the report incomplete instead of raising.
     """
     start = time.perf_counter()
     if engine == "exhaustive":
@@ -352,21 +361,26 @@ def max_k4free_multigraph(
     index = {p: i for i, p in enumerate(pairs)}
     total = len(pairs)
     pop = [x.bit_count() for x in range(1 << m)]
-    quads = []
-    for quad in combinations(range(n), 4):
-        a, b, c, d = quad
+    # per pair index: the quads (4-subsets) holding it, the quads not
+    # holding it, and the three matchings of each quad it completes
+    quad_count = comb(n, 4)
+    quads_of: list[list[int]] = [[] for _ in range(total)]
+    completes_at: list[list[tuple]] = [[] for _ in range(total)]
+    for q, (a, b, c, d) in enumerate(combinations(range(n), 4)):
         mpairs = (
             (index[(a, b)], index[(c, d)]),
             (index[(a, c)], index[(b, d)]),
             (index[(a, d)], index[(b, c)]),
         )
-        members = sorted(i for pair in mpairs for i in pair)
-        quads.append({"matchings": mpairs, "members": members, "last": members[-1]})
-    completes_at: dict[int, list[dict]] = {}
-    for q in quads:
-        completes_at.setdefault(q["last"], []).append(q)
+        members = [i for pair in mpairs for i in pair]
+        for i in members:
+            quads_of[i].append(q)
+        completes_at[max(members)].append(mpairs)
+    others_of = [[q for q in range(quad_count) if q not in mine] for mine in quads_of]
     # every 4-subset of a 5-vertex state is itself a 4-vertex state
     quad_cap = max_k4free_multigraph(4, m, engine="bnb").optimum if n == 5 else 6 * m
+    # every pair of K5 lies in 3 of the 5 quads; of K4 in its single quad
+    quads_per_pair = 3 if n == 5 else 1
 
     # incumbent seeding: the identical-layer construction when it applies,
     # else the empty state, so a deadline before the first leaf still reports
@@ -379,31 +393,19 @@ def max_k4free_multigraph(
         best = 0
         best_masks = masks.copy()
 
-    nodes = 0
+    # running per-quad bounds, kept on push and pop: the popcounts assigned
+    # so far plus m for each of the quad's pairs still open
+    quad_sums = [6 * m] * quad_count
+    nodes = capacity_prunes = pattern_prunes = bound_prunes = descents = 0
     deadline = None if budget is None else start + budget
     complete = True
     descending = sorted(range(1 << m), key=lambda x: (-pop[x], x))
+    by_limit = [[x for x in descending if pop[x] <= k] for k in range(m + 1)]
     root_masks = [(1 << k) - 1 for k in range(m, -1, -1)]
-
-    # every pair of K5 lies in 3 of the 5 quads; of K4 in its single quad
-    quads_per_pair = 3 if n == 5 else 1
-
-    def upper_bound(depth: int, size: int) -> int:
-        ub1 = size + m * (total - depth)
-        ub2_sum = 0
-        for q in quads:
-            cur = 0
-            unassigned = 0
-            for i in q["members"]:
-                if i < depth:
-                    cur += pop[masks[i]]
-                else:
-                    unassigned += 1
-            ub2_sum += min(quad_cap, cur + m * unassigned)
-        return min(ub1, ub2_sum // quads_per_pair)
 
     def descend(depth: int, size: int) -> None:
         nonlocal best, best_masks, nodes, complete
+        nonlocal capacity_prunes, pattern_prunes, bound_prunes, descents
         if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
             complete = False
             return
@@ -412,31 +414,50 @@ def max_k4free_multigraph(
                 best = size
                 best_masks = masks.copy()
             return
-        candidates = root_masks if depth == 0 else descending
-        limit = pop[masks[0]] if depth > 0 else m
-        for mask in candidates:
-            if pop[mask] > limit:
-                continue
+        mine = quads_of[depth]
+        # with this pair at popcount p, a quad holding it is capped at
+        # min(quad_cap, open_sum + p) and every other quad at its own cap;
+        # the quad bound sums the caps over all quads and divides by the
+        # number of quads each pair lies in
+        rest = 0
+        for q in others_of[depth]:
+            rest += min(quad_cap, quad_sums[q])
+        open_sums = [quad_sums[q] - m for q in mine]
+        room = m * (total - depth - 1)
+        checks = completes_at[depth]
+        last = -1
+        for mask in root_masks if depth == 0 else by_limit[pop[masks[0]]]:
             nodes += 1
+            p = pop[mask]
+            if p != last:
+                last = p
+                capacity = size + p + room
+                bound = rest
+                for s in open_sums:
+                    bound += s + p if s + p < quad_cap else quad_cap
+                bound //= quads_per_pair
+            # both bounds only grow with p, and p never grows along the
+            # loop, so once one fails it fails for every later candidate
+            if capacity <= best:
+                capacity_prunes += 1
+                break
+            if bound <= best:
+                bound_prunes += 1
+                break
             masks[depth] = mask
-            new_size = size + pop[mask]
-            if new_size + m * (total - depth - 1) <= best:
-                continue
-            bad = False
-            for q in completes_at.get(depth, ()):
-                isets = [
-                    masks[i] & masks[j] for i, j in q["matchings"]
-                ]
-                if _sdr_exists(isets[0], isets[1], isets[2], pop):
-                    bad = True
+            for (a, b), (c, d), (e, f) in checks:
+                if _sdr_exists(masks[a] & masks[b], masks[c] & masks[d], masks[e] & masks[f], pop):
+                    pattern_prunes += 1
                     break
-            if bad:
-                continue
-            if upper_bound(depth + 1, new_size) <= best:
-                continue
-            descend(depth + 1, new_size)
-            if not complete:
-                return
+            else:
+                descents += 1
+                for q in mine:
+                    quad_sums[q] += p - m
+                descend(depth + 1, size + p)
+                for q in mine:
+                    quad_sums[q] -= p - m
+                if not complete:
+                    return
         masks[depth] = 0
 
     descend(0, 0)
@@ -456,7 +477,12 @@ def max_k4free_multigraph(
         elapsed=time.perf_counter() - start,
         complete=complete,
         engine="bnb",
-        params={},
+        params={
+            "capacity_prunes": capacity_prunes,
+            "pattern_prunes": pattern_prunes,
+            "bound_prunes": bound_prunes,
+            "descents": descents,
+        },
     )
 
 

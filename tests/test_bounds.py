@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import isclose, sqrt
+from math import comb, isclose, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_l2.bounds import (
     ROOT_EQUATION_TOKENS,
+    RationalReport,
     ak_norm_bound,
     ak_s2_bound,
     alpha1,
@@ -155,6 +156,35 @@ def test_rational_identity_report():
     assert rep.g_step_holds_from_30
     assert rep.g_step_threshold == 30
     assert rep.g_step_largest_failing == 29
+
+
+def _reference_step_scan(scan_limit):
+    # the plain-int scan, one m at a time
+    largest_failing = 0
+    for m in range(2, scan_limit + 1):
+        g = 2 * comb(m, 2) + 3 * (m * m // 4)
+        g_prev = 2 * comb(m - 1, 2) + 3 * ((m - 1) * (m - 1) // 4)
+        step = 2 * (m - 1) + 3 * (m // 2)
+        assert g - g_prev == step
+        if 13 * step <= 44 * m:
+            largest_failing = m
+    return largest_failing
+
+
+def test_rational_identity_chunks_match_the_plain_scan():
+    # 70,000 crosses several chunk boundaries of the vectorized scan
+    for limit in (2000, 70_000):
+        largest_failing = _reference_step_scan(limit)
+        assert rational_identity_checks(scan_limit=limit) == RationalReport(
+            identity_exact=True,
+            exceeds_61_34=True,
+            combined_value=Fraction(5154779, 2872915),
+            g_step_holds_from_30=largest_failing < 30,
+            g_step_threshold=largest_failing + 1,
+            g_step_largest_failing=largest_failing,
+        )
+    with pytest.raises(ValueError, match="overflow"):
+        rational_identity_checks(scan_limit=(1 << 31) + 1)
 
 
 def test_g_matches_construction_sizes():

@@ -145,7 +145,10 @@ def test_search_json_shape(tmp_path, capsys):
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["optimum"] == 15
     assert data["complete"] is True
-    assert data["params"] == {}
+    assert set(data["params"]) == {
+        "capacity_prunes", "pattern_prunes", "bound_prunes", "descents",
+    }
+    assert sum(data["params"].values()) == data["nodes"]
     mg = parse_mgraph(data["witness"])
     assert mg.size == 15
 

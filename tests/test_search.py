@@ -9,7 +9,7 @@ from fano_l2 import search
 from fano_l2.formats import parse_3graph, parse_graph, parse_mgraph, write_mgraph
 from fano_l2.graphs import SimpleGraph
 from fano_l2.hypergraphs import bipartite3, bn_l2_closed
-from fano_l2.multigraphs import bipartite_construction_5, contains_k4
+from fano_l2.multigraphs import bipartite_construction_5, contains_k4, turan_layers_5
 from fano_l2.patterns import contains_fano
 from fano_l2.search import (
     aes_scan,
@@ -95,11 +95,12 @@ def test_census_layer_range_guard():
 
 
 def test_bnb_agrees_with_census_at_four_vertices():
-    for m in (2, 3, 4):
+    for m in range(1, 6):
         census_best = k4_census(m).max_size
         rep = max_k4free_multigraph(4, m, engine="bnb")
         assert rep.complete
         assert rep.optimum == census_best
+        assert sum(rep.params.values()) == rep.nodes
         w = parse_mgraph(rep.witness)
         assert w.size == rep.optimum and contains_k4(w) is None
 
@@ -112,10 +113,58 @@ def test_five_vertex_bnb_does_not_run_the_census(monkeypatch):
 
     monkeypatch.setattr(search, "k4_census", no_census)
     rep = max_k4free_multigraph(5, 4, engine="bnb")
-    assert (rep.optimum, rep.nodes, rep.complete) == (32, 238160, True)
+    assert (rep.optimum, rep.nodes, rep.complete) == (32, 58114, True)
+    # every candidate trial ends in exactly one of the four outcomes
+    assert rep.params == {
+        "capacity_prunes": 1577,
+        "pattern_prunes": 28254,
+        "bound_prunes": 13345,
+        "descents": 14938,
+    }
     for m in (0, 6):
         with pytest.raises(ValueError, match="1..5"):
             max_k4free_multigraph(5, m, engine="bnb")
+
+
+# the witnesses of the search before its bounds stopped the candidate loop;
+# pruning may cut subtrees but must never change which leaf wins
+BNB_WITNESSES = {
+    (4, 1): "mgraph 4 1\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n",
+    (4, 2): "mgraph 4 2\n0 1 1,2\n0 2 1,2\n0 3 1,2\n1 2 1,2\n1 3 1,2\n2 3 1,2\n",
+    (4, 3): "mgraph 4 3\n0 1 1,2,3\n0 2 1,2,3\n0 3 1,2,3\n1 3 1,2,3\n2 3 1,2,3\n",
+    (4, 4): "mgraph 4 4\n0 1 1,2,3,4\n0 2 1,2,3,4\n0 3 1,2,3,4\n1 3 1,2,3,4\n2 3 1,2,3,4\n",
+    (4, 5): (
+        "mgraph 4 5\n0 1 1,2,3,4,5\n0 2 1,2,3,4,5\n0 3 1,2,3,4,5\n1 3 1,2,3,4,5\n"
+        "2 3 1,2,3,4,5\n"
+    ),
+    (5, 1): (
+        "mgraph 5 1\n0 1 1\n0 2 1\n0 3 1\n0 4 1\n1 2 1\n1 3 1\n1 4 1\n2 3 1\n"
+        "2 4 1\n3 4 1\n"
+    ),
+    (5, 2): (
+        "mgraph 5 2\n0 1 1,2\n0 2 1,2\n0 3 1,2\n0 4 1,2\n1 2 1,2\n1 3 1,2\n"
+        "1 4 1,2\n2 3 1,2\n2 4 1,2\n3 4 1,2\n"
+    ),
+    (5, 3): (
+        "mgraph 5 3\n0 1 1,2,3\n0 2 1,2,3\n0 3 1,2\n0 4 1,2\n1 2 3\n1 3 1,2,3\n"
+        "1 4 1,2,3\n2 3 1,2,3\n2 4 1,2,3\n3 4 1,2\n"
+    ),
+    (5, 4): (
+        "mgraph 5 4\n0 1 1,2,3,4\n0 2 1,2,3,4\n0 3 1,2,3,4\n0 4 1,2,3,4\n"
+        "1 3 1,2,3,4\n1 4 1,2,3,4\n2 3 1,2,3,4\n2 4 1,2,3,4\n"
+    ),
+}
+
+
+def test_bnb_witnesses_are_pinned():
+    for (n, m), text in BNB_WITNESSES.items():
+        rep = max_k4free_multigraph(n, m, engine="bnb")
+        assert rep.witness == text
+        assert sum(rep.params.values()) == rep.nodes
+    # at (5,5) no leaf beats the identical-layer seed, so it stays the witness
+    rep = max_k4free_multigraph(5, 5, engine="bnb")
+    assert (rep.optimum, rep.complete) == (40, True)
+    assert rep.witness == write_mgraph(turan_layers_5(5))
 
 
 def test_bnb_deadline_before_the_first_leaf_reports_the_empty_state():
