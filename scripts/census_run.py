@@ -4,7 +4,9 @@
 The census counts every assignment of layer sets to the six vertex pairs,
 the pattern-free ones among them, and the maximum size with a witness. It
 scans one outer block per layer-relabelling orbit, weighted by the orbit
-size, instead of every block (56 of 1024 at m=5).
+size, instead of every block (56 of 1024 at m=5), and within a block one row
+per pair of matching classes, weighted by the states it stands for (19,044
+rows for 2^20 states at m=5).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ def main() -> int:
         parser.error(str(exc))
     print(f"states counted:      {rep.states}")
     print(f"blocks scanned:      {rep.blocks} of {4 ** args.m}")
+    print(f"inner rows:          {rep.inner_rows} per block ({rep.classes} classes per matching)")
     print(f"pattern-free:        {rep.k4_free}")
     print(f"maximum size:        {rep.max_size}")
     print(f"maximizers:          {rep.max_count}")
@@ -40,7 +43,10 @@ def main() -> int:
         )
     tail = {s: c for s, c in enumerate(rep.size_histogram) if c and s >= rep.max_size - 4}
     print(f"histogram tail:      {tail}")
-    print(f"elapsed:             {rep.elapsed:.1f}s")
+    print(
+        f"elapsed:             {rep.elapsed:.3f}s "
+        f"(tables {rep.table_build_s:.3f}s, scan {rep.scan_s:.3f}s)"
+    )
     print("witness:")
     print(rep.witness, end="")
 

@@ -47,9 +47,9 @@ class SearchReport:
 # State encoding: the six pair color masks in the fixed order
 #   C(01), C(23), C(02), C(13), C(03), C(12)
 # so the three perfect matchings occupy consecutive slots. The scan iterates
-# the first two masks as an outer block (a1, b1) and vectorizes the remaining
-# four, which makes ascending block-then-index order the lexicographic order
-# of the full state.
+# the first matching (a1, b1) as an outer block and the other two as the
+# inner part, which makes ascending block-then-inner order the lexicographic
+# order of the full state.
 #
 # Relabelling the m layers by one permutation in all six masks maps the state
 # space onto itself and keeps pattern-freeness, size and every clause
@@ -63,42 +63,65 @@ class SearchReport:
 # reaches the maximum is therefore a representative, and scanning the
 # representatives in ascending order finds the same lexicographically
 # minimal witness as scanning every block.
+#
+# Inside a block, everything the census reads from a matching with masks
+# (a, b) is a function of its key (a & b, |a| + |b|, |a| == m or |b| == m):
+# the Hall test of the pattern reads the intersections, the size the
+# popcount sums, and the clauses those and the full-multiplicity flags. So
+# the 4^m pairs of one matching fall into classes (138 at m=5), and the
+# inner part is the product of two class tables: 19,044 rows at m=5 instead
+# of 2^20 states, each row weighted by the c2*c3 states it stands for.
+# Classes come in ascending order of their smallest pair, so rows come in
+# ascending order of their smallest state (min2 << 2m) | min3, and the first
+# row of a block to reach its maximum holds the smallest maximizing state of
+# the block, the one a scan of single states finds.
 
 _CENSUS_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
 
 
-def _inner_tables(m: int):
-    size = 1 << m
-    pop = np.array([x.bit_count() for x in range(size)], dtype=np.uint8)
-    inner = np.arange(size**4, dtype=np.uint32)
-    mask = size - 1
-    a2 = (inner >> (3 * m)) & mask
-    b2 = (inner >> (2 * m)) & mask
-    a3 = (inner >> m) & mask
-    b3 = inner & mask
-    i2 = a2 & b2
-    i3 = a3 & b3
+def _matching_classes(m: int) -> dict[tuple[int, int, bool], list[int]]:
+    """Map each class key (a & b, |a| + |b|, a or b full) of one matching's
+    pairs (a, b) to [pair count, smallest pair a << m | b], in ascending
+    order of the smallest pair; the counts sum to 4^m."""
+    pop = [x.bit_count() for x in range(1 << m)]
+    classes: dict[tuple[int, int, bool], list[int]] = {}
+    for pair in range(1 << 2 * m):
+        a, b = divmod(pair, 1 << m)
+        key = (a & b, pop[a] + pop[b], pop[a] == m or pop[b] == m)
+        classes.setdefault(key, [0, pair])[0] += 1
+    return classes
+
+
+def _inner_rows(m: int) -> dict:
+    """The class product for matchings 2 and 3, class2 major: per row the
+    intersections, popcount sums and full flags it reads, and its state
+    count c2*c3; the counts sum to 16^m."""
+    classes = _matching_classes(m)
+    n = len(classes)
+    pop = np.array([x.bit_count() for x in range(1 << m)], dtype=np.int64)
+    inter = np.array([key[0] for key in classes], dtype=np.int64)
+    sums = np.array([key[1] for key in classes], dtype=np.int64)
+    full = np.array([key[2] for key in classes], dtype=bool)
+    count = np.array([c for c, _ in classes.values()], dtype=np.int64)
+    i2, i3 = np.repeat(inter, n), np.tile(inter, n)
+    s2, s3 = np.repeat(sums, n), np.tile(sums, n)
     u23 = i2 | i3
-    pop_i2 = pop[i2]
-    pop_i3 = pop[i3]
+    has_i2, has_i3 = i2 > 0, i3 > 0
     return {
         "pop": pop,
-        "s2": pop[a2] + pop[b2],
-        "s3": pop[a3] + pop[b3],
-        "pop_inner": pop[a2] + pop[b2] + pop[a3] + pop[b3],
+        "smallest": [pair for _, pair in classes.values()],
+        "classes": n,
+        "count": np.repeat(count, n) * np.tile(count, n),
         "i2": i2,
         "i3": i3,
-        "pop_i2": pop_i2,
-        "pop_i3": pop_i3,
         "u23": u23,
-        "hall_base": (pop_i2 >= 1) & (pop_i3 >= 1) & (pop[u23] >= 2),
-        "full_mu": (
-            (pop[a2] == m) | (pop[b2] == m) | (pop[a3] == m) | (pop[b3] == m)
-        ),
+        "s2": s2,
+        "s3": s3,
+        "has_i2": has_i2,
+        "has_i3": has_i3,
+        "hall_base": has_i2 & has_i3 & (pop[u23] >= 2),
+        "full23": np.repeat(full, n) | np.tile(full, n),
     }
-
-
-_INNER_CACHE: dict[int, dict] = {}
 
 
 def _block_orbits(m: int) -> list[tuple[int, int]]:
@@ -117,14 +140,16 @@ def _block_orbits(m: int) -> list[tuple[int, int]]:
     return sorted(orbits)
 
 
-def _census_scan(m: int, blocks: list[tuple[int, int]]) -> dict:
-    """Scan the given (block, weight) pairs and aggregate statistics, each
-    block counted weight times; the witness is the smallest index of the
+def _census_scan(m: int, blocks: list[tuple[int, int]], t: dict) -> dict:
+    """Scan the given (block, weight) pairs over the inner rows t and
+    aggregate statistics, each block counted weight times and each row
+    weighted by its state count; the witness is the smallest state of the
     first block, in the given order, to reach the maximum."""
-    if m not in _INNER_CACHE:
-        _INNER_CACHE[m] = _inner_tables(m)
-    t = _INNER_CACHE[m]
     pop = t["pop"]
+    count = t["count"]
+    s2, s3 = t["s2"], t["s3"]
+    s23 = s2 + s3
+    has_i2, has_i3 = t["has_i2"], t["has_i3"]
     size_bits = 1 << m
     hist = np.zeros(6 * m + 1, dtype=np.int64)
     k4_free = 0
@@ -137,57 +162,51 @@ def _census_scan(m: int, blocks: list[tuple[int, int]]) -> dict:
         pop_i1 = int(pop[i1])
         s1 = int(pop[a1]) + int(pop[b1])
         if pop_i1 >= 1:
-            sdr = (
+            free = ~(
                 t["hall_base"]
                 & (pop[i1 | t["i2"]] >= 2)
                 & (pop[i1 | t["i3"]] >= 2)
                 & (pop[i1 | t["u23"]] >= 3)
             )
         else:
-            sdr = np.zeros(len(t["i2"]), dtype=bool)
-        free = ~sdr
-        sizes = t["pop_inner"] + np.uint8(s1)
-        free_sizes = np.where(free, sizes, 0)
-        hist += weight * np.bincount(sizes[free], minlength=6 * m + 1)
-        k4_free += weight * int(free.sum())
-        block_best = int(free_sizes.max()) if len(free_sizes) else -1
+            free = np.ones(len(count), dtype=bool)
+        sizes = s23 + s1
+        # float64 weights are exact here: a block's sums stay below 16^m = 2^20
+        hist += weight * np.bincount(
+            sizes[free], weights=count[free], minlength=6 * m + 1
+        ).astype(np.int64)
+        k4_free += weight * int(count[free].sum())
+        free_sizes = np.where(free, sizes, -1)
+        block_best = int(free_sizes.max())
         if block_best > best:
             best = block_best
-            idx = int(np.argmax(free_sizes == block_best))
-            mask4 = size_bits - 1
+            row = int(np.argmax(free_sizes == block_best))
+            class2, class3 = divmod(row, t["classes"])
             best_state = (
                 a1,
                 b1,
-                (idx >> (3 * m)) & mask4,
-                (idx >> (2 * m)) & mask4,
-                (idx >> m) & mask4,
-                idx & mask4,
+                *divmod(t["smallest"][class2], size_bits),
+                *divmod(t["smallest"][class3], size_bits),
             )
         if m == 5:
+
+            def states(mask) -> int:
+                return int(count[free & mask].sum())
+
             v_i = v_iii = v_v = 0
-            s2, s3 = t["s2"], t["s3"]
-            has_i2 = t["pop_i2"] > 0
-            has_i3 = t["pop_i3"] > 0
             if s1 >= 8:
-                v_i += int((free & (s2 >= 7) & has_i3).sum())
-                v_i += int((free & (s3 >= 7) & has_i2).sum())
+                v_i += states((s2 >= 7) & has_i3) + states((s3 >= 7) & has_i2)
             if s1 >= 7:
-                v_i += int((free & (s2 >= 8) & has_i3).sum())
-                v_i += int((free & (s3 >= 8) & has_i2).sum())
+                v_i += states((s2 >= 8) & has_i3) + states((s3 >= 8) & has_i2)
             if pop_i1 > 0:
-                v_i += int((free & (s2 >= 8) & (s3 >= 7)).sum())
-                v_i += int((free & (s3 >= 8) & (s2 >= 7)).sum())
-                v_v += int((free & (s2 + s3 >= 17)).sum())
-            v_v += int((free & (s1 + s2 >= 17) & has_i3).sum())
-            v_v += int((free & (s1 + s3 >= 17) & has_i2).sum())
-            if pop_i1 > 0:
-                not_saturated = (t["pop_i2"] > 0) & (t["pop_i3"] > 0)
-                v_iii += int((free & (sizes >= 23) & not_saturated).sum())
-            full_mu = t["full_mu"] | (pop[a1] == m) | (pop[b1] == m)
-            v_iv = int((free & (sizes >= 22) & ~full_mu).sum())
+                v_i += states((s2 >= 8) & (s3 >= 7)) + states((s3 >= 8) & (s2 >= 7))
+                v_v += states(s23 >= 17)
+                v_iii += states((sizes >= 23) & has_i2 & has_i3)
+            v_v += states((s1 + s2 >= 17) & has_i3) + states((s1 + s3 >= 17) & has_i2)
+            if pop[a1] < m and pop[b1] < m:
+                viol_iv += weight * states((sizes >= 22) & ~t["full23"])
             viol_i += weight * v_i
             viol_iii += weight * v_iii
-            viol_iv += weight * v_iv
             viol_v += weight * v_v
     return {
         "hist": hist,
@@ -208,8 +227,11 @@ def _state_to_multigraph(m: int, state: tuple[int, ...]) -> MMultigraph:
 
 @dataclass(frozen=True, slots=True)
 class CensusReport:
-    """Aggregate over all 4-vertex m-layer states; blocks is the number of
-    outer blocks actually scanned."""
+    """Aggregate over all 4-vertex m-layer states. blocks is the number of
+    outer blocks actually scanned, classes the pair classes of one matching
+    and inner_rows the class-product rows scanned per block; table_build_s
+    and scan_s time the class tables and the block scan, elapsed the whole
+    report."""
 
     m: int
     states: int
@@ -223,6 +245,10 @@ class CensusReport:
     size_histogram: tuple[int, ...]
     witness: str
     blocks: int
+    classes: int
+    inner_rows: int
+    table_build_s: float
+    scan_s: float
     elapsed: float
 
 
@@ -230,7 +256,10 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
     """Census report from a scan of (block, weight) pairs that together
     count every outer block once, with the witness revalidated."""
     start = time.perf_counter()
-    part = _census_scan(m, blocks)
+    rows = _inner_rows(m)
+    built = time.perf_counter()
+    part = _census_scan(m, blocks, rows)
+    scanned = time.perf_counter()
     hist = part["hist"]
     best = part["best"]
     witness_mg = _state_to_multigraph(m, part["best_state"])
@@ -249,6 +278,10 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
         size_histogram=tuple(int(x) for x in hist),
         witness=write_mgraph(witness_mg),
         blocks=len(blocks),
+        classes=rows["classes"],
+        inner_rows=len(rows["count"]),
+        table_build_s=built - start,
+        scan_s=scanned - built,
         elapsed=time.perf_counter() - start,
     )
 
@@ -269,11 +302,14 @@ def k4_census(m: int = 5) -> CensusReport:
 
     Every state is counted, but only one outer block per layer-relabelling
     orbit is scanned (56 of the 1024 blocks at m=5), weighted by the orbit
-    size; the block comment above says why that is exact and why the
-    witness is the one a scan of every block finds.
+    size, and within a block one row per pair of matching classes (19,044
+    rows standing for 2^20 states at m=5), weighted by its state count; the
+    block comment above says why both are exact and why the witness is the
+    one a scan of every state finds.
 
-    Layer counts are limited to 1..5: the inner tables hold 2^(4m) entries
-    across about ten arrays, so m=6 already needs gigabytes.
+    Layer counts are limited to 1..5, the range whose values are frozen and
+    checked (the clause counts exist for m=5 only); the tables would fit
+    beyond it, but nothing would check what they count.
     """
     if not 1 <= m <= 5:
         raise ValueError(f"layer count {m} outside the census range 1..5")
@@ -315,7 +351,8 @@ def max_k4free_multigraph(
 
     The exhaustive engine supports n=4 only: the 4-vertex census, which
     counts every state but scans one outer block per layer-relabelling
-    orbit. Branch and bound supports n in {4, 5}: depth-first over pair
+    orbit and one row per pair of matching classes; params holds its
+    classes, inner_rows, blocks, table_build_s and scan_s. Branch and bound supports n in {4, 5}: depth-first over pair
     color masks in a fixed order, the first pair pinned to prefix masks of
     maximal multiplicity (every assignment can be relabeled so a
     maximum-multiplicity pair comes first with a downward-closed color set).
@@ -348,7 +385,13 @@ def max_k4free_multigraph(
             elapsed=time.perf_counter() - start,
             complete=True,
             engine="exhaustive",
-            params={},
+            params={
+                "classes": census.classes,
+                "inner_rows": census.inner_rows,
+                "blocks": census.blocks,
+                "table_build_s": census.table_build_s,
+                "scan_s": census.scan_s,
+            },
         )
     if engine != "bnb":
         raise ValueError(f"unknown engine {engine!r}")

@@ -353,7 +353,7 @@ _CHECKS: tuple[Check, ...] = (
           {"bipartite_12": 240, "turan_12": 240, "bipartite_13": 282, "turan_13": 280}),
     Check("constructions.bn_fano_free", 0.1, _check_bn_fano_free),
     Check("constructions.balanced_argmax", 0.1, _check_balanced_argmax),
-    Check("lemma51.census_max", 2.0, lambda seed: k4_census(5).max_size, 25),
+    Check("lemma51.census_max", 0.1, lambda seed: k4_census(5).max_size, 25),
     Check("lemma51.census_max_count", 0.1, lambda seed: k4_census(5).max_count, 96),
     Check("lemma51.census_clauses", 0.1, _check_census_clauses, [0, 0, 0, 0]),
     Check("lemma51.census_k4_free", 0.1, _check_census_k4_free,

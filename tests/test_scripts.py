@@ -27,3 +27,4 @@ def test_census_run_scans_one_block_per_orbit():
     proc = run_script("census_run.py", "--m", "3")
     assert proc.returncode == 0, proc.stderr
     assert "blocks scanned:      20 of 64" in proc.stdout
+    assert "inner rows:          576 per block (24 classes per matching)" in proc.stdout

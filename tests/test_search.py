@@ -1,15 +1,22 @@
 import dataclasses
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from fano_l2 import search
 from fano_l2.formats import parse_3graph, parse_graph, parse_mgraph, write_mgraph
 from fano_l2.graphs import SimpleGraph
 from fano_l2.hypergraphs import bipartite3, bn_l2_closed
-from fano_l2.multigraphs import bipartite_construction_5, contains_k4, turan_layers_5
+from fano_l2.multigraphs import (
+    MMultigraph,
+    bipartite_construction_5,
+    contains_k4,
+    turan_layers_5,
+)
 from fano_l2.patterns import contains_fano
 from fano_l2.search import (
     aes_scan,
@@ -40,13 +47,17 @@ def test_census_m4_frozen_values():
 
 
 def full_census(m):
-    # the oracle: every outer block scanned once, at weight 1
+    # every outer block scanned once, at weight 1
     return search._census_report(m, [(block, 1) for block in range(4**m)])
+
+
+TIMING_FIELDS = ("elapsed", "table_build_s", "scan_s")
 
 
 def census_fields(rep):
     fields = dataclasses.asdict(rep)
-    del fields["elapsed"], fields["blocks"]
+    for name in TIMING_FIELDS:
+        del fields[name]
     return fields
 
 
@@ -54,7 +65,190 @@ def test_orbit_census_matches_full_scan():
     for m in (1, 2, 3, 4):
         fast, full = k4_census(m), full_census(m)
         assert (fast.blocks, full.blocks) == (comb(m + 3, 3), 4**m)
-        assert census_fields(fast) == census_fields(full)
+        fast_fields, full_fields = census_fields(fast), census_fields(full)
+        del fast_fields["blocks"], full_fields["blocks"]
+        assert fast_fields == full_fields
+
+
+# ----- the per-state oracle ---------------------------------------------------
+#
+# A second census kept apart from the class-row scan it checks: it tabulates
+# every one of the 2^(4m) inner states of a block (a2, b2, a3, b3) and counts
+# the pattern-free ones state by state, as the census did before its rows
+# were grouped into classes.
+
+
+def oracle_tables(m):
+    size = 1 << m
+    pop = np.array([x.bit_count() for x in range(size)], dtype=np.uint8)
+    inner = np.arange(size**4, dtype=np.uint32)
+    mask = size - 1
+    a2 = (inner >> (3 * m)) & mask
+    b2 = (inner >> (2 * m)) & mask
+    a3 = (inner >> m) & mask
+    b3 = inner & mask
+    i2 = a2 & b2
+    i3 = a3 & b3
+    u23 = i2 | i3
+    pop_i2 = pop[i2]
+    pop_i3 = pop[i3]
+    return {
+        "pop": pop,
+        "s2": pop[a2] + pop[b2],
+        "s3": pop[a3] + pop[b3],
+        "pop_inner": pop[a2] + pop[b2] + pop[a3] + pop[b3],
+        "i2": i2,
+        "i3": i3,
+        "pop_i2": pop_i2,
+        "pop_i3": pop_i3,
+        "u23": u23,
+        "hall_base": (pop_i2 >= 1) & (pop_i3 >= 1) & (pop[u23] >= 2),
+        "full_mu": (
+            (pop[a2] == m) | (pop[b2] == m) | (pop[a3] == m) | (pop[b3] == m)
+        ),
+    }
+
+
+def oracle_census(m, blocks):
+    """The CensusReport fields, timings left out, of a state-by-state scan of
+    the given (block, weight) pairs."""
+    t = oracle_tables(m)
+    pop = t["pop"]
+    size_bits = 1 << m
+    hist = np.zeros(6 * m + 1, dtype=np.int64)
+    k4_free = 0
+    viol_i = viol_iii = viol_iv = viol_v = 0
+    best = -1
+    best_state = None
+    for block, weight in blocks:
+        a1, b1 = divmod(block, size_bits)
+        i1 = a1 & b1
+        pop_i1 = int(pop[i1])
+        s1 = int(pop[a1]) + int(pop[b1])
+        if pop_i1 >= 1:
+            sdr = (
+                t["hall_base"]
+                & (pop[i1 | t["i2"]] >= 2)
+                & (pop[i1 | t["i3"]] >= 2)
+                & (pop[i1 | t["u23"]] >= 3)
+            )
+        else:
+            sdr = np.zeros(len(t["i2"]), dtype=bool)
+        free = ~sdr
+        sizes = t["pop_inner"] + np.uint8(s1)
+        free_sizes = np.where(free, sizes, 0)
+        hist += weight * np.bincount(sizes[free], minlength=6 * m + 1)
+        k4_free += weight * int(free.sum())
+        block_best = int(free_sizes.max())
+        if block_best > best:
+            best = block_best
+            idx = int(np.argmax(free_sizes == block_best))
+            mask4 = size_bits - 1
+            best_state = (
+                a1,
+                b1,
+                (idx >> (3 * m)) & mask4,
+                (idx >> (2 * m)) & mask4,
+                (idx >> m) & mask4,
+                idx & mask4,
+            )
+        if m == 5:
+            v_i = v_iii = v_v = 0
+            s2, s3 = t["s2"], t["s3"]
+            has_i2 = t["pop_i2"] > 0
+            has_i3 = t["pop_i3"] > 0
+            if s1 >= 8:
+                v_i += int((free & (s2 >= 7) & has_i3).sum())
+                v_i += int((free & (s3 >= 7) & has_i2).sum())
+            if s1 >= 7:
+                v_i += int((free & (s2 >= 8) & has_i3).sum())
+                v_i += int((free & (s3 >= 8) & has_i2).sum())
+            if pop_i1 > 0:
+                v_i += int((free & (s2 >= 8) & (s3 >= 7)).sum())
+                v_i += int((free & (s3 >= 8) & (s2 >= 7)).sum())
+                v_v += int((free & (s2 + s3 >= 17)).sum())
+            v_v += int((free & (s1 + s2 >= 17) & has_i3).sum())
+            v_v += int((free & (s1 + s3 >= 17) & has_i2).sum())
+            if pop_i1 > 0:
+                not_saturated = (t["pop_i2"] > 0) & (t["pop_i3"] > 0)
+                v_iii += int((free & (sizes >= 23) & not_saturated).sum())
+            full_mu = t["full_mu"] | (pop[a1] == m) | (pop[b1] == m)
+            v_iv = int((free & (sizes >= 22) & ~full_mu).sum())
+            viol_i += weight * v_i
+            viol_iii += weight * v_iii
+            viol_iv += weight * v_iv
+            viol_v += weight * v_v
+    # the classes of one matching, found pair by pair from their keys
+    keys = {
+        (a & b, a.bit_count() + b.bit_count(), m in (a.bit_count(), b.bit_count()))
+        for a in range(size_bits)
+        for b in range(size_bits)
+    }
+    witness = write_mgraph(
+        MMultigraph.from_masks(
+            4, m, {pair: mask for pair, mask in zip(search._CENSUS_PAIRS, best_state) if mask}
+        )
+    )
+    return {
+        "m": m,
+        "states": (1 << m) ** 6,
+        "k4_free": k4_free,
+        "max_size": best,
+        "max_count": int(hist[best]),
+        "clause_i_violations": viol_i,
+        "clause_iii_violations": viol_iii,
+        "clause_iv_violations": viol_iv,
+        "clause_v_violations": viol_v,
+        "size_histogram": tuple(int(x) for x in hist),
+        "witness": witness,
+        "blocks": len(blocks),
+        "classes": len(keys),
+        "inner_rows": len(keys) ** 2,
+    }
+
+
+def test_class_rows_match_the_per_state_oracle():
+    # every block at m=1..4; the 56 orbit blocks at m=5, the only layer
+    # count with clause counts
+    for m in (1, 2, 3, 4):
+        blocks = [(block, 1) for block in range(4**m)]
+        assert census_fields(search._census_report(m, blocks)) == oracle_census(m, blocks)
+    blocks = search._block_orbits(5)
+    assert len(blocks) == 56
+    fields = census_fields(k4_census(5))
+    assert fields == oracle_census(5, blocks)
+    assert (fields["classes"], fields["inner_rows"]) == (138, 19044)
+
+
+def test_class_counts_cover_every_pair_and_state():
+    for m in range(1, 6):
+        classes = search._matching_classes(m)
+        assert sum(count for count, _ in classes.values()) == 4**m
+        rows = search._inner_rows(m)
+        assert rows["classes"] == len(classes)
+        assert len(rows["count"]) == len(classes) ** 2
+        assert int(rows["count"].sum()) == 16**m
+        # each class's smallest pair carries its key, and the smallest
+        # pairs ascend
+        smallest = [pair for _, pair in classes.values()]
+        assert smallest == sorted(smallest)
+        for key, (_, pair) in classes.items():
+            a, b = divmod(pair, 1 << m)
+            assert key == (a & b, a.bit_count() + b.bit_count(), m in (a.bit_count(), b.bit_count()))
+
+
+def test_cold_census_memory_stays_small(monkeypatch):
+    # the class rows replace per-state tables of 2^20 entries, which took a
+    # tracemalloc peak of about 41 MB at m=5
+    monkeypatch.setattr(search, "_CENSUS_CACHE", {})
+    tracemalloc.start()
+    try:
+        rep = k4_census(5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.max_size == 25
+    assert peak < 8 * 2**20
 
 
 def test_block_orbits_are_the_layer_relabelling_classes():
@@ -88,7 +282,8 @@ def test_census_m5_witness_is_pinned():
 
 
 def test_census_layer_range_guard():
-    # m=6 would allocate tables of 2^24 entries each; the guard fires first
+    # the census is frozen and checked only for 1..5 layers; other counts
+    # are refused before any table is built
     for m in (0, 6):
         with pytest.raises(ValueError, match="1..5"):
             k4_census(m)
