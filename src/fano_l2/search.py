@@ -341,6 +341,19 @@ def _sdr_exists(i1: int, i2: int, i3: int, pop) -> bool:
     )
 
 
+def _class_prefix_masks(m: int, classes: tuple[int, ...], limit: int) -> list[int]:
+    """The layer masks of popcount at most limit, in non-increasing popcount
+    order (ties ascending), whose bits inside each class of the layer
+    partition `classes` are that class's lowest bits: one mask per orbit of
+    the layer permutations that fix every class, the smallest of its orbit."""
+    return [
+        x
+        for x in sorted(range(1 << m), key=lambda x: (-x.bit_count(), x))
+        if x.bit_count() <= limit
+        and all(c & ((1 << (x & c).bit_length()) - 1) == x & c for c in classes)
+    ]
+
+
 def max_k4free_multigraph(
     n: int,
     m: int,
@@ -352,10 +365,25 @@ def max_k4free_multigraph(
     The exhaustive engine supports n=4 only: the 4-vertex census, which
     counts every state but scans one outer block per layer-relabelling
     orbit and one row per pair of matching classes; params holds its
-    classes, inner_rows, blocks, table_build_s and scan_s. Branch and bound supports n in {4, 5}: depth-first over pair
-    color masks in a fixed order, the first pair pinned to prefix masks of
-    maximal multiplicity (every assignment can be relabeled so a
-    maximum-multiplicity pair comes first with a downward-closed color set).
+    classes, inner_rows, blocks, table_build_s and scan_s. Branch and bound
+    supports n in {4, 5}: depth-first over pair color masks in a fixed order,
+    every pair capped at the multiplicity of the first (every assignment can
+    be relabeled so a maximum-multiplicity pair comes first). The layers are
+    relabeled at every pair, not only the first: the masks placed so far
+    split the m layers into classes (one class at the root; a placed mask
+    splits each class into its part inside and its part outside the mask),
+    and a pair tries only the masks whose bits inside each class are that
+    class's lowest, one per orbit of the layer permutations fixing the
+    placed masks. The first pair therefore tries prefix masks only. The
+    search space, both bounds and the pattern test are invariant under layer
+    relabeling, and the search visits states in lexicographic order of their
+    per-pair (-popcount, mask) keys; a state that comes first in its orbit
+    has a class-prefix mask at every pair, or a permutation fixing the
+    earlier masks would give it a smaller key. The first optimal state in
+    search order, the witness, therefore survives the rule. At (5,5) the
+    identical-layer construction seeds the incumbent and, as no leaf beats
+    it, stays the witness; the first optimal leaf is another state, so a
+    seedless run reports a different witness.
     Each pair tries its candidate masks in non-increasing popcount order
     against three tests: the capacity bound (size so far plus m for every
     open pair), the quad bound (each 4-subset capped by the 4-vertex optimum,
@@ -442,11 +470,10 @@ def max_k4free_multigraph(
     nodes = capacity_prunes = pattern_prunes = bound_prunes = descents = 0
     deadline = None if budget is None else start + budget
     complete = True
-    descending = sorted(range(1 << m), key=lambda x: (-pop[x], x))
-    by_limit = [[x for x in descending if pop[x] <= k] for k in range(m + 1)]
-    root_masks = [(1 << k) - 1 for k in range(m, -1, -1)]
+    # candidate lists by (layer classes, popcount limit), built on first use
+    options: dict[tuple[tuple[int, ...], int], list[int]] = {}
 
-    def descend(depth: int, size: int) -> None:
+    def descend(depth: int, size: int, classes: tuple[int, ...], limit: int) -> None:
         nonlocal best, best_masks, nodes, complete
         nonlocal capacity_prunes, pattern_prunes, bound_prunes, descents
         if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
@@ -468,8 +495,12 @@ def max_k4free_multigraph(
         open_sums = [quad_sums[q] - m for q in mine]
         room = m * (total - depth - 1)
         checks = completes_at[depth]
+        key = (classes, limit)
+        candidates = options.get(key)
+        if candidates is None:
+            candidates = options[key] = _class_prefix_masks(m, classes, limit)
         last = -1
-        for mask in root_masks if depth == 0 else by_limit[pop[masks[0]]]:
+        for mask in candidates:
             nodes += 1
             p = pop[mask]
             if p != last:
@@ -496,14 +527,19 @@ def max_k4free_multigraph(
                 descents += 1
                 for q in mine:
                     quad_sums[q] += p - m
-                descend(depth + 1, size + p)
+                # each class splits into its layers inside and outside the
+                # mask; every later pair is capped at the first pair's count
+                split = tuple(
+                    sorted(part for c in classes for part in (c & mask, c & ~mask) if part)
+                )
+                descend(depth + 1, size + p, split, pop[masks[0]])
                 for q in mine:
                     quad_sums[q] -= p - m
                 if not complete:
                     return
         masks[depth] = 0
 
-    descend(0, 0)
+    descend(0, 0, ((1 << m) - 1,), m)
     witness_mg = MMultigraph.from_masks(
         n, m, {p: mk for p, mk in zip(pairs, best_masks) if mk}
     )

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -308,13 +308,13 @@ def test_five_vertex_bnb_does_not_run_the_census(monkeypatch):
 
     monkeypatch.setattr(search, "k4_census", no_census)
     rep = max_k4free_multigraph(5, 4, engine="bnb")
-    assert (rep.optimum, rep.nodes, rep.complete) == (32, 58114, True)
+    assert (rep.optimum, rep.nodes, rep.complete) == (32, 4317, True)
     # every candidate trial ends in exactly one of the four outcomes
     assert rep.params == {
-        "capacity_prunes": 1577,
-        "pattern_prunes": 28254,
-        "bound_prunes": 13345,
-        "descents": 14938,
+        "capacity_prunes": 97,
+        "pattern_prunes": 1773,
+        "bound_prunes": 1170,
+        "descents": 1277,
     }
     for m in (0, 6):
         with pytest.raises(ValueError, match="1..5"):
@@ -360,6 +360,50 @@ def test_bnb_witnesses_are_pinned():
     rep = max_k4free_multigraph(5, 5, engine="bnb")
     assert (rep.optimum, rep.complete) == (40, True)
     assert rep.witness == write_mgraph(turan_layers_5(5))
+
+
+def test_seedless_five_layer_bnb_keeps_the_first_optimal_leaf(monkeypatch):
+    # the (5,5) seed already has the optimum 40, so it would hide a layer
+    # rule that prunes too much; without it the search must still prove 40
+    # and report the first optimal leaf of the unpruned search
+    monkeypatch.setattr(search, "turan_layers_5", lambda n: MMultigraph(n, 5))
+    rep = max_k4free_multigraph(5, 5, engine="bnb")
+    assert (rep.optimum, rep.complete) == (40, True)
+    full_pairs = ("0 1", "0 2", "0 3", "0 4", "1 3", "1 4", "2 3", "2 4")
+    assert rep.witness == "mgraph 5 5\n" + "".join(f"{uv} 1,2,3,4,5\n" for uv in full_pairs)
+
+
+def _partitions(items: list[int]):
+    """Every partition of items into classes, each class a list."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1 :]]
+
+
+def test_class_prefix_masks_keep_the_smallest_mask_of_each_orbit():
+    for m in range(1, 6):
+        descending = sorted(range(1 << m), key=lambda x: (-x.bit_count(), x))
+        for partition in _partitions(list(range(m))):
+            classes = tuple(sum(1 << i for i in c) for c in partition)
+            # the layer permutations that map every class onto itself
+            fixing = [
+                p
+                for p in permutations(range(m))
+                if all(sorted(p[i] for i in c) == sorted(c) for c in partition)
+            ]
+            smallest = {
+                x
+                for x in range(1 << m)
+                if x == min(sum(1 << p[i] for i in range(m) if x >> i & 1) for p in fixing)
+            }
+            for k in range(m + 1):
+                expected = [x for x in descending if x.bit_count() <= k and x in smallest]
+                assert search._class_prefix_masks(m, classes, k) == expected
 
 
 def test_bnb_deadline_before_the_first_leaf_reports_the_empty_state():

@@ -46,6 +46,7 @@ REGISTRY_IDS = (
     "oracles.bipartite_scan",
     "oracles.bnb_agreement",
     "oracles.bnb_stretch",
+    "oracles.bnb_six",
 )
 
 
@@ -83,13 +84,14 @@ def test_reports_are_deterministic_up_to_elapsed():
 
 
 def test_budget_skips_are_deterministic_and_noted():
-    # 2 s fits every oracle row except the (5,5) branch and bound
-    rep = run_suite("oracles", budget=2)
+    # 1.2 s fits the first four oracle rows (1.0 s of estimates) but not the
+    # 0.5 s bipartite scan, so it and every row after it are skipped
+    rep = run_suite("oracles", budget=1.2)
     skipped = [c for c in rep.checks if c.status == "skipped"]
     assert skipped
     assert all(c.note.startswith("capacity") for c in skipped)
     assert rep.overall == "pass"  # skips do not fail the suite
-    again = run_suite("oracles", budget=2)
+    again = run_suite("oracles", budget=1.2)
     assert [c.check_id for c in again.checks if c.status == "skipped"] == [
         c.check_id for c in skipped
     ]
