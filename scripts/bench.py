@@ -26,10 +26,18 @@ the optimum, the candidate trials (`nodes`) and the report's counters (its
 `params`: trials by outcome). The 5-vertex runs include their 4-vertex
 quad-cap search, as a caller sees them.
 
+scans: times the exhaustive graph scans that `verify` runs: `aes_scan(n)` for
+n = 5..7, a cold `_graph_star_table(7)` (row `_cold_star_table`: its cache
+entry dropped first, as `s2_quasi_agreement` first meets it) and
+`bipartite_l2_scan(n)` for n = 4..6,
+three runs each, and records the median seconds with the optimum, `nodes`
+and `params`. For the star table the optimum is the list of maxima by edge
+count, `nodes` the graphs scanned and `params` the first attaining masks.
+
 The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
 
-    python scripts/bench.py [census|fano|bnb] [OUT]    default OUT: BENCH_<topic>.json
+    python scripts/bench.py [census|fano|bnb|scans] [OUT]    default OUT: BENCH_<topic>.json
 """
 
 from __future__ import annotations
@@ -170,7 +178,31 @@ def _bnb_rows() -> list[dict]:
     return rows
 
 
-TOPICS = {"census": _census_rows, "fano": _fano_rows, "bnb": _bnb_rows}
+def _cold_star_table(n: int) -> dict:
+    search._S2_TABLE_CACHE.pop(n, None)
+    data = search._graph_star_table(n)
+    table = [data["table"][m] for m in sorted(data["table"])]
+    return {
+        "optimum": [best for best, _ in table],
+        "nodes": data["states"],
+        "params": {"first_masks": [mask for _, mask in table]},
+    }
+
+
+def _scan_rows() -> list[dict]:
+    calls = [(search.aes_scan, n) for n in (5, 6, 7)] + [(_cold_star_table, 7)]
+    calls += [(search.bipartite_l2_scan, n) for n in (4, 5, 6)]
+    rows = []
+    for fn, n in calls:
+        result, seconds, runs_s = _median_run(fn, n)
+        if isinstance(result, search.SearchReport):
+            result = {"optimum": result.optimum, "nodes": result.nodes, "params": result.params}
+        rows.append({"scan": fn.__name__, "n": n, "seconds": seconds, "runs_s": runs_s, **result})
+        print(f"{fn.__name__}({n}): {result['nodes']} nodes, {seconds:.3f}s")
+    return rows
+
+
+TOPICS = {"census": _census_rows, "fano": _fano_rows, "bnb": _bnb_rows, "scans": _scan_rows}
 
 
 def main() -> int:

@@ -571,6 +571,8 @@ def max_k4free_multigraph(
 def _check_scan_capacity(n: int) -> None:
     # the graph scans hold one entry per graph: 2^21 at n=7, 2^28 (over 1 GiB
     # across their tables) at n=8
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > 7:
         raise ValueError(f"vertex count {n} above scan capacity")
 
@@ -599,14 +601,13 @@ def _graph_star_table(n: int) -> dict:
     stars = np.zeros(len(masks), dtype=np.uint16)
     for incidence in _incidence_masks(pairs, n):
         stars += choose2[np.bitwise_count(masks & np.uint32(incidence))]
-    edge_counts = np.bitwise_count(masks).astype(np.uint8)
-    table: dict[int, tuple[int, int]] = {}
-    for m in range(nbits + 1):
-        sel = edge_counts == m
-        vals = stars[sel]
-        best = int(vals.max())
-        first = int(masks[sel][int(np.argmax(vals == best))])
-        table[m] = (best, first)
+    edge_counts = np.bitwise_count(masks)
+    best = np.zeros(nbits + 1, dtype=stars.dtype)
+    np.maximum.at(best, edge_counts, stars)
+    # masks[i] == i, and np.unique returns the first (smallest) hit of each m
+    hit = np.flatnonzero(stars == best[edge_counts])
+    counts, first = np.unique(edge_counts[hit], return_index=True)
+    table = {int(m): (int(best[m]), int(hit[i])) for m, i in zip(counts, first)}
     result = {"pairs": pairs, "table": table, "states": len(masks)}
     _S2_TABLE_CACHE[n] = result
     return result
@@ -620,6 +621,7 @@ def max_s2_graph(n: int, m_edges: int) -> SearchReport:
     """Exhaustive maximum of the two-edge-star count over n-vertex graphs
     with exactly m_edges edges. Capacity-capped at n <= 7."""
     start = time.perf_counter()
+    _check_scan_capacity(n)
     if not 0 <= m_edges <= comb(n, 2):
         raise ValueError(f"edge count {m_edges} out of range")
     data = _graph_star_table(n)
@@ -658,6 +660,16 @@ def s2_quasi_agreement(n: int = 7) -> list[tuple[int, int, int, int]]:
 # ----- minimum-degree bipartiteness scan -------------------------------------------
 
 
+def _two_colourable(n: int, pairs, graphs: np.ndarray) -> np.ndarray:
+    """Which graphs (adjacency masks over pairs) are 2-colourable: those with
+    no edge inside either side of some split of the vertices."""
+    ok = np.zeros(len(graphs), dtype=bool)
+    for _, side in bipartitions(n):
+        inside = sum(1 << i for i, (u, v) in enumerate(pairs) if (u in side) == (v in side))
+        ok |= (graphs & np.uint32(inside)) == 0
+    return ok
+
+
 def aes_scan(n: int) -> SearchReport:
     """Scan all n-vertex graphs: every triangle-free graph with minimum
     degree above 2n/5 must be bipartite, so the optimum (the count of
@@ -680,18 +692,14 @@ def aes_scan(n: int) -> SearchReport:
         triangle_free &= (masks & t) != t
     mindeg = np.full(len(masks), 255, dtype=np.uint8)
     for incidence in _incidence_masks(pairs, n):
-        deg = np.bitwise_count(masks & np.uint32(incidence)).astype(np.uint8)
-        mindeg = np.minimum(mindeg, deg)
-    above = triangle_free & (5 * mindeg.astype(np.int32) > 2 * n)
-    violations = 0
-    for mask in masks[above]:
-        if _mask_to_graph(n, pairs, int(mask)).bipartition() is None:
-            violations += 1
+        mindeg = np.minimum(mindeg, np.bitwise_count(masks & np.uint32(incidence)))
+    # 5 * d > 2n exactly when d > floor(2n/5)
+    above = triangle_free & (mindeg > (2 * n) // 5)
     boundary = triangle_free & (mindeg == (2 * n) // 5)
-    boundary_nonbip = 0
-    for mask in masks[boundary]:
-        if _mask_to_graph(n, pairs, int(mask)).bipartition() is None:
-            boundary_nonbip += 1
+    selected = np.flatnonzero(above | boundary)
+    odd = ~_two_colourable(n, pairs, masks[selected])
+    violations = int((odd & above[selected]).sum())
+    boundary_nonbip = int((odd & boundary[selected]).sum())
     return SearchReport(
         objective="aes",
         n=n,
@@ -858,8 +866,15 @@ def bipartite_l2_scan(n: int) -> SearchReport:
     """Scan every bipartition (vertex 0 pinned to the first part) and every
     subset of its crossing triples; the maximum squared norm must match the
     closed formula, attained only by balanced complete bipartite graphs.
-    The params hold the closed value, the number of labeled maximizers and
-    whether they are all isomorphic to the balanced host."""
+    The params hold the closed value, the number of labeled maximizers,
+    whether they are all isomorphic to the balanced host, and the blocks
+    and states the scan really evaluated.
+
+    Two bipartitions whose first parts have the same size a are relabellings
+    of each other, so the scan evaluates one block per a, with parts range(a)
+    and range(a, n), and maps its hits through part1 + part2 onto every
+    bipartition of that size. nodes still counts the states of every
+    bipartition."""
     start = time.perf_counter()
     # below 3 vertices there is no crossing triple; above 6 the 2^|cross|
     # subset blocks outgrow memory
@@ -867,49 +882,54 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         raise ValueError(f"vertex count {n} outside the scan range 3..6")
     pairs = all_pairs(n)
     best = -1
-    maximizers: list[Uniform3Graph] = []
-    states = 0
-    for part1, part2 in bipartitions(n):
-        cross = [
-            t
-            for t in combinations(range(n), 3)
-            if any(v in part1 for v in t) and any(v in part2 for v in t)
-        ]
-        if not cross:
-            continue
+    block_hits: dict[int, list[list[tuple[int, int, int]]]] = {}
+    block_states: dict[int, int] = {}
+    for a in range(1, n):
+        cross = [t for t in combinations(range(n), 3) if t[0] < a <= t[2]]
         masks = np.arange(1 << len(cross), dtype=np.uint32)
-        states += len(masks)
-        norms = np.zeros(len(masks), dtype=np.int64)
-        for pi, (u, v) in enumerate(pairs):
+        block_states[a] = len(masks)
+        # a codegree is at most n - 2 = 4, so d * d fits the uint8 count and
+        # a norm (15 pairs at n = 6) fits uint16
+        norms = np.zeros(len(masks), dtype=np.uint16)
+        for u, v in pairs:
             pmask = sum(1 << i for i, t in enumerate(cross) if u in t and v in t)
             if pmask:
-                d = np.bitwise_count(masks & np.uint32(pmask)).astype(np.int64)
+                d = np.bitwise_count(masks & np.uint32(pmask))
                 norms += d * d
         block_best = int(norms.max())
         if block_best < best:
             continue
-        hit = [
-            Uniform3Graph(n, [t for i, t in enumerate(cross) if mask >> i & 1])
-            for mask in masks[norms == block_best]
-        ]
         if block_best > best:
             best = block_best
-            maximizers = hit
-        else:
-            maximizers.extend(hit)
+            block_hits = {}
+        block_hits[a] = [
+            [t for i, t in enumerate(cross) if mask >> i & 1]
+            for mask in masks[norms == block_best]
+        ]
+    nodes = 0
     # the same labeled graph may be crossing for two bipartitions
-    distinct = {H.triples(): H for H in maximizers}
-    maximizers = [distinct[k] for k in sorted(distinct)]
-    canon = {canonical_3graph(H) for H in maximizers}
+    maximizers: set[tuple[tuple[int, ...], ...]] = set()
+    for part1, part2 in bipartitions(n):
+        if not part2:
+            continue
+        a = len(part1)
+        nodes += block_states[a]
+        sigma = part1 + part2
+        for hit in block_hits.get(a, ()):
+            maximizers.add(tuple(sorted(tuple(sorted(sigma[x] for x in t)) for t in hit)))
+    # every maximizer is a relabelled representative hit
+    canon = {
+        canonical_3graph(Uniform3Graph(n, hit)) for hits in block_hits.values() for hit in hits
+    }
     balanced = canonical_3graph(bipartite3((n + 1) // 2, n // 2))
     return SearchReport(
         objective="bipartite-l2",
         n=n,
         m=None,
         optimum=best,
-        witness=write_3graph(maximizers[0]),
+        witness=write_3graph(Uniform3Graph(n, min(maximizers))),
         witness_kind="3graph",
-        nodes=states,
+        nodes=nodes,
         elapsed=time.perf_counter() - start,
         complete=True,
         engine="exhaustive",
@@ -917,6 +937,8 @@ def bipartite_l2_scan(n: int) -> SearchReport:
             "closed_value": bn_l2_closed(n),
             "maximizer_count": len(maximizers),
             "unique_up_to_iso": canon == {balanced},
+            "blocks_scanned": len(block_states),
+            "states_scanned": sum(block_states.values()),
         },
     )
 

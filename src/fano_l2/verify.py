@@ -370,13 +370,13 @@ _CHECKS: tuple[Check, ...] = (
     Check("lemma51.census_k4_free", 0.1, _check_census_k4_free,
           {"states": 32**6, "k4_free": 683278578}),
     Check("lemma51.census_m4", 0.1, lambda seed: k4_census(4).max_size, 20),
-    Check("oracles.s2_quasi", 0.3, _check_s2_oracle),
+    Check("oracles.s2_quasi", 0.2, _check_s2_oracle),
     Check("oracles.ak_asymptotic", 0.1, _check_ak_asymptotic),
-    Check("oracles.aes", 0.5, lambda seed: sum(aes_scan(n).optimum for n in range(3, 8))),
+    Check("oracles.aes", 0.3, lambda seed: sum(aes_scan(n).optimum for n in range(3, 8))),
     Check("oracles.fano_free_max", 0.1,
           lambda seed: {n: max_l2_fano_free(n).optimum for n in (5, 6, 7)},
           {5: 90, 6: 240, 7: 410}),
-    Check("oracles.bipartite_scan", 0.5, _check_bipartite_scan),
+    Check("oracles.bipartite_scan", 0.1, _check_bipartite_scan),
     Check("oracles.bnb_agreement", 0.1, _check_bnb_agreement),
     Check("oracles.bnb_stretch", 0.1,
           lambda seed: max_k4free_multigraph(5, 5, engine="bnb").optimum, 40),

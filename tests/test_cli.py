@@ -185,6 +185,7 @@ def test_search_scan_json(tmp_path, capsys):
     assert parse_3graph(data["witness"]).lp_norm(2) == 24
     assert data["params"] == {
         "closed_value": 24, "maximizer_count": 1, "unique_up_to_iso": True,
+        "blocks_scanned": 3, "states_scanned": 32,
     }
 
 
@@ -198,6 +199,11 @@ def test_search_requires_dimensions(capsys):
 def test_bipartite_scan_small_host_exits_2(capsys):
     assert main(["search", "--objective", "bipartite-l2", "--n", "2"]) == 2
     assert "3..6" in capsys.readouterr().err
+
+
+def test_negative_scan_size_exits_2(capsys):
+    assert main(["search", "--objective", "aes", "--n", "-1"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
 
 
 def test_census_layer_count_out_of_range_exits_2(capsys):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from fano_l2 import search
-from fano_l2.formats import parse_3graph, parse_graph, parse_mgraph, write_mgraph
-from fano_l2.graphs import SimpleGraph
-from fano_l2.hypergraphs import bipartite3, bn_l2_closed
+from fano_l2.formats import parse_3graph, parse_graph, parse_mgraph, write_3graph, write_mgraph
+from fano_l2.graphs import SimpleGraph, all_pairs, bipartitions
+from fano_l2.hypergraphs import Uniform3Graph, bipartite3, bn_l2_closed
 from fano_l2.multigraphs import (
     MMultigraph,
     bipartite_construction_5,
@@ -450,6 +450,35 @@ def test_s2_capacity_guard():
         max_s2_graph(8, 3)
     with pytest.raises(ValueError):
         max_s2_graph(5, 11)
+    with pytest.raises(ValueError, match="nonnegative"):
+        max_s2_graph(-1, 0)
+
+
+def oracle_star_table(n):
+    # the per-edge-count selection loop the one-pass reduction replaced
+    pairs = all_pairs(n)
+    masks = np.arange(1 << len(pairs), dtype=np.uint32)
+    stars = np.zeros(len(masks), dtype=np.uint16)
+    for w in range(n):
+        incidence = sum(1 << i for i, p in enumerate(pairs) if w in p)
+        d = np.bitwise_count(masks & np.uint32(incidence)).astype(np.int64)
+        stars += (d * (d - 1) // 2).astype(np.uint16)
+    edge_counts = np.bitwise_count(masks)
+    table = {}
+    for m in range(len(pairs) + 1):
+        sel = edge_counts == m
+        vals = stars[sel]
+        best = int(vals.max())
+        table[m] = (best, int(masks[sel][int(np.argmax(vals == best))]))
+    return table
+
+
+def test_star_table_matches_the_per_edge_count_loop(monkeypatch):
+    monkeypatch.setattr(search, "_S2_TABLE_CACHE", {})
+    for n in range(7):
+        data = search._graph_star_table(n)
+        assert data["table"] == oracle_star_table(n)
+        assert data["states"] == 2 ** comb(n, 2)
 
 
 def test_aes_scan_small_values():
@@ -461,6 +490,49 @@ def test_aes_scan_small_values():
     assert a6.params["above_threshold"] == 10  # the labeled 3,3 bipartite doublings
     with pytest.raises(ValueError):
         aes_scan(8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        aes_scan(-1)
+
+
+def test_aes_and_bipartite_sizes_that_verify_runs_are_pinned():
+    a7 = aes_scan(7)
+    assert (a7.nodes, a7.optimum) == (2_097_152, 0)
+    assert a7.params == {
+        "triangle_free": 133_501, "above_threshold": 35, "boundary_nonbipartite": 9_600,
+    }
+    b6 = bipartite_l2_scan(6)
+    assert (b6.optimum, b6.nodes) == (198, 3_610_624)
+    assert b6.params == {
+        "closed_value": 198,
+        "maximizer_count": 10,
+        "unique_up_to_iso": True,
+        "blocks_scanned": 5,
+        "states_scanned": 395_264,
+    }
+    # the first maximizer in edge order: parts {0, 4, 5} and {1, 2, 3}
+    cross = [t for t in combinations(range(6), 3) if t not in ((0, 4, 5), (1, 2, 3))]
+    assert b6.witness == write_3graph(Uniform3Graph(6, cross))
+
+
+def graph_edges(pairs, mask):
+    return [p for i, p in enumerate(pairs) if mask >> i & 1]
+
+
+def test_two_colourable_matches_the_bfs_oracle():
+    for n in range(6):
+        pairs = all_pairs(n)
+        masks = np.arange(1 << len(pairs), dtype=np.uint32)
+        expect = [
+            SimpleGraph(n, graph_edges(pairs, m)).bipartition() is not None
+            for m in range(len(masks))
+        ]
+        assert search._two_colourable(n, pairs, masks).tolist() == expect
+    pairs = all_pairs(7)
+    sample = random.Random(11).sample(range(1 << len(pairs)), 2000)
+    expect = [SimpleGraph(7, graph_edges(pairs, m)).bipartition() is not None for m in sample]
+    got = search._two_colourable(7, pairs, np.array(sample, dtype=np.uint32)).tolist()
+    assert got == expect
+    assert 0 < sum(expect) < len(expect)
 
 
 def test_fano_free_optima_small():
@@ -501,6 +573,55 @@ def test_bipartite_scan_values():
         assert rep.params["unique_up_to_iso"]
         w = parse_3graph(rep.witness)
         assert w.lp_norm(2) == norm
+
+
+def oracle_bipartite_scan(n):
+    # every bipartition scanned as its own block, every maximizer canonised
+    pairs = all_pairs(n)
+    best, maximizers, states = -1, [], 0
+    for part1, part2 in bipartitions(n):
+        cross = [
+            t
+            for t in combinations(range(n), 3)
+            if any(v in part1 for v in t) and any(v in part2 for v in t)
+        ]
+        if not cross:
+            continue
+        masks = np.arange(1 << len(cross), dtype=np.uint32)
+        states += len(masks)
+        norms = np.zeros(len(masks), dtype=np.int64)
+        for u, v in pairs:
+            pmask = sum(1 << i for i, t in enumerate(cross) if u in t and v in t)
+            d = np.bitwise_count(masks & np.uint32(pmask)).astype(np.int64)
+            norms += d * d
+        block_best = int(norms.max())
+        if block_best < best:
+            continue
+        hit = [
+            tuple(t for i, t in enumerate(cross) if mask >> i & 1)
+            for mask in masks[norms == block_best]
+        ]
+        if block_best > best:
+            best, maximizers = block_best, hit
+        else:
+            maximizers.extend(hit)
+    maximizers = sorted(set(maximizers))
+    canon = {canonical_3graph(Uniform3Graph(n, h)) for h in maximizers}
+    balanced = canonical_3graph(bipartite3((n + 1) // 2, n // 2))
+    witness = write_3graph(Uniform3Graph(n, maximizers[0]))
+    return best, witness, states, len(maximizers), canon == {balanced}
+
+
+def test_bipartite_scan_matches_the_every_bipartition_oracle():
+    for n in range(3, 7):
+        rep = bipartite_l2_scan(n)
+        got = (rep.optimum, rep.witness, rep.nodes, rep.params["maximizer_count"],
+               rep.params["unique_up_to_iso"])
+        assert got == oracle_bipartite_scan(n)
+        assert rep.params["blocks_scanned"] == n - 1
+        assert rep.params["states_scanned"] == sum(
+            2 ** (comb(n, 3) - comb(a, 3) - comb(n - a, 3)) for a in range(1, n)
+        )
 
 
 def test_bipartite_scan_range_guard():

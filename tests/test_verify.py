@@ -84,18 +84,18 @@ def test_reports_are_deterministic_up_to_elapsed():
 
 
 def test_budget_skips_are_deterministic_and_noted():
-    # 1.2 s fits the first four oracle rows (1.0 s of estimates) but not the
-    # 0.5 s bipartite scan, so it and every row after it are skipped
-    rep = run_suite("oracles", budget=1.2)
+    # 0.75 s fits the first four oracle rows (0.7 s of estimates) but not the
+    # 0.1 s bipartite scan, so it and every row after it are skipped
+    rep = run_suite("oracles", budget=0.75)
     skipped = [c for c in rep.checks if c.status == "skipped"]
     assert skipped
     assert all(c.note.startswith("capacity") for c in skipped)
     assert rep.overall == "pass"  # skips do not fail the suite
-    again = run_suite("oracles", budget=1.2)
+    again = run_suite("oracles", budget=0.75)
     assert [c.check_id for c in again.checks if c.status == "skipped"] == [
         c.check_id for c in skipped
     ]
-    # the first skipped row names its own estimate, 0.5 s for the AES scan;
+    # the first skipped row names its own estimate, 0.3 s for the AES scan;
     # every row after it is skipped because the budget is spent
     estimates = {c.check_id: c.estimate for c in verify._CHECKS}
     skipped = [c for c in run_suite("oracles", budget=0.5).checks if c.status == "skipped"]
