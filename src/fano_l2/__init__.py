@@ -1,197 +1,24 @@
 """Exact calculus, pattern detectors, constructions and brute-force oracles for
-the squared-codegree norm of Fano-free 3-uniform hypergraphs."""
+the squared-codegree norm of Fano-free 3-uniform hypergraphs.
 
-from .bounds import (
-    BoundPoint,
-    ROOT_EQUATION_TOKENS,
-    ak_norm_bound,
-    ak_s2_bound,
-    alpha1,
-    alpha1_limit,
-    alpha2,
-    alpha2_limit,
-    clique_rate,
-    core_rate,
-    core_size_bound,
-    extremal_density_stats,
-    f_inverse,
-    f_of,
-    g_pairs_plus_bipartite,
-    link_sum_check,
-    min_degree_ceiling,
-    prop23_bound,
-    rational_identity_checks,
-    solve_root_equation,
-    split_rate,
-    star_part_rate,
-)
-from .formats import (
-    FormatError,
-    parse_3graph,
-    parse_any,
-    parse_graph,
-    parse_mgraph,
-    write_3graph,
-    write_graph,
-    write_mgraph,
-)
-from .graphs import (
-    SimpleGraph,
-    all_pairs,
-    clique_plus_isolated,
-    complete_bipartite,
-    complete_minus_clique,
-    complete_split_plus_isolated,
-    quasi_complete,
-    quasi_star,
-)
-from .hypergraphs import (
-    Uniform3Graph,
-    balanced_bipartite3,
-    bipartite3,
-    bn_l2_closed,
-    bn_min_l2_degree,
-    complete3,
-    random_3graph,
-)
-from .multigraphs import (
-    K4Witness,
-    MMultigraph,
-    PartitionCertificate,
-    bipartite_construction_5,
-    contains_k4,
-    extract_dense_core,
-    find_good_partition,
-    find_nice_partition,
-    has_heavy_triple,
-    is_certificate_valid,
-    is_k4_free,
-    is_subgraph_of_saturated,
-    nice_partition_size_bound,
-    saturated_family_4,
-    triple_type,
-    turan_layers_5,
-    verify_k4_witness,
-)
-from .patterns import (
-    FANO_EDGES,
-    contains_fano,
-    contains_k53,
-    edge_link_multigraph,
-    fano_plane,
-    is_bipartite3,
-    link_matching_check,
-    link_matching_violation,
-    link_triple_violation,
-)
-from .search import (
-    CensusReport,
-    SearchReport,
-    SplitScanReport,
-    aes_scan,
-    bipartite_l2_scan,
-    bipartite_norm_formula,
-    bipartite_s2_formula,
-    complete_bipartite_argmax,
-    k4_census,
-    max_k4free_multigraph,
-    max_l2_fano_free,
-    max_s2_graph,
-    random_sub_multigraph,
-    s2_quasi_agreement,
-)
-from .stirling import StirlingTable
-from .verify import CheckResult, VerifyReport, report_to_json, run_suite
+The package root holds the few names a caller needs to parse a host, test it
+and run the verification suites; everything else is imported from its module
+(`fano_l2.search`, `fano_l2.multigraphs`, ...).
+"""
+
+from .formats import parse_3graph
+from .hypergraphs import Uniform3Graph
+from .patterns import FANO_EDGES, contains_fano, is_bipartite3, link_triple_violation
+from .search import max_k4free_multigraph
+from .verify import run_suite
 
 __all__ = [
-    "BoundPoint",
-    "CensusReport",
-    "CheckResult",
     "FANO_EDGES",
-    "FormatError",
-    "K4Witness",
-    "MMultigraph",
-    "PartitionCertificate",
-    "ROOT_EQUATION_TOKENS",
-    "SearchReport",
-    "SimpleGraph",
-    "SplitScanReport",
-    "StirlingTable",
     "Uniform3Graph",
-    "VerifyReport",
-    "aes_scan",
-    "ak_norm_bound",
-    "ak_s2_bound",
-    "all_pairs",
-    "alpha1",
-    "alpha1_limit",
-    "alpha2",
-    "alpha2_limit",
-    "balanced_bipartite3",
-    "bipartite3",
-    "bipartite_construction_5",
-    "bipartite_l2_scan",
-    "bipartite_norm_formula",
-    "bipartite_s2_formula",
-    "bn_l2_closed",
-    "bn_min_l2_degree",
-    "clique_plus_isolated",
-    "clique_rate",
-    "complete3",
-    "complete_bipartite",
-    "complete_bipartite_argmax",
-    "complete_minus_clique",
-    "complete_split_plus_isolated",
     "contains_fano",
-    "contains_k4",
-    "contains_k53",
-    "core_rate",
-    "core_size_bound",
-    "edge_link_multigraph",
-    "extract_dense_core",
-    "extremal_density_stats",
-    "f_inverse",
-    "f_of",
-    "fano_plane",
-    "find_good_partition",
-    "find_nice_partition",
-    "g_pairs_plus_bipartite",
-    "has_heavy_triple",
     "is_bipartite3",
-    "is_certificate_valid",
-    "is_k4_free",
-    "is_subgraph_of_saturated",
-    "k4_census",
-    "link_matching_check",
-    "link_matching_violation",
-    "link_sum_check",
     "link_triple_violation",
     "max_k4free_multigraph",
-    "max_l2_fano_free",
-    "max_s2_graph",
-    "min_degree_ceiling",
-    "nice_partition_size_bound",
     "parse_3graph",
-    "parse_any",
-    "parse_graph",
-    "parse_mgraph",
-    "prop23_bound",
-    "quasi_complete",
-    "quasi_star",
-    "random_3graph",
-    "random_sub_multigraph",
-    "rational_identity_checks",
-    "report_to_json",
     "run_suite",
-    "s2_quasi_agreement",
-    "saturated_family_4",
-    "solve_root_equation",
-    "split_rate",
-    "star_part_rate",
-    "triple_type",
-    "turan_layers_5",
-    "verify_k4_witness",
-    "write_3graph",
-    "write_graph",
-    "write_mgraph",
 ]

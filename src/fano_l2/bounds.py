@@ -51,20 +51,6 @@ def ak_s2_bound(x: float) -> BoundPoint:
     return _pick(x, (star, clique))
 
 
-def ak_norm_bound(x: float) -> BoundPoint:
-    """Squared-norm form of ak_s2_bound: both branches doubled, since the
-    squared degree sum is twice the star count up to lower-order terms."""
-    point = ak_s2_bound(x)
-    return BoundPoint(
-        point.x,
-        2 * point.value,
-        point.active_branch,
-        tuple(2 * b for b in point.branches),
-        None,
-        point.in_window,
-    )
-
-
 def prop23_bound(x: float, alpha: float) -> BoundPoint:
     """Two-edge-star ceiling for graphs with x*n^2 edges and an independent
     set of alpha*n vertices, normalized by n^3. The hypothesis window is
@@ -115,8 +101,9 @@ def f_of(y: float) -> float:
     return max((1 - 2 * y) ** 1.5 + 6 * y - 1, (2 * y) ** 1.5 + 2 * y)
 
 
-def f_inverse(t: float, tol: float = 1e-12) -> float:
-    """Bisection inverse of f_of on [0, 1/2]; domain [0, f(1/2)] = [0, 2]."""
+def f_inverse(t: float) -> float:
+    """Bisection inverse of f_of on [0, 1/2], to within 1e-12; domain
+    [0, f(1/2)] = [0, 2]."""
     global _F_GRID_CHECKED
     if not 0 <= t <= 2:
         raise ValueError(f"target {t} outside [0, 2]")
@@ -126,7 +113,7 @@ def f_inverse(t: float, tol: float = 1e-12) -> float:
             raise AssertionError("f is not nondecreasing on the check grid")
         _F_GRID_CHECKED = True
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if f_of(mid) < t:
             lo = mid
@@ -172,18 +159,22 @@ _ROOT_EQUATIONS = {
 }
 
 
-def solve_root_equation(which: str, target: float = 1.25) -> float:
-    """Bisection root of the named density equation against the target.
+# every density equation is solved against the degree level 5/4
+_ROOT_TARGET = 1.25
+
+
+def solve_root_equation(which: str) -> float:
+    """Bisection root of the named density equation against 5/4.
 
     Asserts on a 1001-point bracket grid that the equation crosses the
     target exactly once (claim33 has a shallow dip right after its bracket
     clip, so plain monotonicity is too strong), then bisects until
-    |equation(rho) - target| <= 1e-10.
+    |equation(rho) - 5/4| <= 1e-10.
     """
     if which not in _ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}, expected one of {ROOT_EQUATION_TOKENS}")
     eq, lo, hi = _ROOT_EQUATIONS[which]
-    above = [eq(lo + (hi - lo) * i / 1000) > target for i in range(1001)]
+    above = [eq(lo + (hi - lo) * i / 1000) > _ROOT_TARGET for i in range(1001)]
     crossings = sum(a != b for a, b in zip(above, above[1:]))
     if crossings != 1:
         raise ValueError(f"{which} crosses the target {crossings} times on [{lo}, {hi}]")
@@ -191,13 +182,13 @@ def solve_root_equation(which: str, target: float = 1.25) -> float:
         raise ValueError(f"no upward sign change for {which} on [{lo}, {hi}]")
     for _ in range(200):
         mid = (lo + hi) / 2
-        if eq(mid) < target:
+        if eq(mid) < _ROOT_TARGET:
             lo = mid
         else:
             hi = mid
     root = (lo + hi) / 2
-    if abs(eq(root) - target) > 1e-10:
-        raise AssertionError(f"{which} bisection did not converge: residual {eq(root) - target}")
+    if abs(eq(root) - _ROOT_TARGET) > 1e-10:
+        raise AssertionError(f"{which} bisection did not converge: residual {eq(root) - _ROOT_TARGET}")
     return root
 
 

@@ -160,11 +160,23 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# a row costs about 150 bytes, so a table stays near 150 MB at most
+MAX_BOUND_ROWS = 1 << 20
+
+
 def _cmd_bounds(args) -> int:
     step = args.grid
-    if step <= 0:
+    if not step > 0:
         print("grid step must be positive", file=sys.stderr)
         return 2
+    # the grids below run 0, step, 2*step, ... up to 1/2; prop23 is 2-dimensional
+    points = (0.5 + 1e-12) / step + 1
+    count = points * points if args.table == "prop23" else points
+    if count > MAX_BOUND_ROWS:
+        raise ValueError(
+            f"grid step {step:g} gives about {count:.3g} rows, above the cap of "
+            f"{MAX_BOUND_ROWS}; use a coarser --grid"
+        )
     rows = []
     if args.table == "ak":
         header = "x,value,active_branch"

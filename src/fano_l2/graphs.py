@@ -136,12 +136,6 @@ class SimpleGraph:
 
     # ----- structural checks ---------------------------------------------
 
-    def is_independent_set(self, vertices: Iterable[int]) -> bool:
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        return all(not (self._rows[v] & mask) for v in range(self.n) if mask >> v & 1)
-
     def triangle(self) -> tuple[int, int, int] | None:
         """Some triangle as a sorted vertex triple, or None."""
         for u, v in self._edges:
@@ -198,13 +192,6 @@ def complete_split_plus_isolated(n: int, k: int, ell: int) -> SimpleGraph:
         raise ValueError(f"parts ({k},{ell}) do not fit into {n} vertices")
     core = complete_minus_clique(k + ell, k)
     return SimpleGraph(n, core.edges())
-
-
-def complete_bipartite(a: int, b: int) -> SimpleGraph:
-    """K_{a,b} on a+b vertices with sides {0..a-1} and {a..a+b-1}."""
-    if a < 0 or b < 0:
-        raise ValueError("side sizes must be nonnegative")
-    return SimpleGraph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 def quasi_complete(n: int, m: int) -> SimpleGraph:

@@ -19,7 +19,6 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .graphs import SimpleGraph
-from .stirling import StirlingTable
 
 Triple = tuple[int, int, int]
 
@@ -208,44 +207,6 @@ class Uniform3Graph:
             for i in range(len(tips)):
                 for j in range(i + 1, len(tips)):
                     yield pair, tips[i], tips[j]
-
-    def norm_star_conversion(self, p: int, table: StirlingTable | None = None) -> tuple[int, int]:
-        """Return (star count, p-norm) computed from each other through the
-        Stirling change of basis, cross-checked against direct evaluation.
-
-        The star count comes from norms 1..p weighted by signed first-kind
-        numbers over p factorial; the norm comes from star counts 1..p weighted
-        by second-kind numbers times factorials.
-        """
-        if p < 1:
-            raise ValueError(f"exponent must be >= 1, got {p}")
-        if table is None:
-            table = StirlingTable(p)
-        if table.max_p < p:
-            raise ValueError(f"Stirling table holds rows up to {table.max_p} < {p}")
-        norms = [self.lp_norm(i) for i in range(1, p + 1)]
-        stars = [self.count_stars(i) for i in range(1, p + 1)]
-        num = sum(table.first_kind(p, i) * norms[i - 1] for i in range(1, p + 1))
-        fact_p = 1
-        for i in range(2, p + 1):
-            fact_p *= i
-        if num % fact_p:
-            raise ArithmeticError("first-kind conversion did not land on an integer")
-        stars_from_norms = num // fact_p
-        fact = 1
-        norm_from_stars = 0
-        for i in range(1, p + 1):
-            fact *= i
-            norm_from_stars += table.second_kind(p, i) * fact * stars[i - 1]
-        if stars_from_norms != stars[p - 1]:
-            raise ArithmeticError(
-                f"star conversion mismatch: {stars_from_norms} != {stars[p - 1]}"
-            )
-        if norm_from_stars != norms[p - 1]:
-            raise ArithmeticError(
-                f"norm conversion mismatch: {norm_from_stars} != {norms[p - 1]}"
-            )
-        return stars_from_norms, norm_from_stars
 
 
 # ----- constructions --------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
 from typing import Iterable, Iterator, Mapping
 
 from .graphs import SimpleGraph, bipartitions
@@ -199,22 +198,6 @@ def contains_k4(mg: MMultigraph) -> K4Witness | None:
     return None
 
 
-def verify_k4_witness(mg: MMultigraph, w: K4Witness) -> bool:
-    """Recheck a witness against the raw color sets."""
-    quad = w.vertices
-    if len(set(quad)) != 4 or len(set(w.matching_layers)) != 3:
-        return False
-    for t, ((i1, j1), (i2, j2)) in enumerate(MATCHINGS):
-        bit = 1 << (w.matching_layers[t] - 1)
-        if not (mg.mask(quad[i1], quad[j1]) & bit and mg.mask(quad[i2], quad[j2]) & bit):
-            return False
-    return True
-
-
-def is_k4_free(mg: MMultigraph) -> bool:
-    return contains_k4(mg) is None
-
-
 # ----- constructions ----------------------------------------------------------
 
 
@@ -277,44 +260,6 @@ def saturated_family_4() -> tuple[MMultigraph, ...]:
                 masks[light_pairs[1]] = full ^ split
             members.append(MMultigraph.from_masks(4, 5, masks))
     return tuple(members)
-
-
-def is_subgraph_of_saturated(mg: MMultigraph) -> bool:
-    """Whether every color set fits inside some saturated family member.
-
-    Defined for 4-vertex 5-layer multigraphs only.
-    """
-    if mg.n != 4 or mg.m != 5:
-        raise ValueError("saturated family membership is a 4-vertex 5-layer notion")
-    for member in saturated_family_4():
-        if all(
-            mg.mask(u, v) & ~member.mask(u, v) == 0
-            for u in range(4)
-            for v in range(u + 1, 4)
-        ):
-            return True
-    return False
-
-
-# ----- triple typing ----------------------------------------------------------
-
-
-def triple_type(mg: MMultigraph, triple: Iterable[int]) -> tuple[int, int, int]:
-    """Multiplicities of the three pairs inside a vertex triple, sorted descending."""
-    x, y, z = sorted(set(triple))
-    mus = sorted(
-        (mg.multiplicity(x, y), mg.multiplicity(x, z), mg.multiplicity(y, z)),
-        reverse=True,
-    )
-    return tuple(mus)  # type: ignore[return-value]
-
-
-def has_heavy_triple(mg: MMultigraph) -> tuple[int, int, int] | None:
-    """First vertex triple whose three pair multiplicities are all >= 3, or None."""
-    for triple in combinations(range(mg.n), 3):
-        if triple_type(mg, triple)[2] >= 3:
-            return triple
-    return None
 
 
 # ----- partition certificates --------------------------------------------------
@@ -420,11 +365,6 @@ def find_nice_partition(mg: MMultigraph) -> PartitionCertificate | None:
 def find_good_partition(mg: MMultigraph) -> PartitionCertificate | None:
     """First good partition under the fixed enumeration order, or None."""
     return _find_partition(mg, "good")
-
-
-def nice_partition_size_bound(n: int) -> int:
-    """Size ceiling implied by a nice partition: 2*C(n,2) + 3*floor(n^2/4)."""
-    return 2 * comb(n, 2) + 3 * (n * n // 4)
 
 
 # ----- dense core peeling -------------------------------------------------------

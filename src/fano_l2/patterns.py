@@ -311,12 +311,6 @@ def link_matching_violation(
     return None
 
 
-def link_matching_check(H: Uniform3Graph, v: int) -> bool:
-    """True when no three disjoint link edges of v have all eight crossing
-    triples present."""
-    return link_matching_violation(H, v) is None
-
-
 def edge_link_multigraph(H: Uniform3Graph, edge: tuple[int, int, int]) -> MMultigraph:
     """The 3-layer multigraph stacking the links of an edge's three vertices
     (in increasing vertex order) over the host's vertex set."""

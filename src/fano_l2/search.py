@@ -289,7 +289,7 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
 _CENSUS_CACHE: dict[int, CensusReport] = {}
 
 
-def k4_census(m: int = 5) -> CensusReport:
+def k4_census(m: int) -> CensusReport:
     """Count all (2^m)^6 color assignments on 4 vertices.
 
     Reports the pattern-free maximum size with a lexicographically minimal
@@ -644,7 +644,7 @@ def max_s2_graph(n: int, m_edges: int) -> SearchReport:
     )
 
 
-def s2_quasi_agreement(n: int = 7) -> list[tuple[int, int, int, int]]:
+def s2_quasi_agreement(n: int) -> list[tuple[int, int, int, int]]:
     """Rows (m, exhaustive max, quasi-star count, quasi-complete count) for
     every edge count; the exhaustive max must equal the larger of the two."""
     data = _graph_star_table(n)
@@ -985,19 +985,3 @@ def complete_bipartite_argmax(n: int) -> SplitScanReport:
         balanced_wins_norm=set(narg) == balanced,
         balanced_wins_s2=set(sarg) == balanced,
     )
-
-
-# ----- seeded samplers ------------------------------------------------------------------
-
-
-def random_sub_multigraph(mg: MMultigraph, rng, keep_prob: float = 0.9) -> MMultigraph:
-    """Independently keep each color of each pair with the given probability."""
-    masks: dict[tuple[int, int], int] = {}
-    for pair, mask in mg.pairs():
-        kept = 0
-        for i in range(mg.m):
-            if mask >> i & 1 and rng.random() < keep_prob:
-                kept |= 1 << i
-        if kept:
-            masks[pair] = kept
-    return MMultigraph.from_masks(mg.n, mg.m, masks)

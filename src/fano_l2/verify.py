@@ -26,6 +26,7 @@ from .bounds import (
     ak_s2_bound,
     core_rate,
     f_inverse,
+    g_pairs_plus_bipartite,
     rational_identity_checks,
     solve_root_equation,
 )
@@ -104,11 +105,12 @@ def report_to_json(report: VerifyReport) -> str:
 # Aggregate checks count failing instances and expect zero.
 
 
-def _identity_pool(seed: int, count: int = 60):
+def _identity_pool(seed: int):
+    """The 60 seeded random 3-graphs every identity check runs on."""
     rng = random.Random(seed)
     sizes = (4, 5, 6, 7, 8, 9, 10, 11, 12)
     probs = (0.15, 0.3, 0.5, 0.7)
-    for i in range(count):
+    for i in range(60):
         yield random_3graph(sizes[i % len(sizes)], probs[i % len(probs)], rng)
 
 
@@ -214,7 +216,7 @@ def _check_bn_min_degree(seed: int):
 def _check_mg_sizes(seed: int):
     bad = 0
     for n in range(2, 17):
-        if bipartite_construction_5(n).size != 2 * comb(n, 2) + 3 * (n * n // 4):
+        if bipartite_construction_5(n).size != g_pairs_plus_bipartite(n):
             bad += 1
     for n in range(3, 17):
         if turan_layers_5(n).size != 5 * (n * n // 3):

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -133,6 +135,23 @@ def test_bounds_out_file(tmp_path, capsys):
     assert main(["bounds", "--table", "ak", "--grid", "0.1", "--out", str(out)]) == 0
     assert "wrote" in capsys.readouterr().out
     assert out.read_text(encoding="utf-8").startswith("x,value,active_branch")
+
+
+def test_bounds_grid_over_the_row_cap_exits_2(capsys):
+    # 25 million prop23 rows, or 500 million ak rows, would take gigabytes;
+    # the row count is checked before any row is built
+    for table, grid in (("prop23", "1e-4"), ("ak", "1e-9")):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["bounds", "--table", table, "--grid", grid])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "above the cap" in capsys.readouterr().err
+        assert peak < 2**20
+        assert time.perf_counter() - start < 1.0
 
 
 def test_search_json_shape(tmp_path, capsys):

@@ -9,7 +9,6 @@ from fano_l2.graphs import (
     all_pairs,
     bipartitions,
     clique_plus_isolated,
-    complete_bipartite,
     complete_minus_clique,
     complete_split_plus_isolated,
     quasi_complete,
@@ -73,10 +72,9 @@ def test_construction_edge_counts():
     assert clique_plus_isolated(7, 3).edge_count == 3
     assert complete_minus_clique(7, 3).edge_count == comb(7, 2) - comb(3, 2)
     assert complete_split_plus_isolated(10, 2, 3).edge_count == 9
-    assert complete_bipartite(3, 4).edge_count == 12
     # the independent part really is independent
     s = complete_minus_clique(6, 4)
-    assert s.is_independent_set(range(4))
+    assert not any(s.has_edge(u, v) for u in range(4) for v in range(u + 1, 4))
 
 
 @given(st.integers(2, 8), st.integers(0, 28))

@@ -53,14 +53,6 @@ def test_l2_norm_via_star_count(h):
 
 
 @given(small_3graphs())
-def test_norm_star_conversion_agrees(h):
-    for p in (1, 2, 3):
-        stars, norm = h.norm_star_conversion(p)
-        assert norm == h.lp_norm(p)
-        assert stars == h.count_stars(p)
-
-
-@given(small_3graphs())
 def test_three_l2_degree_routes_agree(h):
     norm2 = h.lp_norm(2)
     for v in range(h.n):

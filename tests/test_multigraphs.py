@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fano_l2.bounds import g_pairs_plus_bipartite
 from fano_l2.multigraphs import (
     PARTITION_SEARCH_CAP,
     MMultigraph,
@@ -13,16 +14,12 @@ from fano_l2.multigraphs import (
     extract_dense_core,
     find_good_partition,
     find_nice_partition,
-    has_heavy_triple,
     is_certificate_valid,
-    is_k4_free,
-    is_subgraph_of_saturated,
-    nice_partition_size_bound,
     saturated_family_4,
-    triple_type,
     turan_layers_5,
-    verify_k4_witness,
 )
+
+from helpers import verify_k4_witness
 
 
 def random_multigraph(n, m, rng, keep=0.6):
@@ -72,7 +69,7 @@ def test_bipartite_construction_size_and_k4():
     for n in range(2, 11):
         bc = bipartite_construction_5(n)
         assert bc.size == 2 * comb(n, 2) + 3 * (n * n // 4)
-        assert is_k4_free(bc)
+        assert contains_k4(bc) is None
 
 
 def test_saturated_family_size_and_freeness():
@@ -82,7 +79,6 @@ def test_saturated_family_size_and_freeness():
     for member in family:
         assert member.size == 25
         assert contains_k4(member) is None
-        assert is_subgraph_of_saturated(member)
 
 
 def test_adding_any_pair_to_saturated_member_creates_k4():
@@ -136,14 +132,6 @@ def test_witnesses_revalidate(seed):
         assert len(set(w.vertices)) == 4
 
 
-def test_triple_typing():
-    mg = MMultigraph(3, 5, {(0, 1): [1, 2, 3], (0, 2): [1], (1, 2): [4, 5]})
-    assert triple_type(mg, (0, 1, 2)) == (3, 2, 1)
-    assert has_heavy_triple(mg) is None
-    heavy = MMultigraph(4, 5, {(1, 2): [1, 2, 3], (1, 3): [2, 3, 4], (2, 3): [3, 4, 5]})
-    assert has_heavy_triple(heavy) == (1, 2, 3)
-
-
 def test_partitions_on_constructions():
     bc = bipartite_construction_5(6)
     nice = find_nice_partition(bc)
@@ -176,11 +164,6 @@ def test_certificate_tampering_detected():
     assert not is_certificate_valid(bc, bad_roles)
 
 
-def test_nice_partition_size_bound_is_construction_size():
-    for n in range(2, 20):
-        assert nice_partition_size_bound(n) == bipartite_construction_5(n).size
-
-
 @given(st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_size_bound_holds_for_nicely_partitioned_subgraphs(seed):
@@ -193,7 +176,7 @@ def test_size_bound_holds_for_nicely_partitioned_subgraphs(seed):
         if kept:
             sub_masks[pair] = kept
     sub = MMultigraph.from_masks(n, 5, sub_masks)
-    assert sub.size <= nice_partition_size_bound(n)
+    assert sub.size <= g_pairs_plus_bipartite(n)
 
 
 def test_peeling_keeps_construction_when_degree_clears_threshold():

@@ -28,3 +28,14 @@ def test_census_run_scans_one_block_per_orbit():
     assert proc.returncode == 0, proc.stderr
     assert "blocks scanned:      20 of 64" in proc.stdout
     assert "inner rows:          576 per block (24 classes per matching)" in proc.stdout
+
+
+def test_extremal_experiments_find_no_violations():
+    proc = run_script("extremal_experiments.py")
+    assert proc.returncode == 0, proc.stderr
+    scans = [line for line in proc.stdout.splitlines() if " violations among " in line]
+    assert len(scans) == 5  # the triangle-free scan at n = 3..7
+    assert all(": 0 violations among " in line for line in scans)
+    assert "  disagreements: 0" in proc.stdout
+    assert "  n=7: 410 (complete" in proc.stdout
+    assert "DIRTY" not in proc.stdout and "NOT UNIQUE" not in proc.stdout

@@ -29,9 +29,10 @@ from fano_l2.search import (
     max_k4free_multigraph,
     max_l2_fano_free,
     max_s2_graph,
-    random_sub_multigraph,
     s2_quasi_agreement,
 )
+
+from helpers import random_sub_multigraph
 
 
 def test_census_m4_frozen_values():
