@@ -255,17 +255,15 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, budget=args.budget, seed=args.seed)
+    report = run_suite(args.suite, seed=args.seed)
     for check in report.checks:
         line = f"{check.status.upper():7s} {check.check_id}"
         if check.status == "fail":
             line += f" measured={check.measured!r} expected={check.expected!r}"
-        if check.note:
-            line += f" ({check.note})"
         print(line)
     print(
-        f"suite {report.suite}: {report.passed} passed, {report.failed} failed, "
-        f"{report.skipped} skipped in {report.elapsed:.1f}s -> {report.overall}"
+        f"suite {report.suite}: {report.passed} passed, {report.failed} failed "
+        f"in {report.elapsed:.1f}s -> {report.overall}"
     )
     if args.out:
         Path(args.out).write_text(report_to_json(report) + "\n", encoding="utf-8")
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p_verify.add_argument("--budget", type=float)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out")
     p_verify.set_defaults(fn=_cmd_verify)

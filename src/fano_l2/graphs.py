@@ -64,10 +64,6 @@ class SimpleGraph:
             return False
         return bool(self._rows[u] >> v & 1)
 
-    def row(self, v: int) -> int:
-        """Adjacency bitmask of vertex v."""
-        return self._rows[v]
-
     def degree(self, v: int) -> int:
         return self._rows[v].bit_count()
 
@@ -114,17 +110,6 @@ class SimpleGraph:
 
     # ----- transforms -----------------------------------------------------
 
-    def remove_vertex(self, v: int) -> SimpleGraph:
-        """Graph with v deleted; remaining vertices are shifted down to 0..n-2."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside range")
-
-        def shift(x: int) -> int:
-            return x if x < v else x - 1
-
-        kept = [(shift(a), shift(b)) for a, b in self._edges if v not in (a, b)]
-        return SimpleGraph(self.n - 1, kept)
-
     def complement(self) -> SimpleGraph:
         comp = [
             (u, v)
@@ -135,15 +120,6 @@ class SimpleGraph:
         return SimpleGraph(self.n, comp)
 
     # ----- structural checks ---------------------------------------------
-
-    def triangle(self) -> tuple[int, int, int] | None:
-        """Some triangle as a sorted vertex triple, or None."""
-        for u, v in self._edges:
-            common = self._rows[u] & self._rows[v]
-            if common:
-                w = (common & -common).bit_length() - 1
-                return tuple(sorted((u, v, w)))  # type: ignore[return-value]
-        return None
 
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """A proper 2-coloring as (side0, side1), or None if an odd cycle exists."""

@@ -90,9 +90,6 @@ class Uniform3Graph:
         """Pairs covered by at least one edge, sorted."""
         return tuple(sorted(self._codegree))
 
-    def codegree_items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        yield from self._codegree.items()
-
     def triples_containing(self, v: int) -> Iterator[Triple]:
         for idx in self._incident[v]:
             yield self._triples[idx]

@@ -179,15 +179,22 @@ def contains_k4(mg: MMultigraph) -> K4Witness | None:
 
     Layer triples are scanned in increasing order, vertex 4-sets inside, and
     for each combination the three matchings are assigned to the three layers
-    in every order until one fits.
+    in every order until one fits. A 4-set with an uncoloured vertex, or a
+    triple with an unused layer, never carries the pattern, so only the
+    vertices on coloured pairs and the layers some pair uses are scanned,
+    in the order of the full scan, which gives the same witness.
 
     Hosts too small to carry the pattern (fewer than 4 vertices or 3 layers)
     give None rather than an error.
     """
-    if mg.n < 4 or mg.m < 3:
-        return None
-    quads = list(combinations(range(mg.n), 4))
-    for layer_triple in combinations(range(1, mg.m + 1), 3):
+    used = 0
+    touched: set[int] = set()
+    for pair, mask in mg._masks.items():
+        used |= mask
+        touched.update(pair)
+    layers = [i + 1 for i in range(used.bit_length()) if used >> i & 1]
+    quads = list(combinations(sorted(touched), 4))
+    for layer_triple in combinations(layers, 3):
         bits = tuple(1 << (i - 1) for i in layer_triple)
         for quad in quads:
             sets = _matching_layer_sets(mg, quad)
@@ -270,15 +277,13 @@ class PartitionCertificate:
     """A bipartition with a layer role assignment.
 
     ``layer_roles[r-1]`` is the actual layer playing role r. Roles 1 and 2 must
-    be empty inside part2, roles 3,4,5 empty inside part1; the "good" kind also
-    empties role 5 inside part2, while the "nice" kind instead caps pair
-    multiplicity inside part2 at 2.
+    be empty inside part2, roles 3,4,5 empty inside part1, and no pair inside
+    part2 may carry more than 2 layers.
     """
 
     part1: tuple[int, ...]
     part2: tuple[int, ...]
     layer_roles: tuple[int, ...]
-    kind: str
 
 
 def _layer_empty_inside(mg: MMultigraph, part: tuple[int, ...]) -> int:
@@ -291,7 +296,7 @@ def _layer_empty_inside(mg: MMultigraph, part: tuple[int, ...]) -> int:
 
 def is_certificate_valid(mg: MMultigraph, cert: PartitionCertificate) -> bool:
     """Re-verify a certificate against the raw color sets."""
-    if mg.m != 5 or cert.kind not in ("nice", "good"):
+    if mg.m != 5:
         return False
     if sorted(cert.part1 + cert.part2) != list(range(mg.n)):
         return False
@@ -310,8 +315,6 @@ def is_certificate_valid(mg: MMultigraph, cert: PartitionCertificate) -> bool:
     )
     if not ok:
         return False
-    if cert.kind == "good":
-        return bool(empty2 & bits[4])
     return all(
         mg.multiplicity(u, v) <= 2 for u, v in combinations(cert.part2, 2)
     )
@@ -321,7 +324,8 @@ def is_certificate_valid(mg: MMultigraph, cert: PartitionCertificate) -> bool:
 PARTITION_SEARCH_CAP = 24
 
 
-def _find_partition(mg: MMultigraph, kind: str) -> PartitionCertificate | None:
+def find_nice_partition(mg: MMultigraph) -> PartitionCertificate | None:
+    """First nice partition under the fixed enumeration order, or None."""
     if mg.m != 5:
         raise ValueError("partition search is defined for 5-layer multigraphs")
     if mg.n > PARTITION_SEARCH_CAP:
@@ -332,7 +336,7 @@ def _find_partition(mg: MMultigraph, kind: str) -> PartitionCertificate | None:
         for part1, part2 in ((pinned, side), (side, pinned)):
             empty1 = _layer_empty_inside(mg, part1)
             empty2 = _layer_empty_inside(mg, part2)
-            if kind == "nice" and any(
+            if any(
                 mg.multiplicity(u, v) > 2 for u, v in combinations(part2, 2)
             ):
                 continue
@@ -342,29 +346,11 @@ def _find_partition(mg: MMultigraph, kind: str) -> PartitionCertificate | None:
                 duo = tuple(x for x in range(1, 6) if x not in trio)
                 if any(not empty2 >> (layer - 1) & 1 for layer in duo):
                     continue
-                if kind == "good":
-                    fifth = [x for x in trio if empty2 >> (x - 1) & 1]
-                    if not fifth:
-                        continue
-                    rest = [x for x in trio if x != fifth[0]]
-                    roles = (duo[0], duo[1], rest[0], rest[1], fifth[0])
-                else:
-                    roles = (duo[0], duo[1], trio[0], trio[1], trio[2])
-                cert = PartitionCertificate(part1, part2, roles, kind)
+                cert = PartitionCertificate(part1, part2, duo + trio)
                 if not is_certificate_valid(mg, cert):
                     raise AssertionError("partition search produced an invalid certificate")
                 return cert
     return None
-
-
-def find_nice_partition(mg: MMultigraph) -> PartitionCertificate | None:
-    """First nice partition under the fixed enumeration order, or None."""
-    return _find_partition(mg, "nice")
-
-
-def find_good_partition(mg: MMultigraph) -> PartitionCertificate | None:
-    """First good partition under the fixed enumeration order, or None."""
-    return _find_partition(mg, "good")
 
 
 # ----- dense core peeling -------------------------------------------------------

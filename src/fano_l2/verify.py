@@ -4,10 +4,9 @@ Each suite bundles related checks: seeded identity checks on random
 3-graphs, the pinned decimal roots, construction cross-checks, the
 exhaustive 4-vertex census, and the independent search oracles. Each row
 of the registry holds its check's expected value and tolerance, and
-`run_check` judges every row by the same rule. A budgeted run keeps the
-longest prefix of the suite's rows whose static cost estimates fit, rather
-than going by measured time, so a report for a fixed configuration is stable;
-each check also records the seconds it took, so a stale estimate shows.
+`run_check` judges every row by the same rule. A suite is an id prefix and
+runs every row it selects; each check records the seconds it took, so a slow
+run is explained by its own report.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 from math import comb
 from typing import Callable
 
@@ -61,7 +59,6 @@ class Check:
     the value it must equal, or lie within `tolerance` of when that is set."""
 
     check_id: str
-    estimate: float  # static cost in seconds, for budgeted runs
     fn: Callable[[int], object]
     expected: object = 0
     tolerance: float = 0
@@ -70,12 +67,11 @@ class Check:
 @dataclass(frozen=True, slots=True)
 class CheckResult:
     check_id: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     measured: object
     expected: object
-    tolerance: float | int | None
-    note: str = ""
-    elapsed: float = 0.0  # seconds the check took; 0.0 when skipped
+    tolerance: float
+    elapsed: float  # seconds the check took
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,10 +80,8 @@ class VerifyReport:
     checks: tuple[CheckResult, ...]
     passed: int
     failed: int
-    skipped: int
     overall: str  # pass | fail
     seed: int
-    budget: float | None
     elapsed: float
 
 
@@ -322,67 +316,63 @@ def _check_bnb_six(seed: int):
     }
 
 
-# A suite is an id prefix, and `all` runs every row in this order, cheapest
-# suite first. The census readers come right after `census_max`, whose run
-# fills the census cache, so a budget that skips the census skips them too.
-# An estimate is the check's measured seconds, rounded up with room for a
-# slower machine.
+# A suite is an id prefix, and `all` runs every row in this order.
 _CHECKS: tuple[Check, ...] = (
-    Check("roots.f_inverse_5_4", 0.0, lambda seed: f_inverse(1.25),
+    Check("roots.f_inverse_5_4", lambda seed: f_inverse(1.25),
           0.342067, DECIMAL_TOLERANCE),
-    Check("roots.linear_branch", 0.0, lambda seed: solve_root_equation("linear_branch"),
+    Check("roots.linear_branch", lambda seed: solve_root_equation("linear_branch"),
           0.346707, DECIMAL_TOLERANCE),
-    Check("roots.claim32", 0.0, lambda seed: solve_root_equation("claim32"),
+    Check("roots.claim32", lambda seed: solve_root_equation("claim32"),
           0.344635, DECIMAL_TOLERANCE),
-    Check("roots.claim33", 0.0, lambda seed: solve_root_equation("claim33"),
+    Check("roots.claim33", lambda seed: solve_root_equation("claim33"),
           0.346577, DECIMAL_TOLERANCE),
-    Check("roots.claim34", 0.0, lambda seed: solve_root_equation("claim34"),
+    Check("roots.claim34", lambda seed: solve_root_equation("claim34"),
           0.346665, DECIMAL_TOLERANCE),
-    Check("roots.alpha1_at_61_177", 0.0, lambda seed: alpha1_limit(61 / 177),
+    Check("roots.alpha1_at_61_177", lambda seed: alpha1_limit(61 / 177),
           0.225024, DECIMAL_TOLERANCE),
-    Check("roots.alpha1_at_235_687", 0.0, lambda seed: alpha1_limit(235 / 687),
+    Check("roots.alpha1_at_235_687", lambda seed: alpha1_limit(235 / 687),
           0.171997, DECIMAL_TOLERANCE),
-    Check("roots.alpha2_at_61_177", 0.0, lambda seed: alpha2_limit(61 / 177),
+    Check("roots.alpha2_at_61_177", lambda seed: alpha2_limit(61 / 177),
           0.337536, DECIMAL_TOLERANCE),
-    Check("roots.alpha2_at_61_176", 0.0, lambda seed: alpha2_limit(61 / 176),
+    Check("roots.alpha2_at_61_176", lambda seed: alpha2_limit(61 / 176),
           0.387402, DECIMAL_TOLERANCE),
-    Check("roots.scaled_core_rate", 0.0, lambda seed: 5 / 13 * core_rate(253 / 730),
+    Check("roots.scaled_core_rate", lambda seed: 5 / 13 * core_rate(253 / 730),
           0.322526, DECIMAL_TOLERANCE),
-    Check("roots.half_core_rate", 0.0, lambda seed: core_rate(253 / 730) / 2,
+    Check("roots.half_core_rate", lambda seed: core_rate(253 / 730) / 2,
           0.419284, DECIMAL_TOLERANCE),
-    Check("roots.rational_identity", 0.1, _check_rational_identity,
+    Check("roots.rational_identity", _check_rational_identity,
           {"combined": "5154779/2872915", "threshold": 30, "largest_failing": 29}),
-    Check("identities.l1_norm", 0.1, _check_l1_norm),
-    Check("identities.norm_star", 0.1, _check_norm_star),
-    Check("identities.degree_routes", 0.1, _check_degree_routes),
-    Check("identities.degree_sum", 0.1, _check_degree_sum),
-    Check("identities.deletion_lipschitz", 0.1, _check_deletion_lipschitz),
-    Check("identities.participation", 0.1, _check_participation),
-    Check("constructions.bn_norm_closed", 0.3, _check_bn_norm),
-    Check("constructions.bn_min_degree", 0.1, _check_bn_min_degree),
-    Check("constructions.mg_sizes", 0.1, _check_mg_sizes),
-    Check("constructions.mg_k4free", 0.1, _check_mg_k4free),
-    Check("constructions.mg_crossover", 0.1, _check_mg_crossover,
+    Check("identities.l1_norm", _check_l1_norm),
+    Check("identities.norm_star", _check_norm_star),
+    Check("identities.degree_routes", _check_degree_routes),
+    Check("identities.degree_sum", _check_degree_sum),
+    Check("identities.deletion_lipschitz", _check_deletion_lipschitz),
+    Check("identities.participation", _check_participation),
+    Check("constructions.bn_norm_closed", _check_bn_norm),
+    Check("constructions.bn_min_degree", _check_bn_min_degree),
+    Check("constructions.mg_sizes", _check_mg_sizes),
+    Check("constructions.mg_k4free", _check_mg_k4free),
+    Check("constructions.mg_crossover", _check_mg_crossover,
           {"bipartite_12": 240, "turan_12": 240, "bipartite_13": 282, "turan_13": 280}),
-    Check("constructions.bn_fano_free", 0.1, _check_bn_fano_free),
-    Check("constructions.balanced_argmax", 0.1, _check_balanced_argmax),
-    Check("lemma51.census_max", 0.1, lambda seed: k4_census(5).max_size, 25),
-    Check("lemma51.census_max_count", 0.1, lambda seed: k4_census(5).max_count, 96),
-    Check("lemma51.census_clauses", 0.1, _check_census_clauses, [0, 0, 0, 0]),
-    Check("lemma51.census_k4_free", 0.1, _check_census_k4_free,
+    Check("constructions.bn_fano_free", _check_bn_fano_free),
+    Check("constructions.balanced_argmax", _check_balanced_argmax),
+    Check("lemma51.census_max", lambda seed: k4_census(5).max_size, 25),
+    Check("lemma51.census_max_count", lambda seed: k4_census(5).max_count, 96),
+    Check("lemma51.census_clauses", _check_census_clauses, [0, 0, 0, 0]),
+    Check("lemma51.census_k4_free", _check_census_k4_free,
           {"states": 32**6, "k4_free": 683278578}),
-    Check("lemma51.census_m4", 0.1, lambda seed: k4_census(4).max_size, 20),
-    Check("oracles.s2_quasi", 0.2, _check_s2_oracle),
-    Check("oracles.ak_asymptotic", 0.1, _check_ak_asymptotic),
-    Check("oracles.aes", 0.3, lambda seed: sum(aes_scan(n).optimum for n in range(3, 8))),
-    Check("oracles.fano_free_max", 0.1,
+    Check("lemma51.census_m4", lambda seed: k4_census(4).max_size, 20),
+    Check("oracles.s2_quasi", _check_s2_oracle),
+    Check("oracles.ak_asymptotic", _check_ak_asymptotic),
+    Check("oracles.aes", lambda seed: sum(aes_scan(n).optimum for n in range(3, 8))),
+    Check("oracles.fano_free_max",
           lambda seed: {n: max_l2_fano_free(n).optimum for n in (5, 6, 7)},
           {5: 90, 6: 240, 7: 410}),
-    Check("oracles.bipartite_scan", 0.1, _check_bipartite_scan),
-    Check("oracles.bnb_agreement", 0.1, _check_bnb_agreement),
-    Check("oracles.bnb_stretch", 0.1,
+    Check("oracles.bipartite_scan", _check_bipartite_scan),
+    Check("oracles.bnb_agreement", _check_bnb_agreement),
+    Check("oracles.bnb_stretch",
           lambda seed: max_k4free_multigraph(5, 5, engine="bnb").optimum, 40),
-    Check("oracles.bnb_six", 0.1, _check_bnb_six, {"bound": 60, "construction": 60}),
+    Check("oracles.bnb_six", _check_bnb_six, {"bound": 60, "construction": 60}),
 )
 
 SUITE_NAMES = (*dict.fromkeys(c.check_id.split(".")[0] for c in _CHECKS), "all")
@@ -408,46 +398,23 @@ def run_check(check: Check, seed: int) -> CheckResult:
     )
 
 
-def run_suite(suite: str, budget: float | None = None, seed: int = 0) -> VerifyReport:
-    """Run one named suite (or `all`) and aggregate a report.
-
-    With a budget, the suite runs the longest prefix of its rows whose static
-    cost estimates sum within the budget and skips every row after it.
-    """
+def run_suite(suite: str, seed: int = 0) -> VerifyReport:
+    """Run every row of one named suite (or `all`) and aggregate a report."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     start = time.perf_counter()
-    rows = [c for c in _CHECKS if suite == "all" or c.check_id.startswith(suite + ".")]
-    fits = len(rows)
-    if budget is not None:
-        fits = sum(1 for total in accumulate(c.estimate for c in rows) if total <= budget)
-    checks = [run_check(row, seed) for row in rows[:fits]]
-    for row in rows[fits:]:
-        if row is rows[fits]:
-            note = f"capacity: estimated {row.estimate:g}s exceeds remaining budget"
-        else:
-            note = "capacity: budget spent"
-        checks.append(
-            CheckResult(
-                check_id=row.check_id,
-                status="skipped",
-                measured=None,
-                expected=None,
-                tolerance=None,
-                note=note,
-            )
-        )
-    passed = sum(1 for c in checks if c.status == "pass")
+    checks = tuple(
+        run_check(c, seed)
+        for c in _CHECKS
+        if suite == "all" or c.check_id.startswith(suite + ".")
+    )
     failed = sum(1 for c in checks if c.status == "fail")
-    skipped = sum(1 for c in checks if c.status == "skipped")
     return VerifyReport(
         suite=suite,
-        checks=tuple(checks),
-        passed=passed,
+        checks=checks,
+        passed=len(checks) - failed,
         failed=failed,
-        skipped=skipped,
         overall="fail" if failed else "pass",
         seed=seed,
-        budget=budget,
         elapsed=time.perf_counter() - start,
     )

@@ -1,5 +1,7 @@
 """Oracles and samplers that only the tests use."""
 
+from itertools import combinations, permutations
+
 from fano_l2.multigraphs import MATCHINGS, K4Witness, MMultigraph
 
 
@@ -26,3 +28,20 @@ def random_sub_multigraph(mg: MMultigraph, rng, keep_prob: float) -> MMultigraph
         if kept:
             masks[pair] = kept
     return MMultigraph.from_masks(mg.n, mg.m, masks)
+
+
+def contains_k4_oracle(mg: MMultigraph) -> K4Witness | None:
+    """The plain scan `contains_k4` must agree with: every layer triple in
+    increasing order, every vertex 4-set inside, every matching assignment."""
+    quads = list(combinations(range(mg.n), 4))
+    for layer_triple in combinations(range(1, mg.m + 1), 3):
+        bits = tuple(1 << (i - 1) for i in layer_triple)
+        for quad in quads:
+            sets = [
+                mg.mask(quad[i1], quad[j1]) & mg.mask(quad[i2], quad[j2])
+                for (i1, j1), (i2, j2) in MATCHINGS
+            ]
+            for assign in permutations(range(3)):
+                if all(sets[t] & bits[assign[t]] for t in range(3)):
+                    return K4Witness(quad, tuple(layer_triple[a] for a in assign))
+    return None

@@ -217,6 +217,8 @@ DELETED_NAMES = (
     "is_k4_free",
     "link_matching_check",
     "nice_partition_size_bound",
+    "codegree_items",
+    "find_good_partition",
 )
 
 

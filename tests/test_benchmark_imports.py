@@ -6,6 +6,7 @@ would run a job, and `Tracer.install` rebinds module functions in place.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import fano_l2
@@ -54,3 +55,22 @@ def test_every_package_root_name_the_benchmark_reads_resolves():
     assert names == set(fano_l2.__all__)
     for name in names:
         assert hasattr(fano_l2, name), name
+
+
+def test_every_package_call_the_benchmark_makes_binds_to_the_live_signature():
+    # placeholders stand in for the values, so only the shape of each call
+    # is checked: its positional count and its keyword names
+    calls = [
+        node
+        for node in ast.walk(_tree("job.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "fano_l2"
+    ]
+    assert {call.func.attr for call in calls} >= {"run_suite", "max_k4free_multigraph"}
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        signature = inspect.signature(getattr(fano_l2, call.func.attr))
+        signature.bind(*[None] * len(call.args), **{kw.arg: None for kw in call.keywords})

