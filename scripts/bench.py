@@ -32,7 +32,9 @@ entry dropped first, as `s2_quasi_agreement` first meets it) and
 `bipartite_l2_scan(n)` for n = 4..6,
 three runs each, and records the median seconds with the optimum, `nodes`
 and `params`. For the star table the optimum is the list of maxima by edge
-count, `nodes` the graphs scanned and `params` the first attaining masks.
+count, `nodes` the graphs scanned and `params` the first attaining masks. A
+fourth run under `tracemalloc` gives each row's `traced_peak_mb`; it is not
+timed, since tracing slows the Python around the NumPy calls.
 
 The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
@@ -48,6 +50,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -195,10 +198,25 @@ def _scan_rows() -> list[dict]:
     rows = []
     for fn, n in calls:
         result, seconds, runs_s = _median_run(fn, n)
+        tracemalloc.start()
+        try:
+            fn(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         if isinstance(result, search.SearchReport):
             result = {"optimum": result.optimum, "nodes": result.nodes, "params": result.params}
-        rows.append({"scan": fn.__name__, "n": n, "seconds": seconds, "runs_s": runs_s, **result})
-        print(f"{fn.__name__}({n}): {result['nodes']} nodes, {seconds:.3f}s")
+        rows.append(
+            {
+                "scan": fn.__name__,
+                "n": n,
+                "seconds": seconds,
+                "runs_s": runs_s,
+                "traced_peak_mb": peak / 2**20,
+                **result,
+            }
+        )
+        print(f"{fn.__name__}({n}): {result['nodes']} nodes, {seconds:.3f}s, {peak / 2**20:.1f} MB traced")
     return rows
 
 

@@ -569,8 +569,8 @@ def max_k4free_multigraph(
 
 
 def _check_scan_capacity(n: int) -> None:
-    # the graph scans hold one entry per graph: 2^21 at n=7, 2^28 (over 1 GiB
-    # across their tables) at n=8
+    # n=8 would put 2^28 graphs through the star table and grow 4,577,274
+    # triangle-free graphs, and no value there is frozen or checked
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > 7:
@@ -590,25 +590,63 @@ _S2_TABLE_CACHE: dict[int, dict] = {}
 
 def _graph_star_table(n: int) -> dict:
     """For every edge count m, the exhaustive max of the two-edge-star count
-    over all n-vertex graphs, with the first attaining adjacency mask."""
+    over all n-vertex graphs, with the first attaining adjacency mask.
+
+    The edge bits split into a low half and a high half, mask = high <<
+    low_bits | low. A vertex of degree dl + dh from the two halves sits in C(dl, 2) +
+    C(dh, 2) + dl * dh two-edge stars, so the count of a graph is
+    SL[low] + SH[high] + sum_v DL[low, v] * DH[high, v], with tables over
+    the halves alone. It is evaluated as one lows x highs block per edge
+    count of the high half, never one entry per graph."""
     if n in _S2_TABLE_CACHE:
         return _S2_TABLE_CACHE[n]
     _check_scan_capacity(n)
     pairs = all_pairs(n)
     nbits = len(pairs)
-    masks = np.arange(1 << nbits, dtype=np.uint32)
-    choose2 = np.array([d * (d - 1) // 2 for d in range(n)], dtype=np.uint16)
-    stars = np.zeros(len(masks), dtype=np.uint16)
-    for incidence in _incidence_masks(pairs, n):
-        stars += choose2[np.bitwise_count(masks & np.uint32(incidence))]
-    edge_counts = np.bitwise_count(masks)
-    best = np.zeros(nbits + 1, dtype=stars.dtype)
-    np.maximum.at(best, edge_counts, stars)
-    # masks[i] == i, and np.unique returns the first (smallest) hit of each m
-    hit = np.flatnonzero(stars == best[edge_counts])
-    counts, first = np.unique(edge_counts[hit], return_index=True)
-    table = {int(m): (int(best[m]), int(hit[i])) for m, i in zip(counts, first)}
-    result = {"pairs": pairs, "table": table, "states": len(masks)}
+    low_bits = nbits // 2
+    incidence = _incidence_masks(pairs, n)
+
+    def half(shift: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # for every mask of `width` edge bits from `shift`: the degree it
+        # gives each vertex, its star count and its edge count
+        masks = np.arange(1 << width, dtype=np.uint32)
+        degrees = np.empty((len(masks), n), dtype=np.int32)
+        for v, inc in enumerate(incidence):
+            degrees[:, v] = np.bitwise_count(masks & np.uint32(inc >> shift & ((1 << width) - 1)))
+        stars = (degrees * (degrees - 1) // 2).sum(axis=1, dtype=np.int32)
+        return degrees, stars, np.bitwise_count(masks)
+
+    dl, sl, low_edges = half(0, low_bits)
+    dh, sh, high_edges = half(low_bits, nbits - low_bits)
+    # lows by edge count, ascending within a count: rows bounds[l]:bounds[l+1]
+    order = np.argsort(low_edges, kind="stable")
+    dl, sl = dl[order], sl[order]
+    bounds = np.searchsorted(low_edges[order], np.arange(low_bits + 2))
+    widest = int(np.bincount(high_edges).max())
+    block_buf = np.empty((len(order), widest), dtype=np.int32)
+    product_buf = np.empty_like(block_buf)
+    table: dict[int, tuple[int, int]] = {}
+    for h in range(nbits - low_bits + 1):
+        highs = np.flatnonzero(high_edges == h)
+        block = block_buf[:, : len(highs)]
+        product = product_buf[:, : len(highs)]
+        np.add(sl[:, None], sh[highs], out=block)
+        for v in range(n):
+            np.multiply(dl[:, v, None], dh[highs, v], out=product)
+            block += product
+        for l in range(low_bits + 1):
+            rows = block[bounds[l] : bounds[l + 1]]
+            best = int(rows.max())
+            hit = rows == best
+            # highs ascend, then lows within a row class: the first hit
+            # column and its first hit row give the smallest attaining mask
+            j = int(np.argmax(hit.any(axis=0)))
+            i = int(np.argmax(hit[:, j]))
+            mask = int(highs[j]) << low_bits | int(order[bounds[l] + i])
+            old = table.get(l + h)
+            if old is None or best > old[0] or (best == old[0] and mask < old[1]):
+                table[l + h] = (best, mask)
+    result = {"pairs": pairs, "table": table, "states": 1 << nbits}
     _S2_TABLE_CACHE[n] = result
     return result
 
@@ -670,34 +708,51 @@ def _two_colourable(n: int, pairs, graphs: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _triangle_free_graphs(n: int, pairs) -> tuple[np.ndarray, int]:
+    """Every triangle-free graph on n vertices, as adjacency masks over
+    pairs, and the number of candidates tested to find them.
+
+    The graphs grow vertex by vertex: joining vertex k to a set S of
+    0..k-1 keeps a triangle-free graph triangle-free exactly when S is
+    independent in it, so each candidate (graph, S) costs one mask test."""
+    index = {p: i for i, p in enumerate(pairs)}
+    graphs = np.zeros(1, dtype=np.uint32)  # the one graph on at most one vertex
+    tested = 0
+    for k in range(1, n):
+        sets = [[v for v in range(k) if s >> v & 1] for s in range(1 << k)]
+        inside = np.array(
+            [sum(1 << index[p] for p in combinations(S, 2)) for S in sets], dtype=np.uint32
+        )
+        join = np.array([sum(1 << index[(v, k)] for v in S) for S in sets], dtype=np.uint32)
+        independent = (graphs[:, None] & inside) == 0
+        tested += independent.size
+        graphs = (graphs[:, None] | join)[independent]
+    return graphs, tested
+
+
 def aes_scan(n: int) -> SearchReport:
     """Scan all n-vertex graphs: every triangle-free graph with minimum
     degree above 2n/5 must be bipartite, so the optimum (the count of
     non-bipartite ones) must be 0. The params count the triangle-free graphs,
     those above the threshold, and the non-bipartite triangle-free graphs
     sitting exactly at degree floor(2n/5), which stop the threshold from
-    moving."""
+    moving.
+
+    Only the triangle-free graphs are built, grown vertex by vertex;
+    states_scanned counts the candidates tested to grow them, while nodes
+    counts every labelled graph, 2^C(n,2)."""
     start = time.perf_counter()
     _check_scan_capacity(n)
     pairs = all_pairs(n)
-    nbits = len(pairs)
-    masks = np.arange(1 << nbits, dtype=np.uint32)
-    triangle_free = np.ones(len(masks), dtype=bool)
-    for a, b, c in combinations(range(n), 3):
-        t = np.uint32(
-            (1 << pairs.index((a, b)))
-            | (1 << pairs.index((a, c)))
-            | (1 << pairs.index((b, c)))
-        )
-        triangle_free &= (masks & t) != t
-    mindeg = np.full(len(masks), 255, dtype=np.uint8)
+    graphs, tested = _triangle_free_graphs(n, pairs)
+    mindeg = np.full(len(graphs), 255, dtype=np.uint8)
     for incidence in _incidence_masks(pairs, n):
-        mindeg = np.minimum(mindeg, np.bitwise_count(masks & np.uint32(incidence)))
+        mindeg = np.minimum(mindeg, np.bitwise_count(graphs & np.uint32(incidence)))
     # 5 * d > 2n exactly when d > floor(2n/5)
-    above = triangle_free & (mindeg > (2 * n) // 5)
-    boundary = triangle_free & (mindeg == (2 * n) // 5)
+    above = mindeg > (2 * n) // 5
+    boundary = mindeg == (2 * n) // 5
     selected = np.flatnonzero(above | boundary)
-    odd = ~_two_colourable(n, pairs, masks[selected])
+    odd = ~_two_colourable(n, pairs, graphs[selected])
     violations = int((odd & above[selected]).sum())
     boundary_nonbip = int((odd & boundary[selected]).sum())
     return SearchReport(
@@ -707,14 +762,15 @@ def aes_scan(n: int) -> SearchReport:
         optimum=violations,
         witness="",
         witness_kind="none",
-        nodes=len(masks),
+        nodes=1 << len(pairs),
         elapsed=time.perf_counter() - start,
         complete=True,
         engine="exhaustive",
         params={
-            "triangle_free": int(triangle_free.sum()),
+            "triangle_free": len(graphs),
             "above_threshold": int(above.sum()),
             "boundary_nonbipartite": boundary_nonbip,
+            "states_scanned": tested,
         },
     )
 

@@ -2,6 +2,10 @@
 
 from itertools import combinations, permutations
 
+import numpy as np
+
+from fano_l2 import search
+from fano_l2.graphs import all_pairs
 from fano_l2.multigraphs import MATCHINGS, K4Witness, MMultigraph
 
 
@@ -45,3 +49,31 @@ def contains_k4_oracle(mg: MMultigraph) -> K4Witness | None:
                 if all(sets[t] & bits[assign[t]] for t in range(3)):
                     return K4Witness(quad, tuple(layer_triple[a] for a in assign))
     return None
+
+
+def aes_scan_oracle(n: int) -> tuple[int, int, dict]:
+    """The full-mask scan `aes_scan` must agree with: one entry per labelled
+    graph, a pass over all of them per triangle and per vertex. Returns the
+    optimum, the graphs scanned and the three counts of the report."""
+    pairs = all_pairs(n)
+    masks = np.arange(1 << len(pairs), dtype=np.uint32)
+    triangle_free = np.ones(len(masks), dtype=bool)
+    for a, b, c in combinations(range(n), 3):
+        t = np.uint32(
+            (1 << pairs.index((a, b))) | (1 << pairs.index((a, c))) | (1 << pairs.index((b, c)))
+        )
+        triangle_free &= (masks & t) != t
+    mindeg = np.full(len(masks), 255, dtype=np.uint8)
+    for w in range(n):
+        incidence = sum(1 << i for i, p in enumerate(pairs) if w in p)
+        mindeg = np.minimum(mindeg, np.bitwise_count(masks & np.uint32(incidence)))
+    above = triangle_free & (mindeg > (2 * n) // 5)
+    boundary = triangle_free & (mindeg == (2 * n) // 5)
+    selected = np.flatnonzero(above | boundary)
+    odd = ~search._two_colourable(n, pairs, masks[selected])
+    params = {
+        "triangle_free": int(triangle_free.sum()),
+        "above_threshold": int(above.sum()),
+        "boundary_nonbipartite": int((odd & boundary[selected]).sum()),
+    }
+    return int((odd & above[selected]).sum()), len(masks), params

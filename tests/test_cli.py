@@ -203,7 +203,10 @@ def test_search_scan_json(tmp_path, capsys):
     assert (data["objective"], data["optimum"], data["nodes"]) == ("aes", 0, 1024)
     assert (data["witness"], data["witness_kind"], data["engine"]) == ("", "none", "exhaustive")
     assert data["params"] == {
-        "triangle_free": 388, "above_threshold": 0, "boundary_nonbipartite": 12,
+        "triangle_free": 388,
+        "above_threshold": 0,
+        "boundary_nonbipartite": 12,
+        "states_scanned": 722,
     }
     bip = tmp_path / "bip.json"
     assert main(["search", "--objective", "bipartite-l2", "--n", "4", "--out", str(bip)]) == 0

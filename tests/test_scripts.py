@@ -1,5 +1,6 @@
 """Smoke tests: each script runs from a checkout with `src` on the path."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +40,16 @@ def test_extremal_experiments_find_no_violations():
     assert "  disagreements: 0" in proc.stdout
     assert "  n=7: 410 (complete" in proc.stdout
     assert "DIRTY" not in proc.stdout and "NOT UNIQUE" not in proc.stdout
+
+
+def test_bench_scans_records_seconds_and_traced_peak(tmp_path):
+    out = tmp_path / "scans.json"
+    proc = run_script("bench.py", "scans", str(out))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert set(data["machine"]) == {"nproc", "cpu_count", "processor"}
+    scans = [(row["scan"], row["n"]) for row in data["rows"]]
+    assert scans == [("aes_scan", 5), ("aes_scan", 6), ("aes_scan", 7), ("_cold_star_table", 7)] + [
+        ("bipartite_l2_scan", n) for n in (4, 5, 6)
+    ]
+    assert all(row["seconds"] > 0 and row["traced_peak_mb"] > 0 for row in data["rows"])

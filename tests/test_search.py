@@ -32,7 +32,7 @@ from fano_l2.search import (
     s2_quasi_agreement,
 )
 
-from helpers import random_sub_multigraph
+from helpers import aes_scan_oracle, random_sub_multigraph
 
 
 def test_census_m4_frozen_values():
@@ -476,7 +476,7 @@ def oracle_star_table(n):
 
 def test_star_table_matches_the_per_edge_count_loop(monkeypatch):
     monkeypatch.setattr(search, "_S2_TABLE_CACHE", {})
-    for n in range(7):
+    for n in range(8):
         data = search._graph_star_table(n)
         assert data["table"] == oracle_star_table(n)
         assert data["states"] == 2 ** comb(n, 2)
@@ -495,11 +495,35 @@ def test_aes_scan_small_values():
         aes_scan(-1)
 
 
+def test_aes_scan_matches_the_full_mask_oracle():
+    for n in range(8):
+        rep = aes_scan(n)
+        optimum, nodes, params = aes_scan_oracle(n)
+        assert (rep.optimum, rep.nodes) == (optimum, nodes)
+        assert {k: rep.params[k] for k in params} == params
+
+
+def test_graph_scans_hold_no_entry_per_graph(monkeypatch):
+    # the full-mask scans peaked at about 22 MB traced at n=7
+    monkeypatch.setattr(search, "_S2_TABLE_CACHE", {})
+    for scan in (lambda: search._graph_star_table(7), lambda: aes_scan(7)):
+        tracemalloc.start()
+        try:
+            scan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 def test_aes_and_bipartite_sizes_that_verify_runs_are_pinned():
     a7 = aes_scan(7)
     assert (a7.nodes, a7.optimum) == (2_097_152, 0)
     assert a7.params == {
-        "triangle_free": 133_501, "above_threshold": 35, "boundary_nonbipartite": 9_600,
+        "triangle_free": 133_501,
+        "above_threshold": 35,
+        "boundary_nonbipartite": 9_600,
+        "states_scanned": 383_634,
     }
     b6 = bipartite_l2_scan(6)
     assert (b6.optimum, b6.nodes) == (198, 3_610_624)
