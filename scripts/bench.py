@@ -36,10 +36,16 @@ count, `nodes` the graphs scanned and `params` the first attaining masks. A
 fourth run under `tracemalloc` gives each row's `traced_peak_mb`; it is not
 timed, since tracing slows the Python around the NumPy calls.
 
+k4: times `contains_k4` on the pattern-free `bipartite_construction_5(n)`
+and `turan_layers_5(n)` for n = 4..12, where the detector meets every
+support 4-clique, and the construction of `balanced_bipartite3(n)` for
+n = 10..40, three runs each, and records the median seconds. It reads only
+public names, so it also times versions from before the 4-clique scan.
+
 The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
 
-    python scripts/bench.py [census|fano|bnb|scans] [OUT]    default OUT: BENCH_<topic>.json
+    python scripts/bench.py [census|fano|bnb|scans|k4] [OUT]    default OUT: BENCH_<topic>.json
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import numpy as np
 
 from fano_l2 import search
 from fano_l2.hypergraphs import balanced_bipartite3, complete3
+from fano_l2.multigraphs import bipartite_construction_5, contains_k4, turan_layers_5
 from fano_l2.patterns import contains_fano, contains_pattern, fano_plane, link_triple_violation
 
 
@@ -220,7 +227,32 @@ def _scan_rows() -> list[dict]:
     return rows
 
 
-TOPICS = {"census": _census_rows, "fano": _fano_rows, "bnb": _bnb_rows, "scans": _scan_rows}
+def _k4_rows() -> list[dict]:
+    rows = []
+    for build in (bipartite_construction_5, turan_layers_5):
+        for n in range(4, 13):
+            host = build(n)
+            witness, seconds, runs_s = _median_run(contains_k4, host)
+            if witness is not None:
+                raise AssertionError(f"pattern found in {build.__name__}({n})")
+            rows.append({"call": "contains_k4", "host": build.__name__, "n": n,
+                         "seconds": seconds, "runs_s": runs_s})
+            print(f"contains_k4({build.__name__}({n})): {seconds * 1e3:.3f} ms")
+    for n in range(10, 41):
+        host, seconds, runs_s = _median_run(balanced_bipartite3, n)
+        rows.append({"call": "balanced_bipartite3", "n": n, "edges": host.edge_count,
+                     "seconds": seconds, "runs_s": runs_s})
+        print(f"balanced_bipartite3({n}): {host.edge_count} edges, {seconds * 1e3:.3f} ms")
+    return rows
+
+
+TOPICS = {
+    "census": _census_rows,
+    "fano": _fano_rows,
+    "bnb": _bnb_rows,
+    "scans": _scan_rows,
+    "k4": _k4_rows,
+}
 
 
 def main() -> int:

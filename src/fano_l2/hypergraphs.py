@@ -14,13 +14,42 @@ routes to the 2-norm degree, all exposed here.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import chain, combinations, islice
 from math import comb
-from typing import Iterable, Iterator
+from operator import eq, lt
+from typing import Iterable, Iterator, NoReturn
 
 from .graphs import SimpleGraph
 
 Triple = tuple[int, int, int]
+
+
+def _raise_first_invalid(n: int, items, sorted_items) -> NoReturn:
+    """Raise the error of the first invalid triple, in input order."""
+    seen: set[tuple] = set()
+    for t, tt in zip(items, sorted_items):
+        if len(tt) != 3 or len(set(tt)) != 3:
+            raise ValueError(f"not a 3-element vertex set: {tuple(t)}")
+        if not (0 <= tt[0] and tt[2] < n):
+            raise ValueError(f"edge {tt} outside vertex range 0..{n - 1}")
+        if tt in seen:
+            raise ValueError(f"duplicate edge {tt}")
+        seen.add(tt)
+    raise AssertionError("edge checks rejected a valid edge list")
+
+
+def _checked_columns(n: int, canon: list) -> tuple[list, list, list] | None:
+    """The three vertex columns of a sorted edge list, or None unless each
+    edge is an increasing triple inside 0..n-1 and no edge repeats."""
+    if not set(map(len, canon)) <= {3} or any(map(eq, canon, islice(canon, 1, None))):
+        return None
+    flat = list(chain.from_iterable(canon))
+    A, B, C = flat[0::3], flat[1::3], flat[2::3]
+    if all(map(lt, A, B)) and all(map(lt, B, C)) and (not canon or (0 <= A[0] and max(C) < n)):
+        return A, B, C
+    return None
 
 
 class Uniform3Graph:
@@ -35,34 +64,35 @@ class Uniform3Graph:
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        canon: list[Triple] = []
-        seen: set[Triple] = set()
-        for t in triples:
-            tt = tuple(sorted(t))
-            if len(tt) != 3 or len(set(tt)) != 3:
-                raise ValueError(f"not a 3-element vertex set: {tuple(t)}")
-            if not (0 <= tt[0] and tt[2] < n):
-                raise ValueError(f"edge {tt} outside vertex range 0..{n - 1}")
-            if tt in seen:
-                raise ValueError(f"duplicate edge {tt}")
-            seen.add(tt)
-            canon.append(tt)  # type: ignore[arg-type]
-        canon.sort()
-        codegree: dict[tuple[int, int], int] = {}
+        items = triples if isinstance(triples, (list, tuple)) else list(triples)
+        columns = None
+        if set(map(type, items)) <= {tuple}:
+            # increasing tuples, what most callers pass, are kept as they are
+            canon = sorted(items)
+            columns = _checked_columns(n, canon)
+        if columns is None:
+            sorted_items = list(map(tuple, map(sorted, items)))
+            canon = sorted(sorted_items)
+            columns = _checked_columns(n, canon)
+            if columns is None:
+                _raise_first_invalid(n, items, sorted_items)
+        A, B, C = columns
+        # pairs enter in the order (a,b), (a,c), (b,c) of each triple in
+        # sorted order, as the float sums of `lp_norm` depend on it
+        codegree = Counter(chain.from_iterable(zip(zip(A, B), zip(A, C), zip(B, C))))
+        # append each triple's index to its three vertices' lists, consuming
+        # the map without a Python-level loop; iterating one list three
+        # times makes the three appends share one int object
         incident: list[list[int]] = [[] for _ in range(n)]
-        degree = [0] * n
-        for idx, (a, b, c) in enumerate(canon):
-            for pair in ((a, b), (a, c), (b, c)):
-                codegree[pair] = codegree.get(pair, 0) + 1
-            for v in (a, b, c):
-                incident[v].append(idx)
-                degree[v] += 1
+        r = list(range(len(canon)))
+        indices = chain.from_iterable(zip(r, r, r))
+        deque(map(list.append, map(incident.__getitem__, chain.from_iterable(canon)), indices), maxlen=0)
         self.n = n
         self._triples = tuple(canon)
-        self._edge_set = seen
+        self._edge_set = set(canon)
         self._codegree = codegree
-        self._incident = tuple(tuple(ix) for ix in incident)
-        self._degree = tuple(degree)
+        self._degree = tuple(map(len, incident))
+        self._incident = tuple(map(tuple, incident))
 
     # ----- basic structure --------------------------------------------------
 
@@ -157,40 +187,33 @@ class Uniform3Graph:
             return self.l2_degree_expanded(v)
         return self.lp_norm(p) - self.remove_vertex(v).lp_norm(p)
 
+    def _pairs_at(self, v: int) -> tuple[set[int], list[tuple[int, int]]]:
+        """The neighbours of v and the link pairs of v (one per incident
+        triple), read from v's triples only."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside range")
+        neighbours: set[int] = set()
+        link_pairs = []
+        for t in self.triples_containing(v):
+            a, b = (x for x in t if x != v)
+            neighbours.update((a, b))
+            link_pairs.append((a, b))
+        return neighbours, link_pairs
+
     def l2_degree_expanded(self, v: int) -> int:
         """2-norm degree via the local expansion: the squared codegrees of the
         pairs at v, plus twice the codegrees of the link pairs, minus deg(v)."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside range")
-        at_v = 0
-        over_link = 0
-        link_pairs: set[tuple[int, int]] = set()
-        for t in self.triples_containing(v):
-            a, b = (x for x in t if x != v)
-            link_pairs.add((a, b))
-        for (x, y), d in self._codegree.items():
-            if x == v or y == v:
-                at_v += d * d
-            elif (x, y) in link_pairs:
-                over_link += d
+        neighbours, link_pairs = self._pairs_at(v)
+        at_v = sum(self.codegree(v, x) ** 2 for x in neighbours)
+        over_link = sum(self._codegree[pair] for pair in link_pairs)
         return at_v + 2 * over_link - self._degree[v]
 
     def star_degree(self, v: int) -> int:
         """Number of two-edge stars meeting v, either in the shared pair or as
         one of the two loose tips."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside range")
-        link_pairs: set[tuple[int, int]] = set()
-        for t in self.triples_containing(v):
-            a, b = (x for x in t if x != v)
-            link_pairs.add((a, b))
-        total = 0
-        for (x, y), d in self._codegree.items():
-            if x == v or y == v:
-                total += comb(d, 2)
-            elif (x, y) in link_pairs:
-                total += d - 1
-        return total
+        neighbours, link_pairs = self._pairs_at(v)
+        shared = sum(comb(self.codegree(v, x), 2) for x in neighbours)
+        return shared + sum(self._codegree[pair] - 1 for pair in link_pairs)
 
     def two_edge_stars(self) -> Iterator[tuple[tuple[int, int], int, int]]:
         """All two-edge star copies as (shared pair, tip, tip) with tips sorted."""
@@ -228,14 +251,7 @@ def bipartite3(a: int, b: int) -> Uniform3Graph:
     if a < 0 or b < 0:
         raise ValueError("part sizes must be nonnegative")
     n = a + b
-    triples = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(y + 1, n):
-                inside_first = (x < a) + (y < a) + (z < a)
-                if 0 < inside_first < 3:
-                    triples.append((x, y, z))
-    return Uniform3Graph(n, triples)
+    return Uniform3Graph(n, [t for t in combinations(range(n), 3) if t[0] < a <= t[2]])
 
 
 def balanced_bipartite3(n: int) -> Uniform3Graph:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 from .graphs import SimpleGraph, bipartitions
@@ -60,11 +62,12 @@ class MMultigraph:
     def from_masks(cls, n: int, m: int, masks: Mapping[Pair, int]) -> MMultigraph:
         mg = cls(n, m)
         clean: dict[Pair, int] = {}
-        full = (1 << m) - 1
         for (u, v), mask in masks.items():
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ValueError(f"invalid pair ({u},{v})")
-            if mask & ~full:
+            # a shift: a test against ~(2^m - 1) would build an m-bit
+            # complement for every pair
+            if mask >> m:
                 raise ValueError(f"mask {mask:#x} uses layers beyond {m}")
             key = (u, v) if u < v else (v, u)
             if mask:
@@ -166,43 +169,96 @@ class K4Witness:
         return tuple(sorted(self.matching_layers))  # type: ignore[return-value]
 
 
-def _matching_layer_sets(mg: MMultigraph, quad: tuple[int, ...]) -> list[int]:
-    """Bitmask of layers fully containing each of the three matchings of quad."""
-    out = []
-    for (i1, j1), (i2, j2) in MATCHINGS:
-        out.append(mg.mask(quad[i1], quad[j1]) & mg.mask(quad[i2], quad[j2]))
-    return out
+def _low_layers(mask: int, k: int | None = None) -> list[int]:
+    """The 1-based layers of a mask in increasing order, the first k only
+    when k is given."""
+    layers = []
+    while mask and len(layers) != k:
+        low = mask & -mask
+        layers.append(low.bit_length())
+        mask ^= low
+    return layers
+
+
+def _first_fitting_triple(
+    sets: tuple[int, int, int], bound: tuple[int, ...] | None
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The smallest layer triple, below bound when bound is set, that gives
+    the three matchings distinct layers from their sets, with the first
+    assignment that fits, or None."""
+    for triple in combinations(_low_layers(sets[0] | sets[1] | sets[2]), 3):
+        if bound is not None and triple >= bound:
+            return None
+        bits = tuple(1 << (i - 1) for i in triple)
+        for assign in permutations(range(3)):
+            if all(sets[t] & bits[assign[t]] for t in range(3)):
+                return triple, tuple(triple[a] for a in assign)
+    return None
 
 
 def contains_k4(mg: MMultigraph) -> K4Witness | None:
-    """First forbidden-pattern witness under the fixed scan order, or None.
+    """The witness with the smallest (layer triple, vertex 4-set), or None.
 
-    Layer triples are scanned in increasing order, vertex 4-sets inside, and
-    for each combination the three matchings are assigned to the three layers
-    in every order until one fits. A 4-set with an uncoloured vertex, or a
-    triple with an unused layer, never carries the pattern, so only the
-    vertices on coloured pairs and the layers some pair uses are scanned,
-    in the order of the full scan, which gives the same witness.
+    This is the first witness of the plain scan: layer triples in increasing
+    order, vertex 4-sets inside, and the three matchings assigned to the
+    three layers in every order until one fits. Every pattern quad is a
+    4-clique of the support graph (the coloured pairs), so the support
+    4-cliques are enumerated in increasing order from up-neighbour lists.
+    Each quad's three matching intersections s0, s1, s2 are formed once, and
+    by Hall's theorem three distinct layers represent them exactly when each
+    is non-empty, each union of two has two layers and the union of all
+    three has three. Only for a quad that passes are the layer triples of
+    s0|s1|s2 walked, up to the best triple so far. The cost is the support
+    4-cliques times the layers of their matching intersections, not
+    C(n,4)*C(m,3); the scan stops early once a quad takes the three lowest
+    layers in use.
 
     Hosts too small to carry the pattern (fewer than 4 vertices or 3 layers)
     give None rather than an error.
     """
-    used = 0
-    touched: set[int] = set()
-    for pair, mask in mg._masks.items():
-        used |= mask
-        touched.update(pair)
-    layers = [i + 1 for i in range(used.bit_length()) if used >> i & 1]
-    quads = list(combinations(sorted(touched), 4))
-    for layer_triple in combinations(layers, 3):
-        bits = tuple(1 << (i - 1) for i in layer_triple)
-        for quad in quads:
-            sets = _matching_layer_sets(mg, quad)
-            for assign in permutations(range(3)):
-                if all(sets[t] & bits[assign[t]] for t in range(3)):
-                    layers = tuple(layer_triple[assign[t]] for t in range(3))
-                    return K4Witness(quad, layers)  # type: ignore[arg-type]
-    return None
+    masks = mg._masks
+    # or the distinct masks only: or-ing every pair's mask in turn copies a
+    # wide mask once per pair
+    floor = tuple(_low_layers(reduce(or_, set(masks.values()), 0), 3))
+    if len(floor) < 3:
+        return None
+    up: dict[int, list[int]] = {}
+    for a, b in sorted(masks):
+        up.setdefault(a, []).append(b)
+    best = None
+    for a, up_a in up.items():
+        for i in range(len(up_a) - 2):
+            b = up_a[i]
+            # common up-neighbours of a and b above b, probing the longer list
+            up_b = up.get(b, ())
+            if len(up_b) < len(up_a) - i:
+                common = [c for c in up_b if (a, c) in masks]
+            else:
+                common = [c for c in up_a[i + 1:] if (b, c) in masks]
+            ab = masks[a, b]
+            for j in range(len(common) - 1):
+                c = common[j]
+                ac, bc = masks[a, c], masks[b, c]
+                for d in common[j + 1:]:
+                    cd = masks.get((c, d))
+                    if cd is None:
+                        continue
+                    s0, s1, s2 = ab & cd, ac & masks[b, d], masks[a, d] & bc
+                    if not (
+                        s0 and s1 and s2
+                        and (s0 | s1).bit_count() >= 2
+                        and (s0 | s2).bit_count() >= 2
+                        and (s1 | s2).bit_count() >= 2
+                        and (s0 | s1 | s2).bit_count() >= 3
+                    ):
+                        continue
+                    found = _first_fitting_triple((s0, s1, s2), None if best is None else best[0])
+                    if found is None:
+                        continue
+                    best = found[0], (a, b, c, d), found[1]
+                    if best[0] == floor:
+                        return K4Witness(best[1], best[2])  # type: ignore[arg-type]
+    return None if best is None else K4Witness(best[1], best[2])  # type: ignore[arg-type]
 
 
 # ----- constructions ----------------------------------------------------------

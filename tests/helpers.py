@@ -51,6 +51,44 @@ def contains_k4_oracle(mg: MMultigraph) -> K4Witness | None:
     return None
 
 
+def uniform3_fields_oracle(n: int, triples) -> dict:
+    """The per-triple construction `Uniform3Graph` must agree with: each
+    triple sorted and checked in input order, then the codegrees, incidence
+    lists and degrees filled in one pass over the sorted edges. Returns the
+    fields by slot name, or raises the first invalid triple's ValueError."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    canon = []
+    seen = set()
+    for t in triples:
+        tt = tuple(sorted(t))
+        if len(tt) != 3 or len(set(tt)) != 3:
+            raise ValueError(f"not a 3-element vertex set: {tuple(t)}")
+        if not (0 <= tt[0] and tt[2] < n):
+            raise ValueError(f"edge {tt} outside vertex range 0..{n - 1}")
+        if tt in seen:
+            raise ValueError(f"duplicate edge {tt}")
+        seen.add(tt)
+        canon.append(tt)
+    canon.sort()
+    codegree = {}
+    incident = [[] for _ in range(n)]
+    degree = [0] * n
+    for idx, (a, b, c) in enumerate(canon):
+        for pair in ((a, b), (a, c), (b, c)):
+            codegree[pair] = codegree.get(pair, 0) + 1
+        for v in (a, b, c):
+            incident[v].append(idx)
+            degree[v] += 1
+    return {
+        "_triples": tuple(canon),
+        "_edge_set": seen,
+        "_codegree": codegree,
+        "_incident": tuple(tuple(ix) for ix in incident),
+        "_degree": tuple(degree),
+    }
+
+
 def aes_scan_oracle(n: int) -> tuple[int, int, dict]:
     """The full-mask scan `aes_scan` must agree with: one entry per labelled
     graph, a pass over all of them per triangle and per vertex. Returns the

@@ -1,4 +1,7 @@
 import random
+import time
+import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -14,11 +17,13 @@ from fano_l2.hypergraphs import (
     random_3graph,
 )
 
+from helpers import uniform3_fields_oracle
+
 
 @st.composite
 def small_3graphs(draw, n_min=3, n_max=9):
     n = draw(st.integers(n_min, n_max))
-    pool = [t for t in __import__("itertools").combinations(range(n), 3)]
+    pool = list(combinations(range(n), 3))
     triples = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
     return Uniform3Graph(n, triples)
 
@@ -116,3 +121,80 @@ def test_random_3graph_edge_prob_extremes(rng):
     assert random_3graph(6, 1.0, rng).edge_count == comb(6, 3)
     h = random_3graph(8, 0.5, random.Random(7))
     assert 0 < h.edge_count < comb(8, 3)
+
+
+def _seeded_edge_list(seed):
+    """An edge list in one of the shapes callers pass (sorted tuples, shuffled
+    tuples, lists), malformed by one bad entry for some seeds, and whether
+    to pass it as a one-shot iterator."""
+    rng = random.Random(seed)
+    n = rng.randrange(0, 12)
+    triples = [list(t) for t in combinations(range(n), 3) if rng.random() < 0.4]
+    rng.shuffle(triples)
+    for t in triples:
+        if rng.random() < 0.5:
+            rng.shuffle(t)
+    bad = seed % 6
+    if bad == 1:
+        triples.insert(rng.randrange(len(triples) + 1), [0, 1])  # wrong length
+    elif bad == 2:
+        triples.insert(rng.randrange(len(triples) + 1), [2, 0, 2])  # repeated vertex
+    elif bad == 3:
+        triples.append(rng.choice(([0, 1, n], [-1, 0, 1])))  # out of range
+    elif bad == 4 and triples:
+        triples.append(triples[rng.randrange(len(triples))][::-1])  # duplicate
+    shape = rng.randrange(3)
+    if shape == 0:
+        triples = sorted(map(tuple, map(sorted, triples)))
+    elif shape == 1:
+        triples = list(map(tuple, triples))
+    return n, triples, rng.random() < 0.25
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_constructor_matches_the_per_triple_oracle(seed):
+    n, triples, one_shot = _seeded_edge_list(seed)
+    given = iter(triples) if one_shot else triples
+    try:
+        expected = uniform3_fields_oracle(n, triples)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            Uniform3Graph(n, given)
+        assert str(caught.value) == str(exc)
+        return
+    h = Uniform3Graph(n, given)
+    assert h._triples == expected["_triples"]
+    assert list(h._codegree.items()) == list(expected["_codegree"].items())
+    assert h._incident == expected["_incident"]
+    assert h._degree == expected["_degree"]
+    assert h._edge_set == expected["_edge_set"]
+
+
+def test_constructor_traced_peak_stays_within_the_per_triple_build():
+    # the per-triple build, which made a second copy of every input
+    # triple, peaked at 2.18 MB under Python 3.11
+    balanced_bipartite3(40)
+    tracemalloc.start()
+    try:
+        balanced_bipartite3(40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.23e6
+
+
+def test_l2_degree_routes_read_only_the_vertex_triples():
+    # 5,000 triples on 20,000 vertices: a scan of every covered pair for each
+    # vertex took about 3 ms a vertex, a minute for the whole host
+    rng = random.Random(20)
+    n = 20_000
+    triples = set()
+    while len(triples) < 5_000:
+        triples.add(tuple(sorted(rng.sample(range(n), 3))))
+    h = Uniform3Graph(n, triples)
+    start = time.perf_counter()
+    expanded = [h.l2_degree_expanded(v) for v in range(n)]
+    stars = [h.star_degree(v) for v in range(n)]
+    assert time.perf_counter() - start < 2.0
+    assert sum(expanded) == 4 * h.lp_norm(2) - h.lp_norm(1)
+    assert all(2 * s + 3 * h.degree(v) == e for v, (s, e) in enumerate(zip(stars, expanded)))

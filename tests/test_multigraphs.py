@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -154,6 +155,31 @@ def test_k4_witness_matches_the_plain_scan(seed):
     assert contains_k4(mg) == contains_k4_oracle(mg)
 
 
+@given(st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_k4_witness_matches_the_plain_scan_on_dense_hosts_in_high_layers(seed):
+    # nearly every pair coloured, with the colours confined to the top layers
+    # and sometimes a pattern planted in the top three, so most quads are
+    # support 4-cliques and the smallest triple sits among high layers
+    rng = random.Random(seed)
+    n, m = rng.randrange(4, 9), rng.randrange(3, 10)
+    window = ((1 << m) - 1) & ~((1 << rng.randrange(0, m - 2)) - 1)
+    keep = rng.choice((0.9, 1.0))
+    masks = {}
+    for u, v in combinations(range(n), 2):
+        mask = (rng.getrandbits(m) | rng.getrandbits(m)) & window
+        if mask and rng.random() < keep:
+            masks[(u, v)] = mask
+    if rng.random() < 0.5:
+        quad = sorted(rng.sample(range(n), 4))
+        for t, matching in enumerate(MATCHINGS):
+            for i, j in matching:
+                pair = (quad[i], quad[j])
+                masks[pair] = masks.get(pair, 0) | 1 << (m - 3 + t)
+    mg = MMultigraph.from_masks(n, m, masks)
+    assert contains_k4(mg) == contains_k4_oracle(mg)
+
+
 def test_k4_scan_skips_uncoloured_vertices_and_unused_layers():
     # a pattern on the top four of 65,536 vertices in layers 65534..65536:
     # neither the vertex count nor the layer count is walked
@@ -240,3 +266,30 @@ def test_core_satisfies_its_own_degree_contract(seed):
     if core:
         inside = mg.induced(core)
         assert Fraction(inside.min_degree()) >= beta * len(core)
+
+
+def test_k4_scan_is_bounded_by_support_4_cliques_on_a_wide_sparse_host():
+    # 73,732 coloured pairs on 65,536 vertices: a hub joined to every vertex
+    # in layer 1 and a path through vertices 1..8,192 in layer 2 close over
+    # 8,000 triangles but only the five 4-cliques around the pattern quad,
+    # planted in the top three of 65,536 layers; the coloured vertices hold
+    # about 7.7e17 4-sets
+    top = 1 << 16
+    quad = tuple(range(top - 4, top))
+    masks = {(0, v): 1 for v in range(1, top)}
+    masks.update({(v, v + 1): 2 for v in range(1, 1 << 13)})
+    for t, matching in enumerate(MATCHINGS):
+        for i, j in matching:
+            masks[(quad[i], quad[j])] = 1 << (top - 3 + t)
+    mg = MMultigraph.from_masks(top, top, masks)
+    expected = K4Witness(quad, (top - 2, top - 1, top))
+    start = time.perf_counter()
+    assert contains_k4(mg) == expected
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        assert contains_k4(mg) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6

@@ -53,3 +53,16 @@ def test_bench_scans_records_seconds_and_traced_peak(tmp_path):
         ("bipartite_l2_scan", n) for n in (4, 5, 6)
     ]
     assert all(row["seconds"] > 0 and row["traced_peak_mb"] > 0 for row in data["rows"])
+
+
+def test_bench_k4_times_the_detector_and_the_constructor(tmp_path):
+    out = tmp_path / "k4.json"
+    proc = run_script("bench.py", "k4", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [(row["call"], row.get("host"), row["n"]) for row in rows] == [
+        ("contains_k4", host, n)
+        for host in ("bipartite_construction_5", "turan_layers_5")
+        for n in range(4, 13)
+    ] + [("balanced_bipartite3", None, n) for n in range(10, 41)]
+    assert all(row["seconds"] > 0 for row in rows)
