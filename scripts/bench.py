@@ -7,11 +7,8 @@ layer-relabelling orbit, witness check), and the scan of every outer block
 at weight 1, which the tests check the orbit weighting against. Each is the
 median of three runs, and the script asserts that both give the same report.
 Each row records the blocks, the inner rows scanned per block (the
-class-product rows, or one per state, 16^m, where the report does not count
-them) and the rows scanned per second. At m=5 the cold census takes a few
-hundredths of a second and the every-block scan under a second. The script
-reads only `k4_census`, `_census_report` and the census cache, so it also
-times versions of the census from before the class rows.
+class-product rows) and the rows scanned per second. At m=5 the cold census
+takes a few hundredths of a second and the every-block scan under a second.
 
 fano: for n = 7..14 it times `contains_fano` and `link_triple_violation` on
 `balanced_bipartite3(n)` (plane-free, so every branch is searched) and on
@@ -28,7 +25,7 @@ quad-cap search, as a caller sees them.
 
 scans: times the exhaustive graph scans that `verify` runs: `aes_scan(n)` for
 n = 5..7, a cold `_graph_star_table(7)` (row `_cold_star_table`: its cache
-entry dropped first, as `s2_quasi_agreement` first meets it) and
+cleared first, as `s2_quasi_agreement` first meets it) and
 `bipartite_l2_scan(n)` for n = 4..6,
 three runs each, and records the median seconds with the optimum, `nodes`
 and `params`. For the star table the optimum is the list of maxima by edge
@@ -75,10 +72,7 @@ def _report_fields(rep) -> dict:
 
 
 def _cold_census(m: int):
-    # drop the cached report, and the per-state tables that the census
-    # cached apart before it scanned class rows
-    search._CENSUS_CACHE.pop(m, None)
-    getattr(search, "_INNER_CACHE", {}).pop(m, None)
+    search.k4_census.cache_clear()
     return search.k4_census(m)
 
 
@@ -96,7 +90,7 @@ def _census_rows() -> list[dict]:
         full, full_s, full_runs = _median_run(search._census_report, m, every)
         if _report_fields(rep) != _report_fields(full):
             raise AssertionError(f"orbit census and every-block scan disagree at m={m}")
-        inner_rows = getattr(rep, "inner_rows", 16**m)
+        inner_rows = rep.inner_rows
         rows.append(
             {
                 "m": m,
@@ -104,8 +98,8 @@ def _census_rows() -> list[dict]:
                 "census": {
                     "seconds": cold_s,
                     "runs_s": cold_runs,
-                    "table_build_s": getattr(rep, "table_build_s", None),
-                    "scan_s": getattr(rep, "scan_s", None),
+                    "table_build_s": rep.table_build_s,
+                    "scan_s": rep.scan_s,
                     "blocks": rep.blocks,
                     "rows_per_s": rep.blocks * inner_rows / cold_s,
                 },
@@ -189,7 +183,7 @@ def _bnb_rows() -> list[dict]:
 
 
 def _cold_star_table(n: int) -> dict:
-    search._S2_TABLE_CACHE.pop(n, None)
+    search._graph_star_table.cache_clear()
     data = search._graph_star_table(n)
     table = [data["table"][m] for m in sorted(data["table"])]
     return {

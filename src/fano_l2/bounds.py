@@ -8,6 +8,7 @@ core size bound, and big-integer identity verifications.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -91,8 +92,6 @@ def split_rate(x: float, alpha: float) -> float:
 
 # ----- the increasing map f and its inverse -----------------------------------
 
-_F_GRID_CHECKED = False
-
 
 def f_of(y: float) -> float:
     """max{(1-2y)^(3/2) + 6y - 1, (2y)^(3/2) + 2y} on [0, 1/2]."""
@@ -101,17 +100,20 @@ def f_of(y: float) -> float:
     return max((1 - 2 * y) ** 1.5 + 6 * y - 1, (2 * y) ** 1.5 + 2 * y)
 
 
+@functools.cache
+def _check_f_grid() -> None:
+    # f_inverse bisects, so it needs f nondecreasing; checked once a process
+    values = [f_of(i / 20000) for i in range(10001)]
+    if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
+        raise AssertionError("f is not nondecreasing on the check grid")
+
+
 def f_inverse(t: float) -> float:
     """Bisection inverse of f_of on [0, 1/2], to within 1e-12; domain
     [0, f(1/2)] = [0, 2]."""
-    global _F_GRID_CHECKED
     if not 0 <= t <= 2:
         raise ValueError(f"target {t} outside [0, 2]")
-    if not _F_GRID_CHECKED:
-        values = [f_of(i / 20000) for i in range(10001)]
-        if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
-            raise AssertionError("f is not nondecreasing on the check grid")
-        _F_GRID_CHECKED = True
+    _check_f_grid()
     lo, hi = 0.0, 0.5
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2

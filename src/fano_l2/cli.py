@@ -256,11 +256,16 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, seed=args.seed)
+    # the seconds go in a column before the values, so a slow check stands out
+    width = max(len(check.check_id) for check in report.checks)
     for check in report.checks:
-        line = f"{check.status.upper():7s} {check.check_id}"
-        if check.status == "fail":
-            line += f" measured={check.measured!r} expected={check.expected!r}"
-        print(line)
+        expected = repr(check.expected)
+        if check.tolerance:
+            expected += f"±{check.tolerance:g}"
+        print(
+            f"{check.status.upper()} {check.check_id:{width}s} {check.elapsed:6.3f}s "
+            f"measured={check.measured!r} expected={expected}"
+        )
     print(
         f"suite {report.suite}: {report.passed} passed, {report.failed} failed "
         f"in {report.elapsed:.1f}s -> {report.overall}"

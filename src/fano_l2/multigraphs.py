@@ -99,11 +99,6 @@ class MMultigraph:
         """Total edge count over all layers."""
         return sum(mask.bit_count() for mask in self._masks.values())
 
-    def degree(self, v: int) -> int:
-        return sum(
-            mask.bit_count() for (a, b), mask in self._masks.items() if v in (a, b)
-        )
-
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * self.n
         for (a, b), mask in self._masks.items():
@@ -180,6 +175,19 @@ def _low_layers(mask: int, k: int | None = None) -> list[int]:
     return layers
 
 
+def hall_fits(s0: int, s1: int, s2: int) -> bool:
+    """Whether three distinct layers represent the layer sets s0, s1, s2, one
+    each. By Hall's theorem they do exactly when each set is non-empty, each
+    union of two holds two layers and the union of all three holds three."""
+    return (
+        s0 != 0 and s1 != 0 and s2 != 0
+        and (s0 | s1).bit_count() >= 2
+        and (s0 | s2).bit_count() >= 2
+        and (s1 | s2).bit_count() >= 2
+        and (s0 | s1 | s2).bit_count() >= 3
+    )
+
+
 def _first_fitting_triple(
     sets: tuple[int, int, int], bound: tuple[int, ...] | None
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -244,13 +252,7 @@ def contains_k4(mg: MMultigraph) -> K4Witness | None:
                     if cd is None:
                         continue
                     s0, s1, s2 = ab & cd, ac & masks[b, d], masks[a, d] & bc
-                    if not (
-                        s0 and s1 and s2
-                        and (s0 | s1).bit_count() >= 2
-                        and (s0 | s2).bit_count() >= 2
-                        and (s1 | s2).bit_count() >= 2
-                        and (s0 | s1 | s2).bit_count() >= 3
-                    ):
+                    if not hall_fits(s0, s1, s2):
                         continue
                     found = _first_fitting_triple((s0, s1, s2), None if best is None else best[0])
                     if found is None:

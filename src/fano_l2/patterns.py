@@ -15,6 +15,7 @@ three disjoint edges with all eight crossing triples present.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations, product
 
 from .hypergraphs import Uniform3Graph
@@ -67,9 +68,6 @@ class Pattern3:
         for triple in graph.triples():
             completed[max(pos[x] for x in triple)].append(triple)
         self._completed = tuple(tuple(es) for es in completed)
-
-
-_K53_PATTERN: Pattern3 | None = None
 
 
 def contains_pattern(
@@ -222,12 +220,12 @@ def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
 
 def contains_k53(host: Uniform3Graph) -> tuple[int, ...] | None:
     """Embedding of the complete 3-graph on 5 vertices into host, or None."""
-    global _K53_PATTERN
-    if _K53_PATTERN is None:
-        _K53_PATTERN = Pattern3(
-            Uniform3Graph(5, combinations(range(5), 3))
-        )
-    return contains_pattern(host, _K53_PATTERN)
+    return contains_pattern(host, _k53_pattern())
+
+
+@functools.cache
+def _k53_pattern() -> Pattern3:
+    return Pattern3(Uniform3Graph(5, combinations(range(5), 3)))
 
 
 # ----- bipartiteness ---------------------------------------------------------

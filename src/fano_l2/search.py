@@ -10,6 +10,7 @@ Fano-free search on seven vertices, and the bipartite norm scan.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .graphs import SimpleGraph, all_pairs, bipartitions, quasi_complete, quasi_star
 from .hypergraphs import Uniform3Graph, bipartite3, bn_l2_closed, complete3
-from .multigraphs import MMultigraph, contains_k4, turan_layers_5
+from .multigraphs import MMultigraph, contains_k4, hall_fits, turan_layers_5
 from .patterns import FANO_EDGES, contains_fano
 from .formats import write_3graph, write_graph, write_mgraph
 
@@ -286,9 +287,7 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
     )
 
 
-_CENSUS_CACHE: dict[int, CensusReport] = {}
-
-
+@functools.cache
 def k4_census(m: int) -> CensusReport:
     """Count all (2^m)^6 color assignments on 4 vertices.
 
@@ -309,13 +308,12 @@ def k4_census(m: int) -> CensusReport:
 
     Layer counts are limited to 1..5, the range whose values are frozen and
     checked (the clause counts exist for m=5 only); the tables would fit
-    beyond it, but nothing would check what they count.
+    beyond it, but nothing would check what they count. A report is cached
+    per layer count; `k4_census.cache_clear()` makes the next call cold.
     """
     if not 1 <= m <= 5:
         raise ValueError(f"layer count {m} outside the census range 1..5")
-    if m not in _CENSUS_CACHE:
-        _CENSUS_CACHE[m] = _census_report(m, _block_orbits(m))
-    return _CENSUS_CACHE[m]
+    return _census_report(m, _block_orbits(m))
 
 
 # ----- branch and bound for multigraph Turán numbers -----------------------------
@@ -327,18 +325,6 @@ def _bnb_pair_order(n: int) -> list[tuple[int, int]]:
     for v in range(4, n):
         order.extend((u, v) for u in range(v))
     return order
-
-
-def _sdr_exists(i1: int, i2: int, i3: int, pop) -> bool:
-    return (
-        pop[i1] >= 1
-        and pop[i2] >= 1
-        and pop[i3] >= 1
-        and pop[i1 | i2] >= 2
-        and pop[i1 | i3] >= 2
-        and pop[i2 | i3] >= 2
-        and pop[i1 | i2 | i3] >= 3
-    )
 
 
 def _class_prefix_masks(m: int, classes: tuple[int, ...], limit: int) -> list[int]:
@@ -365,10 +351,11 @@ def max_k4free_multigraph(
     The exhaustive engine supports n=4 only: the 4-vertex census, which
     counts every state but scans one outer block per layer-relabelling
     orbit and one row per pair of matching classes; params holds its
-    classes, inner_rows, blocks, table_build_s and scan_s. Branch and bound
-    supports n in {4, 5}: depth-first over pair color masks in a fixed order,
-    every pair capped at the multiplicity of the first (every assignment can
-    be relabeled so a maximum-multiplicity pair comes first). The layers are
+    classes, inner_rows, blocks, table_build_s and scan_s. Both engines take
+    1..5 layers. Branch and bound supports n in {4, 5}: depth-first over
+    pair color masks in a fixed order, every pair capped at the multiplicity
+    of the first (every assignment can be relabeled so a maximum-multiplicity
+    pair comes first). The layers are
     relabeled at every pair, not only the first: the masks placed so far
     split the m layers into classes (one class at the root; a placed mask
     splits each class into its part inside and its part outside the mask),
@@ -425,8 +412,10 @@ def max_k4free_multigraph(
         raise ValueError(f"unknown engine {engine!r}")
     if n not in (4, 5):
         raise ValueError("branch and bound supports n in {4, 5}")
-    if n == 5 and not 1 <= m <= 5:
-        raise ValueError(f"layer count {m} outside the 5-vertex range 1..5")
+    # the census range; every frozen value lies in it, and the candidate
+    # tables below hold 2^m masks
+    if not 1 <= m <= 5:
+        raise ValueError(f"layer count {m} outside the branch-and-bound range 1..5")
 
     pairs = _bnb_pair_order(n)
     index = {p: i for i, p in enumerate(pairs)}
@@ -520,7 +509,7 @@ def max_k4free_multigraph(
                 break
             masks[depth] = mask
             for (a, b), (c, d), (e, f) in checks:
-                if _sdr_exists(masks[a] & masks[b], masks[c] & masks[d], masks[e] & masks[f], pop):
+                if hall_fits(masks[a] & masks[b], masks[c] & masks[d], masks[e] & masks[f]):
                     pattern_prunes += 1
                     break
             else:
@@ -585,9 +574,7 @@ def _incidence_masks(pairs, n: int) -> list[int]:
     ]
 
 
-_S2_TABLE_CACHE: dict[int, dict] = {}
-
-
+@functools.cache
 def _graph_star_table(n: int) -> dict:
     """For every edge count m, the exhaustive max of the two-edge-star count
     over all n-vertex graphs, with the first attaining adjacency mask.
@@ -598,8 +585,6 @@ def _graph_star_table(n: int) -> dict:
     SL[low] + SH[high] + sum_v DL[low, v] * DH[high, v], with tables over
     the halves alone. It is evaluated as one lows x highs block per edge
     count of the high half, never one entry per graph."""
-    if n in _S2_TABLE_CACHE:
-        return _S2_TABLE_CACHE[n]
     _check_scan_capacity(n)
     pairs = all_pairs(n)
     nbits = len(pairs)
@@ -646,9 +631,7 @@ def _graph_star_table(n: int) -> dict:
             old = table.get(l + h)
             if old is None or best > old[0] or (best == old[0] and mask < old[1]):
                 table[l + h] = (best, mask)
-    result = {"pairs": pairs, "table": table, "states": 1 << nbits}
-    _S2_TABLE_CACHE[n] = result
-    return result
+    return {"pairs": pairs, "table": table, "states": 1 << nbits}
 
 
 def _mask_to_graph(n: int, pairs, mask: int) -> SimpleGraph:

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import time
 import tracemalloc
 
@@ -7,6 +9,8 @@ import pytest
 from fano_l2.cli import main
 from fano_l2.formats import MAX_HEADER_COUNT, parse_3graph, parse_mgraph, write_3graph
 from fano_l2.hypergraphs import balanced_bipartite3, complete3
+from fano_l2.multigraphs import contains_k4
+from fano_l2.verify import run_suite
 
 
 @pytest.fixture
@@ -182,6 +186,24 @@ def test_search_json_shape(tmp_path, capsys):
     assert mg.size == 15
 
 
+def test_search_census_json(tmp_path, capsys):
+    # the exhaustive engine is the 4-vertex census: 20 of the 64 outer blocks
+    # (one per layer-relabelling orbit), 24 pair classes a matching and
+    # 24 * 24 class-product rows a block stand for all 8^6 states
+    out = tmp_path / "census.json"
+    argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "3", "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert set(data) == SEARCH_KEYS
+    assert (data["optimum"], data["nodes"], data["complete"]) == (15, 8**6, True)
+    assert (data["engine"], data["witness_kind"]) == ("exhaustive", "mgraph")
+    params = data["params"]
+    assert set(params) == {"classes", "inner_rows", "blocks", "table_build_s", "scan_s"}
+    assert (params["blocks"], params["classes"], params["inner_rows"]) == (20, 24, 576)
+    mg = parse_mgraph(data["witness"])
+    assert mg.size == 15 and contains_k4(mg) is None
+
+
 def test_search_budget_zero_reports_incomplete(capsys):
     argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "3",
             "--engine", "bnb", "--budget", "0"]
@@ -239,9 +261,11 @@ def test_negative_scan_size_exits_2(capsys):
 
 
 def test_census_layer_count_out_of_range_exits_2(capsys):
-    argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "6", "--engine", "exhaustive"]
-    assert main(argv) == 2
-    assert "1..5" in capsys.readouterr().err
+    # both engines refuse the count before any table of 2^m entries is built
+    for engine, m in (("exhaustive", "6"), ("bnb", "40")):
+        argv = ["search", "--objective", "k4multi", "--n", "4", "--m", m, "--engine", engine]
+        assert main(argv) == 2
+        assert "1..5" in capsys.readouterr().err
 
 
 def test_search_aes(capsys):
@@ -250,10 +274,27 @@ def test_search_aes(capsys):
     assert "optimum=0" in out
 
 
+VERIFY_LINE = re.compile(r"(PASS|FAIL) (\S+) +(\d+\.\d{3})s measured=(.+) expected=(.+)")
+
+
 def test_verify_roots_exit_zero(capsys):
     assert main(["verify", "--suite", "roots"]) == 0
-    out = capsys.readouterr().out
-    assert "suite roots" in out and "-> pass" in out
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert summary.startswith("suite roots: 12 passed, 0 failed in ")
+    assert summary.endswith("-> pass")
+    # every line carries the check's seconds, what it measured and what its
+    # row expects, with the tolerance of a pinned decimal after the value
+    rows = [VERIFY_LINE.fullmatch(line) for line in lines]
+    checks = run_suite("roots").checks
+    assert len(rows) == len(checks) == 12 and all(rows)
+    for row, check in zip(rows, checks):
+        status, check_id, seconds, measured, expected = row.groups()
+        assert (status, check_id) == ("PASS", check.check_id)
+        assert float(seconds) >= 0
+        assert ast.literal_eval(measured) == check.measured
+        value, _, tolerance = expected.partition("±")
+        assert ast.literal_eval(value) == check.expected
+        assert float(tolerance or 0) == check.tolerance
 
 
 def test_verify_out_file(tmp_path, capsys):

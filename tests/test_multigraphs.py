@@ -53,7 +53,6 @@ def test_access_and_layers():
     assert mg.colors(0, 1) == (1, 3)
     assert mg.multiplicity(0, 1) == 2
     assert mg.size == 4
-    assert mg.degree(1) == 3
     assert mg.degrees() == (2, 3, 2, 1)
     assert mg.min_degree() == 1
     assert mg.layer(3).edges() == ((0, 1),)

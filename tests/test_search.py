@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 import tracemalloc
 from itertools import combinations, permutations
 from math import comb
@@ -238,10 +239,10 @@ def test_class_counts_cover_every_pair_and_state():
             assert key == (a & b, a.bit_count() + b.bit_count(), m in (a.bit_count(), b.bit_count()))
 
 
-def test_cold_census_memory_stays_small(monkeypatch):
+def test_cold_census_memory_stays_small():
     # the class rows replace per-state tables of 2^20 entries, which took a
     # tracemalloc peak of about 41 MB at m=5
-    monkeypatch.setattr(search, "_CENSUS_CACHE", {})
+    k4_census.cache_clear()
     tracemalloc.start()
     try:
         rep = k4_census(5)
@@ -283,11 +284,21 @@ def test_census_m5_witness_is_pinned():
 
 
 def test_census_layer_range_guard():
-    # the census is frozen and checked only for 1..5 layers; other counts
-    # are refused before any table is built
-    for m in (0, 6):
-        with pytest.raises(ValueError, match="1..5"):
-            k4_census(m)
+    # the census and the 4-vertex branch and bound are frozen and checked
+    # only for 1..5 layers; other counts are refused before any table of 2^m
+    # entries is built (at m = 40 that would take terabytes)
+    for m in (0, 6, 40):
+        for run in (k4_census, lambda m: max_k4free_multigraph(4, m, engine="bnb")):
+            start = time.perf_counter()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="1..5"):
+                    run(m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert time.perf_counter() - start < 1.0
 
 
 def test_bnb_agrees_with_census_at_four_vertices():
@@ -474,8 +485,8 @@ def oracle_star_table(n):
     return table
 
 
-def test_star_table_matches_the_per_edge_count_loop(monkeypatch):
-    monkeypatch.setattr(search, "_S2_TABLE_CACHE", {})
+def test_star_table_matches_the_per_edge_count_loop():
+    search._graph_star_table.cache_clear()
     for n in range(8):
         data = search._graph_star_table(n)
         assert data["table"] == oracle_star_table(n)
@@ -503,9 +514,9 @@ def test_aes_scan_matches_the_full_mask_oracle():
         assert {k: rep.params[k] for k in params} == params
 
 
-def test_graph_scans_hold_no_entry_per_graph(monkeypatch):
+def test_graph_scans_hold_no_entry_per_graph():
     # the full-mask scans peaked at about 22 MB traced at n=7
-    monkeypatch.setattr(search, "_S2_TABLE_CACHE", {})
+    search._graph_star_table.cache_clear()
     for scan in (lambda: search._graph_star_table(7), lambda: aes_scan(7)):
         tracemalloc.start()
         try:
