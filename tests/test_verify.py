@@ -67,11 +67,18 @@ def test_roots_suite_passes():
 
 
 def test_identities_suite_passes_and_is_seeded():
-    for seed in (0, 5):
-        rep = run_suite("identities", seed=seed)
-        assert rep.overall == "pass"
-        assert rep.seed == seed
-        assert rep.passed == 6
+    rep = run_suite("identities", seed=5)
+    assert rep.overall == "pass"
+    assert rep.seed == 5
+    assert rep.passed == 6
+
+
+def test_identity_estimates_fit_a_small_budget():
+    # there is no budget any more: every identity row runs, each in well under
+    # 0.1 s, and all six pass at the default seed
+    rep = run_suite("identities")
+    assert rep.seed == 0
+    assert [c.status for c in rep.checks] == ["pass"] * 6
 
 
 def test_unknown_suite_rejected():
