@@ -2,8 +2,8 @@
 
 Two-branch maxima bounding two-edge-star counts and squared norms by edge
 density, the increasing map f with its bisection inverse, the quartet of
-density root equations, scaled square-root independence rates, the greedy
-core size bound, and big-integer identity verifications.
+density root equations, the large-n independence rates, the greedy core
+size bound, and big-integer identity verifications.
 """
 
 from __future__ import annotations
@@ -65,39 +65,25 @@ def prop23_bound(x: float, alpha: float) -> BoundPoint:
     return _pick(x, (split, star), alpha, 17 / 50 <= x <= 7 / 20)
 
 
-def star_part_rate(x: float) -> float:
-    """Independent-part fraction k/n making the complement-of-clique graph on
-    n vertices have edge density x: sqrt(1-2x), the star-branch extremal
-    parameter."""
-    if not 0 <= x <= 0.5:
-        raise ValueError(f"edge density {x} outside [0, 1/2]")
-    return sqrt(1 - 2 * x)
-
-
-def clique_rate(x: float) -> float:
-    """Clique fraction giving a quasi-clique edge density x: sqrt(2x)."""
-    if not 0 <= x <= 0.5:
-        raise ValueError(f"edge density {x} outside [0, 1/2]")
-    return sqrt(2 * x)
-
-
-def split_rate(x: float, alpha: float) -> float:
-    """Joined-clique fraction for the split construction with independent
-    fraction alpha and edge density x: sqrt(alpha^2 + 2x) - alpha. Satisfies
-    ((alpha + rate)^2 - alpha^2) / 2 = x exactly."""
-    if x < 0 or alpha < 0:
-        raise ValueError("rates must be nonnegative")
-    return sqrt(alpha * alpha + 2 * x) - alpha
-
-
 # ----- the increasing map f and its inverse -----------------------------------
+
+
+def _f_branches(y: float) -> tuple[float, float]:
+    if not 0 <= y <= 0.5:
+        raise ValueError(f"argument {y} outside [0, 1/2]")
+    return ((1 - 2 * y) ** 1.5 + 6 * y - 1, (2 * y) ** 1.5 + 2 * y)
 
 
 def f_of(y: float) -> float:
     """max{(1-2y)^(3/2) + 6y - 1, (2y)^(3/2) + 2y} on [0, 1/2]."""
-    if not 0 <= y <= 0.5:
-        raise ValueError(f"argument {y} outside [0, 1/2]")
-    return max((1 - 2 * y) ** 1.5 + 6 * y - 1, (2 * y) ** 1.5 + 2 * y)
+    # a plain float: the grid check and the bisection call it 10,041 times a run
+    return max(_f_branches(y))
+
+
+def f_bound(y: float) -> BoundPoint:
+    """f_of(y) with its branches, the star (1-2y)^(3/2) + 6y - 1 first and the
+    clique (2y)^(3/2) + 2y second."""
+    return _pick(y, _f_branches(y))
 
 
 @functools.cache
@@ -194,7 +180,7 @@ def solve_root_equation(which: str) -> float:
     return root
 
 
-# ----- scaled square-root rates -------------------------------------------------
+# ----- large-n independence rates ----------------------------------------------
 
 
 def core_rate(c: float) -> float:
@@ -205,30 +191,19 @@ def core_rate(c: float) -> float:
     return sqrt(radicand)
 
 
-def alpha1(dmin: float, n: int) -> float:
-    """(4/(13n)) * sqrt(260*dmin/3 - 88*n(n+1)/3)."""
-    radicand = 260 * dmin / 3 - 88 * n * (n + 1) / 3
-    if radicand < 0:
-        raise ValueError("radicand negative: dmin too small for this n")
-    return 4 / (13 * n) * sqrt(radicand)
-
-
-def alpha2(dmin: float, n: int) -> float:
-    """(6/(13n)) * sqrt(260*dmin/3 - 88*n(n+1)/3)."""
-    return 1.5 * alpha1(dmin, n)
-
-
 def alpha1_limit(c: float) -> float:
-    """Large-n limit of alpha1 with dmin = c*n^2."""
+    """Large-n limit of (4/(13n)) * sqrt(260*dmin/3 - 88*n(n+1)/3) with
+    dmin = c*n^2."""
     return 4 / 13 * core_rate(c)
 
 
 def alpha2_limit(c: float) -> float:
-    """Large-n limit of alpha2 with dmin = c*n^2."""
+    """Large-n limit of (6/(13n)) * sqrt(260*dmin/3 - 88*n(n+1)/3) with
+    dmin = c*n^2."""
     return 6 / 13 * core_rate(c)
 
 
-# ----- core size bound and link-sum inequality ----------------------------------
+# ----- core size bound -----------------------------------------------------------
 
 
 def core_size_bound(
@@ -248,20 +223,6 @@ def core_size_bound(
     return sqrt(radicand / (7 - 2 * b))
 
 
-def link_sum_check(degrees, n: int) -> bool:
-    """Exact test of sum(d) + (3/17)*min(d) <= 61*n*(n+1)/34 for the five
-    link sizes of a selected vertex set."""
-    ds = [Fraction(d) for d in degrees]
-    lhs = sum(ds) + Fraction(3, 17) * min(ds)
-    return lhs <= Fraction(61 * n * (n + 1), 34)
-
-
-def min_degree_ceiling(n: int) -> Fraction:
-    """61*n*(n+1)/176, the degree level above which link_sum_check must fail
-    when all five degrees sit at the same value."""
-    return Fraction(61 * n * (n + 1), 176)
-
-
 # ----- exact rational identities --------------------------------------------------
 
 
@@ -269,10 +230,7 @@ def min_degree_ceiling(n: int) -> Fraction:
 class RationalReport:
     """Outcome of the exact big-integer verifications."""
 
-    identity_exact: bool
-    exceeds_61_34: bool
     combined_value: Fraction
-    g_step_holds_from_30: bool
     g_step_threshold: int
     g_step_largest_failing: int
 
@@ -287,12 +245,13 @@ _SCAN_CHUNK = 1 << 14
 
 
 def rational_identity_checks(scan_limit: int = 10**6) -> RationalReport:
-    """Verify with exact arithmetic that the combined degree-density value
-    2*(253/730) + 3*(321/926) + (3/17)*(253/730) equals 5154779/2872915 and
-    exceeds 61/34, and that the step g(m) - g(m-1) = 2(m-1) + 3*floor(m/2)
-    beats 44m/13 for every m from 30 up to the scan limit. The scan runs on
-    int64 chunks of at most 2^14 values, exact while m*m fits, so the limit
-    is capped at 2^31."""
+    """Compute with exact arithmetic the combined degree-density value
+    2*(253/730) + 3*(321/926) + (3/17)*(253/730) (the paper's
+    5154779/2872915, above 61/34), assert the step identity
+    g(m) - g(m-1) = 2(m-1) + 3*floor(m/2) up to the scan limit, and find the
+    largest m there at which the step does not beat 44m/13 (29: it holds
+    from 30 on). The scan runs on int64 chunks of at most 2^14 values, exact
+    while m*m fits, so the limit is capped at 2^31."""
     if scan_limit > 1 << 31:
         raise ValueError(f"scan limit {scan_limit} above 2^31 would overflow int64")
     combined = (
@@ -300,8 +259,6 @@ def rational_identity_checks(scan_limit: int = 10**6) -> RationalReport:
         + 3 * Fraction(321, 926)
         + Fraction(3, 17) * Fraction(253, 730)
     )
-    identity_exact = combined == Fraction(5154779, 2872915)
-    exceeds = combined > Fraction(61, 34)
 
     # imported here: numpy first in the package's import order raised the
     # peak RSS of `import fano_l2` from 30.0 to 31.0 MB (Python 3.11.7,
@@ -318,13 +275,9 @@ def rational_identity_checks(scan_limit: int = 10**6) -> RationalReport:
         failing = np.flatnonzero(13 * step <= 44 * m)
         if failing.size:
             largest_failing = int(m[failing[-1]])
-    threshold = largest_failing + 1
     return RationalReport(
-        identity_exact=identity_exact,
-        exceeds_61_34=exceeds,
         combined_value=combined,
-        g_step_holds_from_30=largest_failing < 30,
-        g_step_threshold=threshold,
+        g_step_threshold=largest_failing + 1,
         g_step_largest_failing=largest_failing,
     )
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
+from math import comb
 from pathlib import Path
 
 from . import search
-from .bounds import ak_s2_bound, f_of, prop23_bound
+from .bounds import ak_s2_bound, f_bound, prop23_bound
 from .formats import (
     FormatError,
     parse_any,
@@ -100,40 +102,41 @@ def _cmd_check(args) -> int:
     raise AssertionError(pattern)
 
 
+# the most rows a bounds table, or edges or coloured pairs a construction, may
+# have; at the cap gen peaks near 350 MB RSS (mg-bipartite at n = 1448, x86_64
+# Linux, Python 3.11.7)
+MAX_ROWS = 1 << 20
+
+# construction -> (builder, parameter count, r): the first parameter is the
+# vertex count n, and the object has at most C(n, r) edges or coloured pairs.
+# snk's k counts the independent part of the complement-of-clique graph.
+_CONSTRUCTIONS = {
+    "bn": (balanced_bipartite3, 1, 3),
+    "kn3": (complete3, 1, 3),
+    "cnk": (clique_plus_isolated, 2, 2),
+    "snk": (complete_minus_clique, 2, 2),
+    "shat": (complete_split_plus_isolated, 3, 2),
+    "mg-bipartite": (bipartite_construction_5, 1, 2),
+    "mg-turan": (turan_layers_5, 1, 2),
+}
+
+
 def _cmd_gen(args) -> int:
     name = args.construction
     params = args.params
-    counts = {
-        "bn": 1,
-        "kn3": 1,
-        "cnk": 2,
-        "snk": 2,
-        "shat": 3,
-        "mg-bipartite": 1,
-        "mg-turan": 1,
-    }
-    if len(params) != counts[name]:
-        print(
-            f"construction {name} takes {counts[name]} parameter(s)",
-            file=sys.stderr,
-        )
+    build, count, r = _CONSTRUCTIONS[name]
+    if len(params) != count:
+        print(f"construction {name} takes {count} parameter(s)", file=sys.stderr)
         return 2
+    # checked before building: kn3 with n = 1000 would hold 166M triples
+    edges = comb(max(params[0], 0), r)
+    if edges > MAX_ROWS:
+        raise ValueError(
+            f"{name} with n = {params[0]} gives up to C(n, {r}) = {edges} edges, "
+            f"above the cap of {MAX_ROWS}"
+        )
     try:
-        if name == "bn":
-            obj = balanced_bipartite3(params[0])
-        elif name == "kn3":
-            obj = complete3(params[0])
-        elif name == "cnk":
-            obj = clique_plus_isolated(params[0], params[1])
-        elif name == "snk":
-            # k counts the independent part of the complement-of-clique graph
-            obj = complete_minus_clique(params[0], params[1])
-        elif name == "shat":
-            obj = complete_split_plus_isolated(params[0], params[1], params[2])
-        elif name == "mg-bipartite":
-            obj = bipartite_construction_5(params[0])
-        else:
-            obj = turan_layers_5(params[0])
+        obj = build(*params)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
@@ -160,8 +163,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# a row costs about 150 bytes, so a table stays near 150 MB at most
-MAX_BOUND_ROWS = 1 << 20
+# table -> (header, branch names, grid dimension, evaluator returning a BoundPoint)
+_TABLES = {
+    "ak": ("x,value,active_branch", ("star", "clique"), 1, ak_s2_bound),
+    "prop23": ("x,alpha,value,active_branch", ("split", "star"), 2, prop23_bound),
+    "f": ("x,value,active_branch", ("star", "clique"), 1, f_bound),
+}
+
+
+def _grid(step: float):
+    # 0, step, 2*step, ... up to 1/2 by x += step (i*step rounds differently and
+    # would change the tables' bytes), the last point clipped to 1/2
+    x = 0.0
+    while x <= 0.5 + 1e-12:
+        yield min(x, 0.5)
+        x += step
 
 
 def _cmd_bounds(args) -> int:
@@ -169,49 +185,18 @@ def _cmd_bounds(args) -> int:
     if not step > 0:
         print("grid step must be positive", file=sys.stderr)
         return 2
-    # the grids below run 0, step, 2*step, ... up to 1/2; prop23 is 2-dimensional
-    points = (0.5 + 1e-12) / step + 1
-    count = points * points if args.table == "prop23" else points
-    if count > MAX_BOUND_ROWS:
+    header, names, dim, evaluate = _TABLES[args.table]
+    count = ((0.5 + 1e-12) / step + 1) ** dim
+    if count > MAX_ROWS:
         raise ValueError(
             f"grid step {step:g} gives about {count:.3g} rows, above the cap of "
-            f"{MAX_BOUND_ROWS}; use a coarser --grid"
+            f"{MAX_ROWS}; use a coarser --grid"
         )
     rows = []
-    if args.table == "ak":
-        header = "x,value,active_branch"
-        names = ("star", "clique")
-        x = 0.0
-        while x <= 0.5 + 1e-12:
-            pt = ak_s2_bound(min(x, 0.5))
-            rows.append(
-                f"{min(x, 0.5):.10g},{pt.value:.12g},{names[pt.active_branch]}"
-            )
-            x += step
-    elif args.table == "prop23":
-        header = "x,alpha,value,active_branch"
-        names = ("split", "star")
-        x = 0.0
-        while x <= 0.5 + 1e-12:
-            alpha = 0.0
-            while alpha <= 0.5 + 1e-12:
-                pt = prop23_bound(min(x, 0.5), min(alpha, 0.5))
-                rows.append(
-                    f"{min(x, 0.5):.10g},{min(alpha, 0.5):.10g},"
-                    f"{pt.value:.12g},{names[pt.active_branch]}"
-                )
-                alpha += step
-            x += step
-    else:
-        header = "x,value,active_branch"
-        y = 0.0
-        while y <= 0.5 + 1e-12:
-            val = f_of(min(y, 0.5))
-            clipped = min(y, 0.5)
-            star = (1 - 2 * clipped) ** 1.5 + 6 * clipped - 1
-            branch = "star" if abs(val - star) <= 1e-12 else "clique"
-            rows.append(f"{clipped:.10g},{val:.12g},{branch}")
-            y += step
+    for point in itertools.product(_grid(step), repeat=dim):
+        pt = evaluate(*point)
+        coords = ",".join(f"{c:.10g}" for c in point)
+        rows.append(f"{coords},{pt.value:.12g},{names[pt.active_branch]}")
     text = header + "\n" + "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -296,17 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=_cmd_check)
 
     p_gen = sub.add_parser("gen", help="write a named construction to a file")
-    p_gen.add_argument(
-        "--construction",
-        required=True,
-        choices=("bn", "kn3", "cnk", "snk", "shat", "mg-bipartite", "mg-turan"),
-    )
+    p_gen.add_argument("--construction", required=True, choices=tuple(_CONSTRUCTIONS))
     p_gen.add_argument("--params", type=int, nargs="+", required=True)
     p_gen.add_argument("--out")
     p_gen.set_defaults(fn=_cmd_gen)
 
     p_bounds = sub.add_parser("bounds", help="emit a CSV table of a bound")
-    p_bounds.add_argument("--table", required=True, choices=("ak", "prop23", "f"))
+    p_bounds.add_argument("--table", required=True, choices=tuple(_TABLES))
     p_bounds.add_argument("--grid", type=float, default=0.01)
     p_bounds.add_argument("--out")
     p_bounds.set_defaults(fn=_cmd_bounds)

@@ -182,8 +182,10 @@ def _check_participation(seed: int):
 
 
 def _check_rational_identity(seed: int):
-    # the report's flags follow from these three values: the combined value
-    # is the identity, it exceeds 61/34, and the step fails last at 29
+    # these three values are the whole claim: a combined value equal to
+    # 5154779/2872915 is the identity, and that fraction exceeds 61/34
+    # (5154779*34 > 61*2872915); a largest failure at 29 means the step beats
+    # 44m/13 for every m from 30 up to the scan limit
     rep = rational_identity_checks()
     return {
         "combined": str(rep.combined_value),

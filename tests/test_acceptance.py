@@ -2,6 +2,7 @@
 checks of the `verify` registry, so each frozen value is written once; criteria
 10, 13 and 15 have no registry counterpart and keep their own code."""
 
+import ast
 import random
 import re
 import time
@@ -219,6 +220,13 @@ DELETED_NAMES = (
     "nice_partition_size_bound",
     "codegree_items",
     "find_good_partition",
+    "star_part_rate",
+    "clique_rate",
+    "split_rate",
+    "alpha1",
+    "alpha2",
+    "link_sum_check",
+    "min_degree_ceiling",
 )
 
 
@@ -236,3 +244,56 @@ def test_deleted_names_stay_deleted():
     ]
     assert hits == []
     assert not (root / "src" / "fano_l2" / "stirling.py").exists()
+
+
+# public names that only the tests reach, each with the reason it stays
+TEST_ONLY_NAMES = {
+    "extremal_density_stats": "criterion 10, the density envelopes",
+    "core_size_bound": "criterion 13, the peeling contract",
+    "extract_dense_core": "criterion 13, the peeling contract",
+    "link_matching_violation": "criterion 15, the link validators",
+    "find_nice_partition": "the multigraph stability scan of ROADMAP item 3",
+}
+
+
+def _referenced_names(tree):
+    # identifiers the code uses, and strings naming one (perfbench's layer
+    # table names the functions it wraps); docstrings and comments do not count
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found.add(node.value)
+    return found
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    root = Path(__file__).resolve().parent.parent
+    bodies = {
+        path: ast.parse(path.read_text(encoding="utf-8")).body
+        for folder in ("src", "scripts", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        if not path.name.startswith("test_")
+    }
+    # the names each top-level statement references, by file
+    uses = {path: [_referenced_names(stmt) for stmt in body] for path, body in bodies.items()}
+    unreached = set()
+    for path in sorted((root / "src" / "fano_l2").glob("*.py")):
+        for i, node in enumerate(bodies[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            # a definition does not reach itself, so recursion does not count
+            if not any(
+                node.name in names
+                for other, statements in uses.items()
+                for j, names in enumerate(statements)
+                if other != path or j != i
+            ):
+                unreached.add(node.name)
+    assert unreached == set(TEST_ONLY_NAMES)

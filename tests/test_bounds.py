@@ -8,24 +8,18 @@ from fano_l2.bounds import (
     ROOT_EQUATION_TOKENS,
     RationalReport,
     ak_s2_bound,
-    alpha1,
     alpha1_limit,
-    alpha2,
     alpha2_limit,
-    clique_rate,
     core_rate,
     core_size_bound,
     extremal_density_stats,
+    f_bound,
     f_inverse,
     f_of,
     g_pairs_plus_bipartite,
-    link_sum_check,
-    min_degree_ceiling,
     prop23_bound,
     rational_identity_checks,
     solve_root_equation,
-    split_rate,
-    star_part_rate,
 )
 from fano_l2.graphs import clique_plus_isolated, complete_minus_clique, complete_split_plus_isolated
 
@@ -35,7 +29,8 @@ densities = st.floats(0.0, 0.5, allow_nan=False)
 
 @given(densities)
 def test_bound_point_invariants(x):
-    for point in (ak_s2_bound(x), prop23_bound(x, 0.3)):
+    assert f_bound(x).value == f_of(x)
+    for point in (ak_s2_bound(x), prop23_bound(x, 0.3), f_bound(x)):
         assert point.value == max(point.branches)
         assert point.branches[point.active_branch] >= point.value - 1e-12
         # first branch meeting the max wins
@@ -64,15 +59,6 @@ def test_prop23_window_flag():
     assert prop23_bound(0.345, 0.3).in_window
     assert not prop23_bound(0.30, 0.3).in_window
     assert not prop23_bound(0.40, 0.3).in_window
-
-
-@given(densities)
-def test_rate_equations(x):
-    assert isclose(star_part_rate(x) ** 2, 1 - 2 * x, abs_tol=1e-12)
-    assert isclose(clique_rate(x) ** 2, 2 * x, abs_tol=1e-12)
-    for alpha in (0.0, 0.2, 0.5):
-        r = split_rate(x, alpha)
-        assert isclose(((alpha + r) ** 2 - alpha**2) / 2, x, abs_tol=1e-12)
 
 
 def test_domain_validation():
@@ -112,10 +98,6 @@ def test_root_residuals_and_pinned_values():
 
 
 def test_alpha_scaling():
-    n = 50
-    dmin = Fraction(61, 177) * n * (n + 1)
-    a1 = alpha1(float(dmin), n)
-    assert isclose(alpha2(float(dmin), n), 1.5 * a1, rel_tol=1e-12)
     assert isclose(alpha2_limit(0.36), 1.5 * alpha1_limit(0.36), rel_tol=1e-12)
     assert core_rate(22 / 65) == 0.0
 
@@ -132,19 +114,10 @@ def test_core_size_bound_shape():
     assert core_size_bound(int(taut) + 80, n, 3) > grown
 
 
-def test_link_sum_boundary_is_exact():
-    for n in (4, 7, 12):
-        d = min_degree_ceiling(n)
-        assert link_sum_check([d] * 5, n)
-        assert not link_sum_check([d + Fraction(1, 10**9)] * 5, n)
-
-
 def test_rational_identity_report():
     rep = rational_identity_checks(scan_limit=2000)
-    assert rep.identity_exact
-    assert rep.exceeds_61_34
     assert rep.combined_value == Fraction(5154779, 2872915)
-    assert rep.g_step_holds_from_30
+    assert rep.combined_value > Fraction(61, 34)
     assert rep.g_step_threshold == 30
     assert rep.g_step_largest_failing == 29
 
@@ -167,10 +140,7 @@ def test_rational_identity_chunks_match_the_plain_scan():
     for limit in (2000, 70_000):
         largest_failing = _reference_step_scan(limit)
         assert rational_identity_checks(scan_limit=limit) == RationalReport(
-            identity_exact=True,
-            exceeds_61_34=True,
             combined_value=Fraction(5154779, 2872915),
-            g_step_holds_from_30=largest_failing < 30,
             g_step_threshold=largest_failing + 1,
             g_step_largest_failing=largest_failing,
         )
@@ -206,12 +176,14 @@ def test_min_degree_deviation_rate():
 @given(st.sampled_from([0.05, 0.15, 0.3, 0.42, 0.48]))
 def test_branch_values_are_attained_by_constructions(x):
     n = 600
-    k = round(star_part_rate(x) * n)
+    # an independent part of sqrt(1-2x)*n vertices gives the quasi-star edge density x
+    k = round(sqrt(1 - 2 * x) * n)
     g = complete_minus_clique(n, k)
     star_density = g.edge_count / n**2
     assert abs(g.star_count(2) / n**3 - ak_s2_bound(star_density).branches[0]) <= 3 / n
 
-    k = round(clique_rate(x) * n)
+    # and a clique of sqrt(2x)*n vertices gives the quasi-clique edge density x
+    k = round(sqrt(2 * x) * n)
     g = clique_plus_isolated(n, k)
     clique_density = g.edge_count / n**2
     assert abs(g.star_count(2) / n**3 - ak_s2_bound(clique_density).branches[1]) <= 3 / n
@@ -221,7 +193,8 @@ def test_split_construction_attains_split_branch():
     n = 600
     alpha = 0.3
     for x in (0.34, 0.345, 0.35):
-        ell = round(split_rate(x, alpha) * n)
+        # ((alpha + ell/n)^2 - alpha^2) / 2 = x: the joined clique gives density x
+        ell = round((sqrt(alpha**2 + 2 * x) - alpha) * n)
         k = round(alpha * n)
         g = complete_split_plus_isolated(n, k, ell)
         density = g.edge_count / n**2

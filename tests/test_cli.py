@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import re
 import time
@@ -114,6 +115,26 @@ def test_gen_param_count_enforced(capsys):
     assert main(["gen", "--construction", "cnk", "--params", "7"]) == 2
 
 
+def test_gen_over_the_cap_exits_2(capsys):
+    # kn3 with n = 1000 would hold 166M triples, tens of gigabytes; the
+    # C(n, r) bound is checked before anything is built
+    over = (("kn3", "1000"), ("cnk", "100000", "2"), ("mg-turan", "1449"), ("cnk", "1449", "2"))
+    for name, *params in over:
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["gen", "--construction", name, "--params", *params])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "above the cap" in capsys.readouterr().err
+        assert peak < 2**20
+        assert time.perf_counter() - start < 1.0
+    # C(1448, 2) is the last pair count under the cap of 2^20
+    assert main(["gen", "--construction", "cnk", "--params", "1448", "2"]) == 0
+
+
 def test_gen_shat_edge_count(tmp_path, capsys):
     out = tmp_path / "s.graph"
     assert main(["gen", "--construction", "shat", "--params", "10", "2", "3", "--out", str(out)]) == 0
@@ -141,7 +162,28 @@ def test_bounds_f_table(capsys):
     assert main(["bounds", "--table", "f", "--grid", "0.5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "x,value,active_branch"
-    assert lines[-1].startswith("0.5,2")
+    # both branches equal 2 at y = 1/2, and a tie goes to the first, the star
+    assert lines[-1] == "0.5,2,star"
+
+
+# SHA-256 of the whole CSV. Grid 0.25 lands on the ak crossover at x = 1/4,
+# where the tie goes to the star; the finer grids step across it.
+@pytest.mark.parametrize(
+    "table, grid, digest",
+    [
+        ("ak", "0.25", "80fd2099ad669439fe7e4f49a335829410a2bc663cf15299dcde093d7140ba63"),
+        ("ak", "0.05", "1bcacff5aab3f54a753a867af3599f07ef635b1d82f7fb5647658b43378e16d7"),
+        ("ak", "0.013", "9aff8634c42f18839adfac823fb5509dce7306df01435adf65ed33bc3820ac2c"),
+        ("prop23", "0.25", "d47a520d4f8a1334738f4ef1101fa9cddc0f9367292242d614ef61030786a482"),
+        ("prop23", "0.05", "ccf6b9ea6a42fb07e7d3cd3e3364a3fa32cb7b5984bfe34076d3493a8335c0d9"),
+        ("f", "0.05", "955583b6af264ae11e7a2a841413aa5b5cedf85fa302debbf29d2bd7452b43f8"),
+        ("f", "0.013", "3d90906292b03de1ee6315d30652123be0c1c1288a7ce00e2fb5b6de28fc336a"),
+    ],
+)
+def test_bounds_tables_are_pinned_byte_for_byte(capsys, table, grid, digest):
+    assert main(["bounds", "--table", table, "--grid", grid]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_bounds_out_file(tmp_path, capsys):
