@@ -2,8 +2,8 @@
 
 Two-branch maxima bounding two-edge-star counts and squared norms by edge
 density, the increasing map f with its bisection inverse, the quartet of
-density root equations, the large-n independence rates, the greedy core
-size bound, and big-integer identity verifications.
+density root equations, the large-n independence rates, and big-integer
+identity verifications.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-
-from .hypergraphs import bn_l2_closed, bn_min_l2_degree
 
 ROOT_EQUATION_TOKENS = ("claim32", "claim33", "claim34", "linear_branch")
 
@@ -25,20 +23,16 @@ class BoundPoint:
     value is max(branches); active_branch is the first index attaining it.
     """
 
-    x: float
     value: float
     active_branch: int
     branches: tuple[float, ...]
-    alpha: float | None = None
-    in_window: bool = True
 
 
-def _pick(x: float, branches: tuple[float, ...], alpha: float | None = None,
-          in_window: bool = True) -> BoundPoint:
+def _pick(branches: tuple[float, ...]) -> BoundPoint:
     value = max(branches)
     # ties (up to float noise) go to the earliest branch
     active = next(i for i, b in enumerate(branches) if b >= value - 1e-12)
-    return BoundPoint(x, value, active, branches, alpha, in_window)
+    return BoundPoint(value, active, branches)
 
 
 def ak_s2_bound(x: float) -> BoundPoint:
@@ -49,20 +43,20 @@ def ak_s2_bound(x: float) -> BoundPoint:
         raise ValueError(f"edge density {x} outside [0, 1/2]")
     star = ((1 - 2 * x) ** 1.5 + 4 * x - 1) / 2
     clique = sqrt(2) * x**1.5
-    return _pick(x, (star, clique))
+    return _pick((star, clique))
 
 
 def prop23_bound(x: float, alpha: float) -> BoundPoint:
     """Two-edge-star ceiling for graphs with x*n^2 edges and an independent
-    set of alpha*n vertices, normalized by n^3. The hypothesis window is
-    x in [17/50, 7/20]; outside it the point carries in_window=False."""
+    set of alpha*n vertices, normalized by n^3. Its hypothesis window
+    is x in [17/50, 7/20]; the curve is evaluated on all of [0, 1/2]."""
     if not 0 <= x <= 0.5:
         raise ValueError(f"edge density {x} outside [0, 1/2]")
     if not 0 <= alpha <= 1:
         raise ValueError(f"independence rate {alpha} outside [0, 1]")
     split = (alpha**3 + (2 * x - alpha**2) * sqrt(2 * x + alpha**2)) / 2
     star = ((1 - 2 * x) ** 1.5 + 4 * x - 1) / 2
-    return _pick(x, (split, star), alpha, 17 / 50 <= x <= 7 / 20)
+    return _pick((split, star))
 
 
 # ----- the increasing map f and its inverse -----------------------------------
@@ -83,7 +77,7 @@ def f_of(y: float) -> float:
 def f_bound(y: float) -> BoundPoint:
     """f_of(y) with its branches, the star (1-2y)^(3/2) + 6y - 1 first and the
     clique (2y)^(3/2) + 2y second."""
-    return _pick(y, _f_branches(y))
+    return _pick(_f_branches(y))
 
 
 @functools.cache
@@ -203,26 +197,6 @@ def alpha2_limit(c: float) -> float:
     return 6 / 13 * core_rate(c)
 
 
-# ----- core size bound -----------------------------------------------------------
-
-
-def core_size_bound(
-    size: int | Fraction | float, n: int, beta: Fraction | int | float
-) -> float:
-    """sqrt((4*size - 2*beta*n(n+1)) / (7 - 2*beta)), clamped at 0.
-
-    Lower bound on the surviving vertex count when peeling a pattern-free
-    5-layer multigraph of the given size at threshold beta.
-    """
-    b = Fraction(beta)
-    if not 0 <= b < Fraction(7, 2):
-        raise ValueError(f"beta must lie in [0, 7/2), got {beta}")
-    radicand = 4 * Fraction(size) - 2 * b * n * (n + 1)
-    if radicand <= 0:
-        return 0.0
-    return sqrt(radicand / (7 - 2 * b))
-
-
 # ----- exact rational identities --------------------------------------------------
 
 
@@ -279,32 +253,4 @@ def rational_identity_checks(scan_limit: int = 10**6) -> RationalReport:
         combined_value=combined,
         g_step_threshold=largest_failing + 1,
         g_step_largest_failing=largest_failing,
-    )
-
-
-# ----- extremal density profile ----------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class DensityStats:
-    """Normalized squared-norm and degree statistics of the balanced
-    complete bipartite 3-graph."""
-
-    n: int
-    norm_ratio: float
-    min_degree_ratio: float
-    exdeg_ratio: float
-
-
-def extremal_density_stats(n: int) -> DensityStats:
-    """norm/n^4, minimum squared-norm degree over n^3, and the degree
-    envelope 4*norm/n^4."""
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got {n}")
-    norm = bn_l2_closed(n)
-    return DensityStats(
-        n=n,
-        norm_ratio=norm / n**4,
-        min_degree_ratio=bn_min_l2_degree(n) / n**3,
-        exdeg_ratio=4 * norm / n**4,
     )

@@ -41,9 +41,19 @@ def _load(path: str):
     return parse_any(text)
 
 
+# the largest p whose norm prints within Python's 4300-digit limit on any
+# file a parser accepts: at most C(N, 2) pairs of codegree N - 2, or N
+# vertices of degree N - 1, with N = formats.MAX_HEADER_COUNT
+_MAX_P = 890
+
+
 def _cmd_norm(args) -> int:
-    obj = _load(args.file)
     p = args.p
+    # checked before reading: the exact norm grows with p, and 10^5 took
+    # 0.7 s on a 10-vertex host before failing to print
+    if p > _MAX_P:
+        raise ValueError(f"--p {p} above the cap of {_MAX_P}")
+    obj = _load(args.file)
     if isinstance(obj, Uniform3Graph):
         print(f"norm_{p}: {obj.lp_norm(p)}")
         if p == 2:

@@ -59,23 +59,8 @@ class SimpleGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-            return False
-        return bool(self._rows[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self._rows[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self._rows)
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        row = self._rows[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -92,15 +77,11 @@ class SimpleGraph:
 
     # ----- calculus -------------------------------------------------------
 
-    def norm_p(self, p: float) -> int | float:
-        """Sum of degree^p over vertices. Exact integer for integral p >= 1."""
+    def norm_p(self, p: int) -> int:
+        """Sum of degree^p over vertices, an exact integer for p >= 1."""
         if p < 1:
             raise ValueError(f"norm exponent must be >= 1, got {p}")
-        degs = self.degrees()
-        if float(p).is_integer():
-            q = int(p)
-            return sum(d**q for d in degs)
-        return float(sum(d ** float(p) for d in degs if d))
+        return sum(d**p for d in self.degrees())
 
     def star_count(self, k: int) -> int:
         """Number of k-edge stars, counted as C(degree, k) summed over vertices."""
@@ -118,28 +99,6 @@ class SimpleGraph:
             if not self._rows[u] >> v & 1
         ]
         return SimpleGraph(self.n, comp)
-
-    # ----- structural checks ---------------------------------------------
-
-    def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """A proper 2-coloring as (side0, side1), or None if an odd cycle exists."""
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.neighbors(u):
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        side0 = tuple(v for v in range(self.n) if color[v] == 0)
-        side1 = tuple(v for v in range(self.n) if color[v] == 1)
-        return side0, side1
 
 
 # ----- reference families -------------------------------------------------

@@ -78,7 +78,8 @@ class Uniform3Graph:
                 _raise_first_invalid(n, items, sorted_items)
         A, B, C = columns
         # pairs enter in the order (a,b), (a,c), (b,c) of each triple in
-        # sorted order, as the float sums of `lp_norm` depend on it
+        # sorted order, so the codegree table iterates as a per-triple pass
+        # over the sorted edges would fill it
         codegree = Counter(chain.from_iterable(zip(zip(A, B), zip(A, C), zip(B, C))))
         # append each triple's index to its three vertices' lists, consuming
         # the map without a Python-level loop; iterating one list three
@@ -115,10 +116,6 @@ class Uniform3Graph:
     def codegree(self, u: int, v: int) -> int:
         pair = (u, v) if u < v else (v, u)
         return self._codegree.get(pair, 0)
-
-    def shadow(self) -> tuple[tuple[int, int], ...]:
-        """Pairs covered by at least one edge, sorted."""
-        return tuple(sorted(self._codegree))
 
     def triples_containing(self, v: int) -> Iterator[Triple]:
         for idx in self._incident[v]:
@@ -159,14 +156,11 @@ class Uniform3Graph:
 
     # ----- norm calculus ------------------------------------------------------
 
-    def lp_norm(self, p: float) -> int | float:
-        """Sum of codegree^p over the shadow. Exact for integral p."""
+    def lp_norm(self, p: int) -> int:
+        """Sum of codegree^p over the shadow, an exact integer for p >= 1."""
         if p < 1:
             raise ValueError(f"norm exponent must be >= 1, got {p}")
-        if float(p).is_integer():
-            q = int(p)
-            return sum(d**q for d in self._codegree.values())
-        return float(sum(d ** float(p) for d in self._codegree.values()))
+        return sum(d**p for d in self._codegree.values())
 
     def count_stars(self, k: int) -> int:
         """Copies of the k-edge star sharing a fixed pair: sum of C(codegree, k).
@@ -177,7 +171,7 @@ class Uniform3Graph:
             raise ValueError(f"star size must be >= 1, got {k}")
         return sum(comb(d, k) for d in self._codegree.values())
 
-    def lp_norm_degree(self, v: int, p: float) -> int | float:
+    def lp_norm_degree(self, v: int, p: int) -> int:
         """Drop in the p-norm when v is deleted.
 
         The p = 2 case is computed in place from v's link; other exponents

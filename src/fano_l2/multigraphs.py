@@ -1,6 +1,6 @@
 """Layered multigraphs: m graphs on one vertex set, with the three-matching
 pattern detector, the two extremal 5-layer constructions, the saturated
-4-vertex family, partition certificates, and greedy dense-core peeling.
+4-vertex family, and partition certificates.
 
 Colors are 1-based layer indices stored per pair as bitmasks (bit i-1 is
 layer i). The forbidden pattern is three distinct layers carrying the three
@@ -10,13 +10,12 @@ perfect matchings of a common 4-vertex set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from .graphs import SimpleGraph, bipartitions
+from .graphs import bipartitions
 
 Pair = tuple[int, int]
 
@@ -29,37 +28,27 @@ MATCHINGS = (
 
 
 class MMultigraph:
-    """Immutable m-layer multigraph on vertices 0..n-1."""
+    """Immutable m-layer multigraph on vertices 0..n-1.
+
+    `MMultigraph(n, m)` is the empty host; `from_masks` builds and validates
+    every coloured one.
+    """
 
     __slots__ = ("n", "m", "_masks")
 
-    def __init__(
-        self, n: int, m: int, colors: Mapping[Pair, Iterable[int]] | None = None
-    ) -> None:
+    def __init__(self, n: int, m: int) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if m < 1:
             raise ValueError(f"layer count must be positive, got {m}")
-        masks: dict[Pair, int] = {}
-        for (u, v), layers in (colors or {}).items():
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"invalid pair ({u},{v})")
-            key = (u, v) if u < v else (v, u)
-            mask = 0
-            for layer in layers:
-                if not 1 <= layer <= m:
-                    raise ValueError(f"layer {layer} outside 1..{m}")
-                mask |= 1 << (layer - 1)
-            if key in masks:
-                raise ValueError(f"pair {key} listed twice")
-            if mask:
-                masks[key] = mask
         self.n = n
         self.m = m
-        self._masks = masks
+        self._masks: dict[Pair, int] = {}
 
     @classmethod
     def from_masks(cls, n: int, m: int, masks: Mapping[Pair, int]) -> MMultigraph:
+        """The multigraph whose pair (u, v) carries the layers of masks[u, v]
+        (bit i-1 for layer i); a pair may be given in either order, once."""
         mg = cls(n, m)
         clean: dict[Pair, int] = {}
         for (u, v), mask in masks.items():
@@ -84,8 +73,7 @@ class MMultigraph:
         return self._masks.get(key, 0)
 
     def colors(self, u: int, v: int) -> tuple[int, ...]:
-        mask = self.mask(u, v)
-        return tuple(i + 1 for i in range(self.m) if mask >> i & 1)
+        return tuple(_low_layers(self.mask(u, v)))
 
     def multiplicity(self, u: int, v: int) -> int:
         return self.mask(u, v).bit_count()
@@ -109,27 +97,6 @@ class MMultigraph:
 
     def min_degree(self) -> int:
         return min(self.degrees()) if self.n else 0
-
-    def layer(self, i: int) -> SimpleGraph:
-        if not 1 <= i <= self.m:
-            raise ValueError(f"layer {i} outside 1..{self.m}")
-        bit = 1 << (i - 1)
-        return SimpleGraph(
-            self.n, [pair for pair, mask in self._masks.items() if mask & bit]
-        )
-
-    def induced(self, vertices: Iterable[int]) -> MMultigraph:
-        """Induced sub-multigraph, relabeled by position in the sorted vertex list."""
-        vs = sorted(set(vertices))
-        if vs and not (0 <= vs[0] and vs[-1] < self.n):
-            raise ValueError("vertices outside range")
-        index = {v: i for i, v in enumerate(vs)}
-        masks = {
-            (index[a], index[b]): mask
-            for (a, b), mask in self._masks.items()
-            if a in index and b in index
-        }
-        return MMultigraph.from_masks(len(vs), self.m, masks)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -409,40 +376,3 @@ def find_nice_partition(mg: MMultigraph) -> PartitionCertificate | None:
                     raise AssertionError("partition search produced an invalid certificate")
                 return cert
     return None
-
-
-# ----- dense core peeling -------------------------------------------------------
-
-
-def extract_dense_core(mg: MMultigraph, beta: Fraction | int | float) -> tuple[int, ...]:
-    """Greedy peel: while the minimum degree inside the surviving set is below
-    beta times the survivor count, delete the lowest-index minimum-degree
-    vertex. Returns the survivors (possibly empty) in increasing order.
-
-    All comparisons are exact rational comparisons.
-    """
-    b = Fraction(beta)
-    if not 0 <= b <= Fraction(7, 2):
-        raise ValueError(f"beta must lie in [0, 7/2], got {beta}")
-    alive = set(range(mg.n))
-    degs = list(mg.degrees())
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in alive}
-    for (u, v), mask in mg.pairs():
-        c = mask.bit_count()
-        adj[u].append((v, c))
-        adj[v].append((u, c))
-    while alive:
-        k = len(alive)
-        victim = -1
-        dmin = None
-        for v in sorted(alive):
-            if dmin is None or degs[v] < dmin:
-                dmin = degs[v]
-                victim = v
-        if Fraction(dmin) >= b * k:
-            break
-        alive.remove(victim)
-        for w, c in adj[victim]:
-            if w in alive:
-                degs[w] -= c
-    return tuple(sorted(alive))

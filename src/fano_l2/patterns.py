@@ -7,16 +7,15 @@ intersections. The same kernel answers, for one edge, whether some
 plane has that edge as a line. The generic backtracking embedder
 (`contains_pattern`) serves the complete 3-graph on five vertices and any
 pattern loaded from a file, and is the oracle the plane embedder is tested
-against. Also here: bipartiteness testing, and the two link-based necessary
-conditions satisfied by every Fano-free host: no edge whose three links stack
-into the three-matching multigraph pattern, and no vertex whose link holds
-three disjoint edges with all eight crossing triples present.
+against. Also here: bipartiteness testing, and the link-based necessary
+condition satisfied by every Fano-free host: no edge whose three links stack
+into the three-matching multigraph pattern.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import combinations, product
+from itertools import combinations
 
 from .hypergraphs import Uniform3Graph
 from .multigraphs import K4Witness, MMultigraph, contains_k4
@@ -289,24 +288,7 @@ def is_bipartite3(H: Uniform3Graph) -> tuple[tuple[int, ...], tuple[int, ...]] |
     return part1, part2
 
 
-# ----- link-based necessary conditions ---------------------------------------
-
-
-def link_matching_violation(
-    H: Uniform3Graph, v: int
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
-    """Three pairwise disjoint link edges of v whose eight crossing triples
-    are all edges of H, or None. Any such triple of link edges extends to a
-    Fano plane through v, so a Fano-free host never produces one."""
-    if not 0 <= v < H.n:
-        raise ValueError(f"vertex {v} out of range")
-    link_edges = H.link(v).edges()
-    for e1, e2, e3 in combinations(link_edges, 3):
-        if len({*e1, *e2, *e3}) != 6:
-            continue
-        if all(H.has_edge(a, b, c) for a, b, c in product(e1, e2, e3)):
-            return e1, e2, e3
-    return None
+# ----- link-based necessary condition ----------------------------------------
 
 
 def edge_link_multigraph(H: Uniform3Graph, edge: tuple[int, int, int]) -> MMultigraph:

@@ -992,35 +992,3 @@ def bipartite_s2_formula(a: int, b: int) -> int:
     """Closed two-edge-star count of the same graph."""
     n = a + b
     return 2 * comb(a, 2) * comb(b, 2) + a * b * comb(n - 2, 2)
-
-
-@dataclass(frozen=True, slots=True)
-class SplitScanReport:
-    """Part-size scan over complete bipartite 3-graphs."""
-
-    n: int
-    norm_argmax: tuple[int, ...]
-    s2_argmax: tuple[int, ...]
-    balanced_wins_norm: bool
-    balanced_wins_s2: bool
-
-
-def complete_bipartite_argmax(n: int) -> SplitScanReport:
-    """Which part sizes maximize the squared norm and the two-edge-star count
-    over complete bipartite 3-graphs with parts (a, n-a)."""
-    if not 2 <= n <= 40:
-        raise ValueError("supported range is 2..40")
-    norms = {a: bipartite_norm_formula(a, n - a) for a in range(1, n)}
-    stars = {a: bipartite_s2_formula(a, n - a) for a in range(1, n)}
-    nmax = max(norms.values())
-    smax = max(stars.values())
-    narg = tuple(sorted(a for a, v in norms.items() if v == nmax))
-    sarg = tuple(sorted(a for a, v in stars.items() if v == smax))
-    balanced = {n // 2, (n + 1) // 2}
-    return SplitScanReport(
-        n=n,
-        norm_argmax=narg,
-        s2_argmax=sarg,
-        balanced_wins_norm=set(narg) == balanced,
-        balanced_wins_s2=set(sarg) == balanced,
-    )

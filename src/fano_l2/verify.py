@@ -44,7 +44,8 @@ from .patterns import contains_fano
 from .search import (
     aes_scan,
     bipartite_l2_scan,
-    complete_bipartite_argmax,
+    bipartite_norm_formula,
+    bipartite_s2_formula,
     k4_census,
     max_k4free_multigraph,
     max_l2_fano_free,
@@ -247,11 +248,17 @@ def _check_bn_fano_free(seed: int):
 
 
 def _check_balanced_argmax(seed: int):
+    # counts the n whose squared norm or two-edge-star count, over complete
+    # bipartite 3-graphs with parts (a, n-a), peaks off the balanced split
     bad = 0
     for n in range(4, 41):
-        rep = complete_bipartite_argmax(n)
-        if not (rep.balanced_wins_norm and rep.balanced_wins_s2):
-            bad += 1
+        balanced = {n // 2, (n + 1) // 2}
+        for formula in (bipartite_norm_formula, bipartite_s2_formula):
+            values = {a: formula(a, n - a) for a in range(1, n)}
+            best = max(values.values())
+            if {a for a, v in values.items() if v == best} != balanced:
+                bad += 1
+                break
     return bad
 
 

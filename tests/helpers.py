@@ -1,11 +1,14 @@
 """Oracles and samplers that only the tests use."""
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import sqrt
 
 import numpy as np
 
 from fano_l2 import search
-from fano_l2.graphs import all_pairs
+from fano_l2.graphs import SimpleGraph, all_pairs
+from fano_l2.hypergraphs import Uniform3Graph
 from fano_l2.multigraphs import MATCHINGS, K4Witness, MMultigraph
 
 
@@ -115,3 +118,115 @@ def aes_scan_oracle(n: int) -> tuple[int, int, dict]:
         "boundary_nonbipartite": int((odd & boundary[selected]).sum()),
     }
     return int((odd & above[selected]).sum()), len(masks), params
+
+
+def bipartition(g: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """A proper 2-colouring as (side0, side1) by depth-first search, or None
+    if an odd cycle exists; the oracle `search._two_colourable` must agree
+    with."""
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in neighbours[u]:
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    return None
+    side0 = tuple(v for v in range(g.n) if color[v] == 0)
+    side1 = tuple(v for v in range(g.n) if color[v] == 1)
+    return side0, side1
+
+
+# ----- dense-core peeling (acceptance criterion 13) -----------------------------
+
+
+def extract_dense_core(mg: MMultigraph, beta: Fraction | int | float) -> tuple[int, ...]:
+    """Greedy peel: while the minimum degree inside the surviving set is below
+    beta times the survivor count, delete the lowest-index minimum-degree
+    vertex. Returns the survivors (possibly empty) in increasing order.
+
+    All comparisons are exact rational comparisons.
+    """
+    b = Fraction(beta)
+    if not 0 <= b <= Fraction(7, 2):
+        raise ValueError(f"beta must lie in [0, 7/2], got {beta}")
+    alive = set(range(mg.n))
+    degs = list(mg.degrees())
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in alive}
+    for (u, v), mask in mg.pairs():
+        c = mask.bit_count()
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    while alive:
+        k = len(alive)
+        victim = -1
+        dmin = None
+        for v in sorted(alive):
+            if dmin is None or degs[v] < dmin:
+                dmin = degs[v]
+                victim = v
+        if Fraction(dmin) >= b * k:
+            break
+        alive.remove(victim)
+        for w, c in adj[victim]:
+            if w in alive:
+                degs[w] -= c
+    return tuple(sorted(alive))
+
+
+def core_size_bound(
+    size: int | Fraction | float, n: int, beta: Fraction | int | float
+) -> float:
+    """sqrt((4*size - 2*beta*n(n+1)) / (7 - 2*beta)), clamped at 0.
+
+    Lower bound on the surviving vertex count when peeling a pattern-free
+    5-layer multigraph of the given size at threshold beta.
+    """
+    b = Fraction(beta)
+    if not 0 <= b < Fraction(7, 2):
+        raise ValueError(f"beta must lie in [0, 7/2), got {beta}")
+    radicand = 4 * Fraction(size) - 2 * b * n * (n + 1)
+    if radicand <= 0:
+        return 0.0
+    return sqrt(radicand / (7 - 2 * b))
+
+
+def min_degree_inside(mg: MMultigraph, vertices) -> int:
+    """The minimum degree of the sub-multigraph induced on a non-empty vertex
+    set."""
+    degs = dict.fromkeys(vertices, 0)
+    for (u, v), mask in mg.pairs():
+        if u in degs and v in degs:
+            degs[u] += mask.bit_count()
+            degs[v] += mask.bit_count()
+    return min(degs.values())
+
+
+# ----- link validator (acceptance criterion 15) ---------------------------------
+
+
+def link_matching_violation(
+    H: Uniform3Graph, v: int
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
+    """Three pairwise disjoint link edges of v whose eight crossing triples
+    are all edges of H, or None. Any such triple of link edges extends to a
+    Fano plane through v, so a Fano-free host never produces one."""
+    if not 0 <= v < H.n:
+        raise ValueError(f"vertex {v} out of range")
+    link_edges = H.link(v).edges()
+    for e1, e2, e3 in combinations(link_edges, 3):
+        if len({*e1, *e2, *e3}) != 6:
+            continue
+        if all(H.has_edge(a, b, c) for a, b, c in product(e1, e2, e3)):
+            return e1, e2, e3
+    return None

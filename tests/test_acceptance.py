@@ -1,6 +1,8 @@
 """One test per acceptance criterion, each emitting a PASS/FAIL line. Most run
 checks of the `verify` registry, so each frozen value is written once; criteria
-10, 13 and 15 have no registry counterpart and keep their own code."""
+10, 13 and 15 have no registry counterpart: criterion 10 computes its density
+ratios inline, and 13 and 15 run the peeling and link-matching helpers of
+`tests/helpers.py`."""
 
 import ast
 import random
@@ -13,14 +15,19 @@ from pathlib import Path
 import pytest
 
 from fano_l2 import verify
-from fano_l2.bounds import core_size_bound, extremal_density_stats
 from fano_l2.formats import parse_3graph
 from fano_l2.hypergraphs import balanced_bipartite3, bn_l2_closed, bn_min_l2_degree
-from fano_l2.multigraphs import bipartite_construction_5, extract_dense_core
-from fano_l2.patterns import contains_fano, link_matching_violation, link_triple_violation
+from fano_l2.multigraphs import bipartite_construction_5
+from fano_l2.patterns import contains_fano, link_triple_violation
 from fano_l2.search import bipartite_l2_scan, max_l2_fano_free, s2_quasi_agreement
 
-from helpers import random_sub_multigraph
+from helpers import (
+    core_size_bound,
+    extract_dense_core,
+    link_matching_violation,
+    min_degree_inside,
+    random_sub_multigraph,
+)
 
 CHECKS = {c.check_id: c for c in verify._CHECKS}
 
@@ -114,9 +121,8 @@ def test_criterion_09_exact_rational_checks(acceptance_line):
 def test_criterion_10_density_envelopes(acceptance_line):
     norm_ok = degree_ok = True
     for n in (100, 1000, 10000):
-        stats = extremal_density_stats(n)
-        norm_ok = norm_ok and abs(stats.norm_ratio - 5 / 16) <= 1.2 / n
-        degree_ok = degree_ok and abs(stats.min_degree_ratio - 5 / 4) <= 3 / n
+        norm_ok = norm_ok and abs(bn_l2_closed(n) / n**4 - 5 / 16) <= 1.2 / n
+        degree_ok = degree_ok and abs(bn_min_l2_degree(n) / n**3 - 5 / 4) <= 3 / n
     ok = norm_ok and degree_ok
     degree_text = "min-degree ratio within 3/n of 5/4" if degree_ok else (
         "min-degree ratio misses the stated 3/n envelope "
@@ -162,8 +168,7 @@ def test_criterion_13_peeling_contract(acceptance_line):
         sub = random_sub_multigraph(bipartite_construction_5(n), rng, keep_prob=keep)
         core = extract_dense_core(sub, beta)
         if core:
-            inside = sub.induced(core)
-            degree_ok = degree_ok and Fraction(inside.min_degree()) >= beta * len(core)
+            degree_ok = degree_ok and Fraction(min_degree_inside(sub, core)) >= beta * len(core)
         if sub.size >= beta * comb(n + 1, 2):
             bounded += 1
             size_ok = size_ok and len(core) >= core_size_bound(sub.size, n, beta)
@@ -227,6 +232,10 @@ DELETED_NAMES = (
     "alpha2",
     "link_sum_check",
     "min_degree_ceiling",
+    "extremal_density_stats",
+    "DensityStats",
+    "complete_bipartite_argmax",
+    "SplitScanReport",
 )
 
 
@@ -248,10 +257,6 @@ def test_deleted_names_stay_deleted():
 
 # public names that only the tests reach, each with the reason it stays
 TEST_ONLY_NAMES = {
-    "extremal_density_stats": "criterion 10, the density envelopes",
-    "core_size_bound": "criterion 13, the peeling contract",
-    "extract_dense_core": "criterion 13, the peeling contract",
-    "link_matching_violation": "criterion 15, the link validators",
     "find_nice_partition": "the multigraph stability scan of ROADMAP item 3",
 }
 
@@ -297,3 +302,42 @@ def test_every_public_name_is_reached_outside_the_tests():
             ):
                 unreached.add(node.name)
     assert unreached == set(TEST_ONLY_NAMES)
+
+
+def test_every_public_method_is_reached_outside_the_tests():
+    # Each public method or property of a class in src/fano_l2 must be used as
+    # an attribute (`x.name`) under src/, outside its own body, or under
+    # scripts/ or perfbench/, or be named as "Class.method" in a string there
+    # (perfbench's layer table names the methods it wraps that way). The scan
+    # cannot tell which class `x` holds, so it goes by name: a use of
+    # `Uniform3Graph.degree` or `.has_edge` also counts for a same-named
+    # method of another class.
+    root = Path(__file__).resolve().parent.parent
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "scripts", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        if not path.name.startswith("test_")
+    }
+    attributes, strings = {}, set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append((path, node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    unreached = []
+    for path in sorted((root / "src" / "fano_l2").glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                reached = any(
+                    other != path or not method.lineno <= line <= method.end_lineno
+                    for other, line in attributes.get(method.name, ())
+                )
+                if not reached and f"{cls.name}.{method.name}" not in strings:
+                    unreached.append(f"{cls.name}.{method.name}")
+    assert unreached == []

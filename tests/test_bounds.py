@@ -11,8 +11,6 @@ from fano_l2.bounds import (
     alpha1_limit,
     alpha2_limit,
     core_rate,
-    core_size_bound,
-    extremal_density_stats,
     f_bound,
     f_inverse,
     f_of,
@@ -22,6 +20,8 @@ from fano_l2.bounds import (
     solve_root_equation,
 )
 from fano_l2.graphs import clique_plus_isolated, complete_minus_clique, complete_split_plus_isolated
+
+from helpers import core_size_bound
 
 
 densities = st.floats(0.0, 0.5, allow_nan=False)
@@ -53,12 +53,6 @@ def test_ak_endpoints_and_crossover():
 def test_prop23_alpha_zero_is_the_clique_branch(x):
     p = prop23_bound(x, 0.0)
     assert isclose(p.branches[0], ak_s2_bound(x).branches[1], rel_tol=1e-12, abs_tol=1e-15)
-
-
-def test_prop23_window_flag():
-    assert prop23_bound(0.345, 0.3).in_window
-    assert not prop23_bound(0.30, 0.3).in_window
-    assert not prop23_bound(0.40, 0.3).in_window
 
 
 def test_domain_validation():
@@ -153,14 +147,6 @@ def test_g_matches_construction_sizes():
 
     for m in range(2, 20):
         assert g_pairs_plus_bipartite(m) == bipartite_construction_5(m).size
-
-
-def test_density_stats_envelopes():
-    for n in (100, 1000, 10000):
-        stats = extremal_density_stats(n)
-        assert abs(stats.norm_ratio - 5 / 16) <= 1.2 / n
-        assert abs(stats.min_degree_ratio - 5 / 4) <= 5 / n
-        assert isclose(stats.exdeg_ratio, 4 * stats.norm_ratio, rel_tol=1e-12)
 
 
 def test_min_degree_deviation_rate():

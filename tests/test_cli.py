@@ -2,11 +2,14 @@ import ast
 import hashlib
 import json
 import re
+import sys
 import time
 import tracemalloc
+from math import comb, log10
 
 import pytest
 
+from fano_l2 import cli
 from fano_l2.cli import main
 from fano_l2.formats import MAX_HEADER_COUNT, parse_3graph, parse_mgraph, write_3graph
 from fano_l2.hypergraphs import balanced_bipartite3, complete3
@@ -31,6 +34,28 @@ def test_norm_output(b4_file, capsys):
 def test_norm_p1(b4_file, capsys):
     assert main(["norm", b4_file, "--p", "1"]) == 0
     assert "norm_1: 12" in capsys.readouterr().out
+
+
+def test_norm_p_over_the_cap_exits_2(tmp_path, b4_file, capsys):
+    # --p 100000 took 0.7 s on the 10-vertex host, then failed to print the norm
+    path = tmp_path / "b10.3graph"
+    path.write_text(write_3graph(balanced_bipartite3(10)), encoding="utf-8")
+    for p in ("891", "100000", "1000000"):
+        start = time.perf_counter()
+        assert main(["norm", str(path), "--p", p]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "--p" in capsys.readouterr().err
+    assert main(["norm", b4_file, "--p", str(cli._MAX_P)]) == 0
+    assert f"norm_{cli._MAX_P}: " in capsys.readouterr().out
+
+
+def test_norm_p_cap_is_the_last_printable_exponent():
+    # the largest norm any parsed 3graph can have; a graph's is smaller
+    n = MAX_HEADER_COUNT
+    limit = sys.get_int_max_str_digits()
+    assert len(str(comb(n, 2) * (n - 2) ** cli._MAX_P)) <= limit
+    assert log10(comb(n, 2)) + (cli._MAX_P + 1) * log10(n - 2) >= limit
+    assert n * (n - 1) ** cli._MAX_P < comb(n, 2) * (n - 2) ** cli._MAX_P
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -40,7 +40,7 @@ def test_graph_round_trip(seed):
 def test_mgraph_round_trip():
     mg = bipartite_construction_5(7)
     assert parse_mgraph(write_mgraph(mg)) == mg
-    sparse = MMultigraph(4, 3, {(0, 2): [1, 3], (1, 3): [2]})
+    sparse = MMultigraph.from_masks(4, 3, {(0, 2): 0b101, (1, 3): 0b10})
     assert parse_mgraph(write_mgraph(sparse)) == sparse
 
 

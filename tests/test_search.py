@@ -25,7 +25,6 @@ from fano_l2.search import (
     bipartite_norm_formula,
     bipartite_s2_formula,
     canonical_3graph,
-    complete_bipartite_argmax,
     k4_census,
     max_k4free_multigraph,
     max_l2_fano_free,
@@ -33,7 +32,7 @@ from fano_l2.search import (
     s2_quasi_agreement,
 )
 
-from helpers import aes_scan_oracle, random_sub_multigraph
+from helpers import aes_scan_oracle, bipartition, random_sub_multigraph
 
 
 def test_census_m4_frozen_values():
@@ -559,13 +558,13 @@ def test_two_colourable_matches_the_bfs_oracle():
         pairs = all_pairs(n)
         masks = np.arange(1 << len(pairs), dtype=np.uint32)
         expect = [
-            SimpleGraph(n, graph_edges(pairs, m)).bipartition() is not None
+            bipartition(SimpleGraph(n, graph_edges(pairs, m))) is not None
             for m in range(len(masks))
         ]
         assert search._two_colourable(n, pairs, masks).tolist() == expect
     pairs = all_pairs(7)
     sample = random.Random(11).sample(range(1 << len(pairs)), 2000)
-    expect = [SimpleGraph(7, graph_edges(pairs, m)).bipartition() is not None for m in sample]
+    expect = [bipartition(SimpleGraph(7, graph_edges(pairs, m))) is not None for m in sample]
     got = search._two_colourable(7, pairs, np.array(sample, dtype=np.uint32)).tolist()
     assert got == expect
     assert 0 < sum(expect) < len(expect)
@@ -674,14 +673,6 @@ def test_bipartite_formulas_match_constructions():
             h = bipartite3(a, b)
             assert h.lp_norm(2) == bipartite_norm_formula(a, b)
             assert h.count_stars(2) == bipartite_s2_formula(a, b)
-
-
-def test_balanced_split_wins():
-    for n in (5, 8, 13, 20):
-        rep = complete_bipartite_argmax(n)
-        assert rep.balanced_wins_norm and rep.balanced_wins_s2
-        assert set(rep.norm_argmax) == {n // 2, (n + 1) // 2}
-        assert set(rep.s2_argmax) == {n // 2, (n + 1) // 2}
 
 
 def test_random_sub_multigraph_is_contained(rng):
