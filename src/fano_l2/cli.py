@@ -57,8 +57,8 @@ def _cmd_norm(args) -> int:
     if isinstance(obj, Uniform3Graph):
         print(f"norm_{p}: {obj.lp_norm(p)}")
         if p == 2:
-            degrees = [obj.lp_norm_degree(v, 2) for v in range(obj.n)]
-            print(f"two_edge_stars: {obj.count_stars(2)}")
+            degrees = [obj.lp_norm_degree(v) for v in range(obj.n)]
+            print(f"two_edge_stars: {obj.count_stars()}")
             print(
                 f"l2_degree min/max/total: {min(degrees, default=0)} "
                 f"{max(degrees, default=0)} {sum(degrees)}"
@@ -66,7 +66,7 @@ def _cmd_norm(args) -> int:
     elif isinstance(obj, SimpleGraph):
         print(f"degree_power_sum_{p}: {obj.norm_p(p)}")
         if p == 2:
-            print(f"two_edge_stars: {obj.star_count(2)}")
+            print(f"two_edge_stars: {obj.star_count()}")
     else:
         print("norm is defined for 3graph and graph files", file=sys.stderr)
         return 2
@@ -332,9 +332,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,13 +34,14 @@ def _nonblank_lines(text: str):
             yield i, line.split()
 
 
-def _header(text: str, kind: str, argc: int) -> tuple[list[int], list]:
+def _header(text: str, kind: str, lows: tuple[int, ...]) -> tuple[list[int], list]:
+    """The header's counts, each at least its entry of lows, and the body lines."""
     lines = list(_nonblank_lines(text))
     if not lines:
         raise FormatError("empty input")
     lineno, tokens = lines[0]
-    if tokens[0] != kind or len(tokens) != 1 + argc:
-        raise FormatError(f"line {lineno}: expected header '{kind}' with {argc} argument(s)")
+    if tokens[0] != kind or len(tokens) != 1 + len(lows):
+        raise FormatError(f"line {lineno}: expected header '{kind}' with {len(lows)} argument(s)")
     try:
         args = [int(t) for t in tokens[1:]]
     except ValueError:
@@ -49,6 +50,9 @@ def _header(text: str, kind: str, argc: int) -> tuple[list[int], list]:
         raise FormatError(
             f"line {lineno}: header count {max(args)} exceeds the cap {MAX_HEADER_COUNT}"
         )
+    for count, low in zip(args, lows):
+        if count < low:
+            raise FormatError(f"line {lineno}: header count {count} is below {low}")
     return args, lines[1:]
 
 
@@ -62,7 +66,7 @@ def _ints(lineno: int, tokens: list[str], count: int) -> list[int]:
 
 
 def parse_3graph(text: str) -> Uniform3Graph:
-    (n,), body = _header(text, "3graph", 1)
+    (n,), body = _header(text, "3graph", (0,))
     seen: set[tuple[int, int, int]] = set()
     for lineno, tokens in body:
         u, v, w = _ints(lineno, tokens, 3)
@@ -81,7 +85,7 @@ def write_3graph(H: Uniform3Graph) -> str:
 
 
 def parse_graph(text: str) -> SimpleGraph:
-    (n,), body = _header(text, "graph", 1)
+    (n,), body = _header(text, "graph", (0,))
     seen: set[tuple[int, int]] = set()
     for lineno, tokens in body:
         u, v = _ints(lineno, tokens, 2)
@@ -100,7 +104,7 @@ def write_graph(G: SimpleGraph) -> str:
 
 
 def parse_mgraph(text: str) -> MMultigraph:
-    (n, m), body = _header(text, "mgraph", 2)
+    (n, m), body = _header(text, "mgraph", (0, 1))
     masks: dict[tuple[int, int], int] = {}
     for lineno, tokens in body:
         if len(tokens) != 3:

@@ -83,11 +83,9 @@ class SimpleGraph:
             raise ValueError(f"norm exponent must be >= 1, got {p}")
         return sum(d**p for d in self.degrees())
 
-    def star_count(self, k: int) -> int:
-        """Number of k-edge stars, counted as C(degree, k) summed over vertices."""
-        if k < 1:
-            raise ValueError(f"star size must be >= 1, got {k}")
-        return sum(comb(d, k) for d in self.degrees())
+    def star_count(self) -> int:
+        """Number of two-edge stars, counted as C(degree, 2) summed over vertices."""
+        return sum(comb(d, 2) for d in self.degrees())
 
     # ----- transforms -----------------------------------------------------
 

@@ -59,7 +59,7 @@ class Uniform3Graph:
     every norm, star count and degree expansion reads them.
     """
 
-    __slots__ = ("n", "_triples", "_edge_set", "_codegree", "_incident", "_degree")
+    __slots__ = ("n", "_triples", "_codegree", "_incident", "_degree")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()) -> None:
         if n < 0:
@@ -90,7 +90,6 @@ class Uniform3Graph:
         deque(map(list.append, map(incident.__getitem__, chain.from_iterable(canon)), indices), maxlen=0)
         self.n = n
         self._triples = tuple(canon)
-        self._edge_set = set(canon)
         self._codegree = codegree
         self._degree = tuple(map(len, incident))
         self._incident = tuple(map(tuple, incident))
@@ -103,9 +102,6 @@ class Uniform3Graph:
 
     def triples(self) -> tuple[Triple, ...]:
         return self._triples
-
-    def has_edge(self, a: int, b: int, c: int) -> bool:
-        return tuple(sorted((a, b, c))) in self._edge_set
 
     def degree(self, v: int) -> int:
         return self._degree[v]
@@ -162,24 +158,15 @@ class Uniform3Graph:
             raise ValueError(f"norm exponent must be >= 1, got {p}")
         return sum(d**p for d in self._codegree.values())
 
-    def count_stars(self, k: int) -> int:
-        """Copies of the k-edge star sharing a fixed pair: sum of C(codegree, k).
+    def count_stars(self) -> int:
+        """Copies of the two-edge star sharing a fixed pair: sum of
+        C(codegree, 2) over the shadow."""
+        return sum(comb(d, 2) for d in self._codegree.values())
 
-        k = 1 recovers 3 * |H| since each edge is counted once per pair it covers.
-        """
-        if k < 1:
-            raise ValueError(f"star size must be >= 1, got {k}")
-        return sum(comb(d, k) for d in self._codegree.values())
-
-    def lp_norm_degree(self, v: int, p: int) -> int:
-        """Drop in the p-norm when v is deleted.
-
-        The p = 2 case is computed in place from v's link; other exponents
-        materialize the deletion.
-        """
-        if p == 2:
-            return self.l2_degree_expanded(v)
-        return self.lp_norm(p) - self.remove_vertex(v).lp_norm(p)
+    def lp_norm_degree(self, v: int) -> int:
+        """Drop in the 2-norm when v is deleted, computed in place from v's
+        link by the local expansion."""
+        return self.l2_degree_expanded(v)
 
     def _pairs_at(self, v: int) -> tuple[set[int], list[tuple[int, int]]]:
         """The neighbours of v and the link pairs of v (one per incident

@@ -5,19 +5,16 @@ sets, built once per host over the shadow pairs, lets two placed points fix
 the third point of their line, so the images of points 3..6 come from set
 intersections. The same kernel answers, for one edge, whether some
 plane has that edge as a line. The generic backtracking embedder
-(`contains_pattern`) serves the complete 3-graph on five vertices and any
-pattern loaded from a file, and is the oracle the plane embedder is tested
-against. Also here: bipartiteness testing, and the link-based necessary
-condition satisfied by every Fano-free host: no edge whose three links stack
-into the three-matching multigraph pattern.
+(`contains_pattern`) serves the complete 3-graph on five vertices, and is
+the oracle the plane embedder is tested against. Also here: bipartiteness
+testing, and the link-based necessary condition satisfied by every
+Fano-free host: no edge whose three links stack into the three-matching
+multigraph pattern.
 """
 
 from __future__ import annotations
 
-import functools
-from itertools import combinations
-
-from .hypergraphs import Uniform3Graph
+from .hypergraphs import Uniform3Graph, complete3
 from .multigraphs import K4Witness, MMultigraph, contains_k4
 
 FANO_EDGES = (
@@ -36,54 +33,32 @@ def fano_plane() -> Uniform3Graph:
     return Uniform3Graph(7, FANO_EDGES)
 
 
-class Pattern3:
-    """An embedding target with precomputed branching order and prune tables.
-
-    Pattern vertices are branched in descending degree order (ties by index).
-    For each branching position the constructor records which earlier-placed
-    vertices share edges (for codegree pruning) and which pattern edges become
-    fully placed (for exact membership checks).
-    """
-
-    __slots__ = ("graph", "order", "_earlier", "_completed")
-
-    def __init__(self, graph: Uniform3Graph) -> None:
-        self.graph = graph
-        self.order = tuple(
-            sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-        )
-        pos = {v: t for t, v in enumerate(self.order)}
-        earlier: list[tuple[tuple[int, int], ...]] = []
-        for t, p in enumerate(self.order):
-            pairs = []
-            for s in range(t):
-                q = self.order[s]
-                c = graph.codegree(p, q)
-                if c:
-                    pairs.append((q, c))
-            earlier.append(tuple(pairs))
-        self._earlier = tuple(earlier)
-        completed: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
-        for triple in graph.triples():
-            completed[max(pos[x] for x in triple)].append(triple)
-        self._completed = tuple(tuple(es) for es in completed)
-
-
-def contains_pattern(
-    host: Uniform3Graph, pattern: Uniform3Graph | Pattern3
-) -> tuple[int, ...] | None:
+def contains_pattern(host: Uniform3Graph, pattern: Uniform3Graph) -> tuple[int, ...] | None:
     """Injective edge-preserving embedding of pattern into host, or None.
 
-    The returned tuple maps pattern vertex i to host vertex witness[i]. The
-    witness is the lexicographically first assignment under the pattern's
-    fixed branching order, so repeated runs agree exactly.
+    The returned tuple maps pattern vertex i to host vertex witness[i].
+    Pattern vertices are branched in descending degree order (ties by
+    index). At each branching position, the earlier-placed vertices sharing
+    edges with the new one prune by codegree, and the pattern edges it
+    completes are checked for membership. The witness is the
+    lexicographically first assignment under this fixed order, so repeated
+    runs agree exactly.
     """
-    pat = pattern if isinstance(pattern, Pattern3) else Pattern3(pattern)
-    g = pat.graph
+    g = pattern
     if g.n > host.n or g.edge_count > host.edge_count:
         return None
     if g.n == 0:
         return ()
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    pos = {v: t for t, v in enumerate(order)}
+    earlier = [
+        [(q, c) for q in order[:t] if (c := g.codegree(p, q))]
+        for t, p in enumerate(order)
+    ]
+    completed: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for triple in g.triples():
+        completed[max(pos[x] for x in triple)].append(triple)
+    edges = set(host.triples())
     witness = [-1] * g.n
     used = bytearray(host.n)
     host_degrees = host.degrees()
@@ -91,20 +66,19 @@ def contains_pattern(
     def extend(t: int) -> bool:
         if t == g.n:
             return True
-        p = pat.order[t]
+        p = order[t]
         dp = g.degree(p)
         for h in range(host.n):
             if used[h] or host_degrees[h] < dp:
                 continue
             ok = True
-            for q, c in pat._earlier[t]:
+            for q, c in earlier[t]:
                 if host.codegree(h, witness[q]) < c:
                     ok = False
                     break
             if ok:
-                for triple in pat._completed[t]:
-                    a, b, c3 = (h if x == p else witness[x] for x in triple)
-                    if not host.has_edge(a, b, c3):
+                for triple in completed[t]:
+                    if tuple(sorted(h if x == p else witness[x] for x in triple)) not in edges:
                         ok = False
                         break
             if ok:
@@ -219,12 +193,7 @@ def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
 
 def contains_k53(host: Uniform3Graph) -> tuple[int, ...] | None:
     """Embedding of the complete 3-graph on 5 vertices into host, or None."""
-    return contains_pattern(host, _k53_pattern())
-
-
-@functools.cache
-def _k53_pattern() -> Pattern3:
-    return Pattern3(Uniform3Graph(5, combinations(range(5), 3)))
+    return contains_pattern(host, complete3(5))
 
 
 # ----- bipartiteness ---------------------------------------------------------

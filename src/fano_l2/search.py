@@ -14,13 +14,13 @@ import functools
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
 from .graphs import SimpleGraph, all_pairs, bipartitions, quasi_complete, quasi_star
 from .hypergraphs import Uniform3Graph, bipartite3, bn_l2_closed, complete3
-from .multigraphs import MMultigraph, contains_k4, hall_fits, turan_layers_5
+from .multigraphs import MATCHINGS, MMultigraph, contains_k4, hall_fits, turan_layers_5
 from .patterns import FANO_EDGES, contains_fano
 from .formats import write_3graph, write_graph, write_mgraph
 
@@ -77,7 +77,7 @@ class SearchReport:
 # row of a block to reach its maximum holds the smallest maximizing state of
 # the block, the one a scan of single states finds.
 
-_CENSUS_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+_CENSUS_PAIRS = tuple(pair for matching in MATCHINGS for pair in matching)
 
 
 def _matching_classes(m: int) -> dict[tuple[int, int, bool], list[int]]:
@@ -127,17 +127,18 @@ def _inner_rows(m: int) -> dict:
 
 def _block_orbits(m: int) -> list[tuple[int, int]]:
     """One (block, orbit size) pair per layer-relabelling orbit of outer
-    blocks, in ascending block order; the sizes sum to 4^m."""
+    blocks, in ascending block order; the sizes sum to 4^m. An orbit's
+    smallest block has a class-prefix a1 and then, inside the classes a1
+    splits the layers into, a class-prefix b1; the orbit size is
+    m! / prod |c|! over the classes b1 splits those into."""
+    full = ((1 << m) - 1,)
     orbits = []
-    for x in range(m + 1):
-        for y in range(m + 1 - x):
-            for z in range(m + 1 - x - y):
-                a1 = (1 << (x + y)) - 1
-                b1 = (1 << x) - 1 | ((1 << z) - 1) << (x + y)
-                size = factorial(m) // (
-                    factorial(x) * factorial(y) * factorial(z) * factorial(m - x - y - z)
-                )
-                orbits.append((a1 << m | b1, size))
+    for a1 in _class_prefix_masks(m, full, m):
+        classes = _split_classes(full, a1)
+        for b1 in _class_prefix_masks(m, classes, m):
+            final = _split_classes(classes, b1)
+            size = factorial(m) // prod(factorial(c.bit_count()) for c in final)
+            orbits.append((a1 << m | b1, size))
     return sorted(orbits)
 
 
@@ -321,10 +322,16 @@ def k4_census(m: int) -> CensusReport:
 
 def _bnb_pair_order(n: int) -> list[tuple[int, int]]:
     """Pairs ordered so 4-vertex subsets complete as early as possible."""
-    order = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
+    order = list(_CENSUS_PAIRS)
     for v in range(4, n):
         order.extend((u, v) for u in range(v))
     return order
+
+
+def _split_classes(classes: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The layer partition `classes` refined by mask: each class splits into
+    its layers inside and outside the mask, empty parts dropped, sorted."""
+    return tuple(sorted(part for c in classes for part in (c & mask, c & ~mask) if part))
 
 
 def _class_prefix_masks(m: int, classes: tuple[int, ...], limit: int) -> list[int]:
@@ -426,11 +433,10 @@ def max_k4free_multigraph(
     quad_count = comb(n, 4)
     quads_of: list[list[int]] = [[] for _ in range(total)]
     completes_at: list[list[tuple]] = [[] for _ in range(total)]
-    for q, (a, b, c, d) in enumerate(combinations(range(n), 4)):
-        mpairs = (
-            (index[(a, b)], index[(c, d)]),
-            (index[(a, c)], index[(b, d)]),
-            (index[(a, d)], index[(b, c)]),
+    for q, quad in enumerate(combinations(range(n), 4)):
+        mpairs = tuple(
+            (index[(quad[i1], quad[j1])], index[(quad[i2], quad[j2])])
+            for (i1, j1), (i2, j2) in MATCHINGS
         )
         members = [i for pair in mpairs for i in pair]
         for i in members:
@@ -516,11 +522,8 @@ def max_k4free_multigraph(
                 descents += 1
                 for q in mine:
                     quad_sums[q] += p - m
-                # each class splits into its layers inside and outside the
-                # mask; every later pair is capped at the first pair's count
-                split = tuple(
-                    sorted(part for c in classes for part in (c & mask, c & ~mask) if part)
-                )
+                # every later pair is capped at the first pair's count
+                split = _split_classes(classes, mask)
                 descend(depth + 1, size + p, split, pop[masks[0]])
                 for q in mine:
                     quad_sums[q] -= p - m
@@ -648,7 +651,7 @@ def max_s2_graph(n: int, m_edges: int) -> SearchReport:
     data = _graph_star_table(n)
     best, mask = data["table"][m_edges]
     witness = _mask_to_graph(n, data["pairs"], mask)
-    if witness.star_count(2) != best or witness.edge_count != m_edges:
+    if witness.star_count() != best or witness.edge_count != m_edges:
         raise AssertionError("star-count witness failed revalidation")
     return SearchReport(
         objective="ak-s2",
@@ -672,8 +675,8 @@ def s2_quasi_agreement(n: int) -> list[tuple[int, int, int, int]]:
     rows = []
     for m in range(comb(n, 2) + 1):
         best = data["table"][m][0]
-        star = quasi_star(n, m).star_count(2)
-        clique = quasi_complete(n, m).star_count(2)
+        star = quasi_star(n, m).star_count()
+        clique = quasi_complete(n, m).star_count()
         rows.append((m, best, star, clique))
     return rows
 

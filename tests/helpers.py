@@ -1,5 +1,6 @@
 """Oracles and samplers that only the tests use."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import sqrt
@@ -10,6 +11,15 @@ from fano_l2 import search
 from fano_l2.graphs import SimpleGraph, all_pairs
 from fano_l2.hypergraphs import Uniform3Graph
 from fano_l2.multigraphs import MATCHINGS, K4Witness, MMultigraph
+
+
+def has_edge(H: Uniform3Graph, *vertices: int) -> bool:
+    """Whether H holds the triple on the three given vertices, in any order;
+    a binary search of the sorted edge list."""
+    triple = tuple(sorted(vertices))
+    edges = H.triples()
+    i = bisect_left(edges, triple)
+    return i < len(edges) and edges[i] == triple
 
 
 def verify_k4_witness(mg: MMultigraph, w: K4Witness) -> bool:
@@ -85,7 +95,6 @@ def uniform3_fields_oracle(n: int, triples) -> dict:
             degree[v] += 1
     return {
         "_triples": tuple(canon),
-        "_edge_set": seen,
         "_codegree": codegree,
         "_incident": tuple(tuple(ix) for ix in incident),
         "_degree": tuple(degree),
@@ -227,6 +236,6 @@ def link_matching_violation(
     for e1, e2, e3 in combinations(link_edges, 3):
         if len({*e1, *e2, *e3}) != 6:
             continue
-        if all(H.has_edge(a, b, c) for a, b, c in product(e1, e2, e3)):
+        if all(has_edge(H, a, b, c) for a, b, c in product(e1, e2, e3)):
             return e1, e2, e3
     return None

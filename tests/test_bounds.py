@@ -166,13 +166,13 @@ def test_branch_values_are_attained_by_constructions(x):
     k = round(sqrt(1 - 2 * x) * n)
     g = complete_minus_clique(n, k)
     star_density = g.edge_count / n**2
-    assert abs(g.star_count(2) / n**3 - ak_s2_bound(star_density).branches[0]) <= 3 / n
+    assert abs(g.star_count() / n**3 - ak_s2_bound(star_density).branches[0]) <= 3 / n
 
     # and a clique of sqrt(2x)*n vertices gives the quasi-clique edge density x
     k = round(sqrt(2 * x) * n)
     g = clique_plus_isolated(n, k)
     clique_density = g.edge_count / n**2
-    assert abs(g.star_count(2) / n**3 - ak_s2_bound(clique_density).branches[1]) <= 3 / n
+    assert abs(g.star_count() / n**3 - ak_s2_bound(clique_density).branches[1]) <= 3 / n
 
 
 def test_split_construction_attains_split_branch():
@@ -185,4 +185,4 @@ def test_split_construction_attains_split_branch():
         g = complete_split_plus_isolated(n, k, ell)
         density = g.edge_count / n**2
         point = prop23_bound(density, k / n)
-        assert abs(g.star_count(2) / n**3 - point.branches[0]) <= 3 / n
+        assert abs(g.star_count() / n**3 - point.branches[0]) <= 3 / n

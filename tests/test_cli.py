@@ -72,6 +72,14 @@ def test_oversized_header_exits_2(tmp_path, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["3graph -3", "graph -1", "mgraph -2 3", "mgraph 4 0"])
+def test_header_count_below_its_least_value_exits_2(tmp_path, capsys, header):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(header + "\n", encoding="utf-8")
+    assert main(["check", str(bad), "--pattern", "fano"]) == 2
+    assert "error: line 1: header count" in capsys.readouterr().err
+
+
 def test_sparse_host_with_high_labels_is_checked(tmp_path, capsys):
     # 4096 disjoint edges on labels up to the header cap: no vertex can lie
     # on a plane, and the check answers without a table sized by the labels

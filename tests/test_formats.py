@@ -89,6 +89,23 @@ def test_header_count_cap():
             parse(header.format(cap + 1) + "\n")
 
 
+@pytest.mark.parametrize(
+    "text, below",
+    [
+        ("3graph -3\n", "-3 is below 0"),
+        ("graph -1\n", "-1 is below 0"),
+        ("mgraph -2 3\n", "-2 is below 0"),
+        ("mgraph 4 0\n", "0 is below 1"),
+        ("mgraph 4 0\n0 1 1\n", "0 is below 1"),
+    ],
+)
+def test_header_count_below_its_least_value_is_a_format_error(text, below):
+    # a negative vertex count, or no layers, is the header's fault, not an
+    # edge line's or the constructor's
+    with pytest.raises(FormatError, match=f"^line 1: header count {below}$"):
+        parse_any(text)
+
+
 def test_writers_end_with_newline_and_sorted_body():
     h = Uniform3Graph(5, [(2, 3, 4), (0, 1, 2)])
     text = write_3graph(h)

@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 import tracemalloc
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from fano_l2.graphs import SimpleGraph
 from fano_l2.hypergraphs import (
     Uniform3Graph,
     balanced_bipartite3,
@@ -17,7 +19,7 @@ from fano_l2.hypergraphs import (
     random_3graph,
 )
 
-from helpers import uniform3_fields_oracle
+from helpers import has_edge, uniform3_fields_oracle
 
 
 @st.composite
@@ -31,13 +33,22 @@ def small_3graphs(draw, n_min=3, n_max=9):
 def test_basic_queries():
     h = Uniform3Graph(5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
     assert h.edge_count == 3
-    assert h.has_edge(3, 1, 0)
+    assert has_edge(h, 3, 1, 0)
+    assert not has_edge(h, 0, 1, 4)
     assert h.codegree(0, 1) == 2
     assert h.degree(0) == 2
     assert h.degrees() == (2, 2, 2, 2, 1)
     shadow = {(u, v) for u, v in combinations(range(5), 2) if h.codegree(u, v)}
     assert shadow == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}
     assert h.link(0).edges() == ((1, 2), (1, 3))
+
+
+def test_degree_and_star_counts_take_no_exponent_or_size():
+    # the 2-norm degree and the two-edge star count are the only ones the
+    # paper uses, so neither method takes p or a star size
+    assert list(inspect.signature(Uniform3Graph.lp_norm_degree).parameters) == ["self", "v"]
+    assert list(inspect.signature(Uniform3Graph.count_stars).parameters) == ["self"]
+    assert list(inspect.signature(SimpleGraph.star_count).parameters) == ["self"]
 
 
 def test_rejects_degenerate_triples():
@@ -55,7 +66,7 @@ def test_l1_norm_is_three_times_edges(h):
 @given(small_3graphs())
 def test_l2_norm_via_star_count(h):
     # codegree-squared sum equals twice the two-edge stars plus the edge contribution
-    assert h.lp_norm(2) == 2 * h.count_stars(2) + 3 * h.edge_count
+    assert h.lp_norm(2) == 2 * h.count_stars() + 3 * h.edge_count
 
 
 @given(small_3graphs())
@@ -76,10 +87,10 @@ def test_l2_degree_sum_identity(h):
 @given(small_3graphs())
 def test_two_edge_stars_enumeration_consistent(h):
     stars = list(h.two_edge_stars())
-    assert len(stars) == h.count_stars(2)
+    assert len(stars) == h.count_stars()
     for (u, v), t1, t2 in stars:
         assert t1 < t2
-        assert h.has_edge(u, v, t1) and h.has_edge(u, v, t2)
+        assert has_edge(h, u, v, t1) and has_edge(h, u, v, t2)
 
 
 def test_complete3_norms():
@@ -168,7 +179,6 @@ def test_constructor_matches_the_per_triple_oracle(seed):
     assert list(h._codegree.items()) == list(expected["_codegree"].items())
     assert h._incident == expected["_incident"]
     assert h._degree == expected["_degree"]
-    assert h._edge_set == expected["_edge_set"]
 
 
 def test_constructor_traced_peak_stays_within_the_per_triple_build():

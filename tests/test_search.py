@@ -437,7 +437,7 @@ def brute_max_s2(n, m):
         if bin(mask).count("1") != m:
             continue
         g = SimpleGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        best = max(best, g.star_count(2))
+        best = max(best, g.star_count())
     return best
 
 
@@ -446,7 +446,7 @@ def test_s2_search_matches_brute_force_n5():
         rep = max_s2_graph(5, m)
         assert rep.optimum == brute_max_s2(5, m)
         w = parse_graph(rep.witness)
-        assert w.edge_count == m and w.star_count(2) == rep.optimum
+        assert w.edge_count == m and w.star_count() == rep.optimum
 
 
 def test_s2_quasi_agreement_rows():
@@ -672,7 +672,7 @@ def test_bipartite_formulas_match_constructions():
         for b in range(1, 6):
             h = bipartite3(a, b)
             assert h.lp_norm(2) == bipartite_norm_formula(a, b)
-            assert h.count_stars(2) == bipartite_s2_formula(a, b)
+            assert h.count_stars() == bipartite_s2_formula(a, b)
 
 
 def test_random_sub_multigraph_is_contained(rng):
