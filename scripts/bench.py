@@ -23,14 +23,14 @@ the optimum, the candidate trials (`nodes`) and the report's counters (its
 `params`: trials by outcome). The 5-vertex runs include their 4-vertex
 quad-cap search, as a caller sees them.
 
-scans: times the exhaustive graph scans that `verify` runs: `aes_scan(n)` for
+scans: times the exhaustive scans that `verify` runs: `aes_scan(n)` for
 n = 5..7, a cold `_graph_star_table(7)` (row `_cold_star_table`: its cache
-cleared first, as `s2_quasi_agreement` first meets it) and
-`bipartite_l2_scan(n)` for n = 4..6,
-three runs each, and records the median seconds with the optimum, `nodes`
-and `params`. For the star table the optimum is the list of maxima by edge
-count, `nodes` the graphs scanned and `params` the first attaining masks. A
-fourth run under `tracemalloc` gives each row's `traced_peak_mb`; it is not
+cleared first, as `s2_quasi_agreement` first meets it),
+`bipartite_l2_scan(n)` for n = 4..6 and the plane-free search
+`max_l2_fano_free(7)`, three runs each, and records the median seconds with
+the optimum, `nodes` and `params`. For the star table the optimum is the
+list of maxima by edge count, `nodes` the graphs scanned and `params` the
+first attaining masks. A fourth run under `tracemalloc` gives each row's `traced_peak_mb`; it is not
 timed, since tracing slows the Python around the NumPy calls.
 
 k4: times `contains_k4` on the pattern-free `bipartite_construction_5(n)`
@@ -195,7 +195,7 @@ def _cold_star_table(n: int) -> dict:
 
 def _scan_rows() -> list[dict]:
     calls = [(search.aes_scan, n) for n in (5, 6, 7)] + [(_cold_star_table, 7)]
-    calls += [(search.bipartite_l2_scan, n) for n in (4, 5, 6)]
+    calls += [(search.bipartite_l2_scan, n) for n in (4, 5, 6)] + [(search.max_l2_fano_free, 7)]
     rows = []
     for fn, n in calls:
         result, seconds, runs_s = _median_run(fn, n)

@@ -7,13 +7,14 @@ mutating operations return new graphs.
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
     """Lexicographically ordered vertex pairs of an n-vertex graph."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return list(combinations(range(n), 2))
 
 
 def bipartitions(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -90,13 +91,10 @@ class SimpleGraph:
     # ----- transforms -----------------------------------------------------
 
     def complement(self) -> SimpleGraph:
-        comp = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not self._rows[u] >> v & 1
-        ]
-        return SimpleGraph(self.n, comp)
+        rows = self._rows
+        return SimpleGraph(
+            self.n, ((u, v) for u, v in combinations(range(self.n), 2) if not rows[u] >> v & 1)
+        )
 
 
 # ----- reference families -------------------------------------------------
@@ -106,7 +104,7 @@ def clique_plus_isolated(n: int, k: int) -> SimpleGraph:
     """A k-clique on the first k vertices, the remaining n-k vertices isolated."""
     if not 0 <= k <= n:
         raise ValueError(f"clique size {k} outside 0..{n}")
-    return SimpleGraph(n, [(u, v) for u in range(k) for v in range(u + 1, k)])
+    return SimpleGraph(n, combinations(range(k), 2))
 
 
 def complete_minus_clique(n: int, k: int) -> SimpleGraph:
@@ -137,9 +135,7 @@ def quasi_complete(n: int, m: int) -> SimpleGraph:
     while comb(k + 1, 2) <= m:
         k += 1
     rest = m - comb(k, 2)
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    edges += [(u, k) for u in range(rest)]
-    return SimpleGraph(n, edges)
+    return SimpleGraph(n, chain(combinations(range(k), 2), ((u, k) for u in range(rest))))
 
 
 def quasi_star(n: int, m: int) -> SimpleGraph:

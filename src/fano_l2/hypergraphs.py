@@ -215,15 +215,7 @@ class Uniform3Graph:
 
 def complete3(n: int) -> Uniform3Graph:
     """All triples on n vertices."""
-    return Uniform3Graph(
-        n,
-        [
-            (a, b, c)
-            for a in range(n)
-            for b in range(a + 1, n)
-            for c in range(b + 1, n)
-        ],
-    )
+    return Uniform3Graph(n, combinations(range(n), 3))
 
 
 def bipartite3(a: int, b: int) -> Uniform3Graph:
@@ -281,11 +273,4 @@ def bn_min_l2_degree(n: int) -> int:
 def random_3graph(n: int, edge_prob: float, rng) -> Uniform3Graph:
     """Each triple kept independently with the given probability; rng is any
     object with a ``random()`` method (typically random.Random with a seed)."""
-    triples = [
-        (a, b, c)
-        for a in range(n)
-        for b in range(a + 1, n)
-        for c in range(b + 1, n)
-        if rng.random() < edge_prob
-    ]
-    return Uniform3Graph(n, triples)
+    return Uniform3Graph(n, [t for t in combinations(range(n), 3) if rng.random() < edge_prob])

@@ -240,15 +240,10 @@ def bipartite_construction_5(n: int) -> MMultigraph:
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     a = (n + 1) // 2
-    masks: dict[Pair, int] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if v < a:
-                masks[(u, v)] = 0b00011
-            elif u >= a:
-                masks[(u, v)] = 0b01100
-            else:
-                masks[(u, v)] = 0b11111
+    masks = {
+        (u, v): 0b00011 if v < a else 0b01100 if u >= a else 0b11111
+        for u, v in combinations(range(n), 2)
+    }
     return MMultigraph.from_masks(n, 5, masks)
 
 
@@ -257,11 +252,7 @@ def turan_layers_5(n: int) -> MMultigraph:
     parts (the densest graph with no 4-clique). Total size 5*floor(n^2/3)."""
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got {n}")
-    masks: dict[Pair, int] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if u % 3 != v % 3:
-                masks[(u, v)] = 0b11111
+    masks = {(u, v): 0b11111 for u, v in combinations(range(n), 2) if u % 3 != v % 3}
     return MMultigraph.from_masks(n, 5, masks)
 
 

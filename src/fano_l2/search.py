@@ -222,11 +222,6 @@ def _census_scan(m: int, blocks: list[tuple[int, int]], t: dict) -> dict:
     }
 
 
-def _state_to_multigraph(m: int, state: tuple[int, ...]) -> MMultigraph:
-    masks = {pair: mask for pair, mask in zip(_CENSUS_PAIRS, state) if mask}
-    return MMultigraph.from_masks(4, m, masks)
-
-
 @dataclass(frozen=True, slots=True)
 class CensusReport:
     """Aggregate over all 4-vertex m-layer states. blocks is the number of
@@ -264,7 +259,7 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
     scanned = time.perf_counter()
     hist = part["hist"]
     best = part["best"]
-    witness_mg = _state_to_multigraph(m, part["best_state"])
+    witness_mg = MMultigraph.from_masks(4, m, dict(zip(_CENSUS_PAIRS, part["best_state"])))
     if witness_mg.size != best or contains_k4(witness_mg) is not None:
         raise AssertionError("census witness failed revalidation")
     return CensusReport(
@@ -532,9 +527,7 @@ def max_k4free_multigraph(
         masks[depth] = 0
 
     descend(0, 0, ((1 << m) - 1,), m)
-    witness_mg = MMultigraph.from_masks(
-        n, m, {p: mk for p, mk in zip(pairs, best_masks) if mk}
-    )
+    witness_mg = MMultigraph.from_masks(n, m, dict(zip(pairs, best_masks)))
     if witness_mg.size != best or contains_k4(witness_mg) is not None:
         raise AssertionError("branch-and-bound witness failed revalidation")
     return SearchReport(
@@ -569,12 +562,20 @@ def _check_scan_capacity(n: int) -> None:
         raise ValueError(f"vertex count {n} above scan capacity")
 
 
-def _incidence_masks(pairs, n: int) -> list[int]:
-    """For each vertex, the bitmask of the pairs (edge bits) that contain it."""
-    return [
-        sum(1 << i for i, (u, v) in enumerate(pairs) if w in (u, v))
-        for w in range(n)
-    ]
+def _mask(items, keep) -> int:
+    """The edge-set bitmask of the items keep accepts: bit i stands for items[i]."""
+    return sum(1 << i for i, item in enumerate(items) if keep(item))
+
+
+def _members(items, mask: int) -> list:
+    """The items of an edge-set bitmask, in item order: bit i stands for items[i]."""
+    return [item for i, item in enumerate(items) if mask >> i & 1]
+
+
+def _relabel(triples, perm) -> tuple[tuple[int, ...], ...]:
+    """The triple set under the vertex map perm, each image triple sorted and
+    then the triples sorted."""
+    return tuple(sorted([tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in triples]))
 
 
 @functools.cache
@@ -592,7 +593,7 @@ def _graph_star_table(n: int) -> dict:
     pairs = all_pairs(n)
     nbits = len(pairs)
     low_bits = nbits // 2
-    incidence = _incidence_masks(pairs, n)
+    incidence = [_mask(pairs, lambda p: w in p) for w in range(n)]
 
     def half(shift: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # for every mask of `width` edge bits from `shift`: the degree it
@@ -637,10 +638,6 @@ def _graph_star_table(n: int) -> dict:
     return {"pairs": pairs, "table": table, "states": 1 << nbits}
 
 
-def _mask_to_graph(n: int, pairs, mask: int) -> SimpleGraph:
-    return SimpleGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
 def max_s2_graph(n: int, m_edges: int) -> SearchReport:
     """Exhaustive maximum of the two-edge-star count over n-vertex graphs
     with exactly m_edges edges. Capacity-capped at n <= 7."""
@@ -650,7 +647,7 @@ def max_s2_graph(n: int, m_edges: int) -> SearchReport:
         raise ValueError(f"edge count {m_edges} out of range")
     data = _graph_star_table(n)
     best, mask = data["table"][m_edges]
-    witness = _mask_to_graph(n, data["pairs"], mask)
+    witness = SimpleGraph(n, _members(data["pairs"], mask))
     if witness.star_count() != best or witness.edge_count != m_edges:
         raise AssertionError("star-count witness failed revalidation")
     return SearchReport(
@@ -689,7 +686,7 @@ def _two_colourable(n: int, pairs, graphs: np.ndarray) -> np.ndarray:
     no edge inside either side of some split of the vertices."""
     ok = np.zeros(len(graphs), dtype=bool)
     for _, side in bipartitions(n):
-        inside = sum(1 << i for i, (u, v) in enumerate(pairs) if (u in side) == (v in side))
+        inside = _mask(pairs, lambda p: (p[0] in side) == (p[1] in side))
         ok |= (graphs & np.uint32(inside)) == 0
     return ok
 
@@ -701,15 +698,18 @@ def _triangle_free_graphs(n: int, pairs) -> tuple[np.ndarray, int]:
     The graphs grow vertex by vertex: joining vertex k to a set S of
     0..k-1 keeps a triangle-free graph triangle-free exactly when S is
     independent in it, so each candidate (graph, S) costs one mask test."""
-    index = {p: i for i, p in enumerate(pairs)}
     graphs = np.zeros(1, dtype=np.uint32)  # the one graph on at most one vertex
+    # over the sets s of 0..k-1 in ascending order (bit v for vertex v):
+    # inside[s] holds the pairs inside s and join[s] those joining vertex k
+    # to s. Adding a vertex v doubles the sets: those holding v follow those
+    # that do not, in the same order.
+    inside = join = np.zeros(1, dtype=np.uint32)
     tested = 0
     for k in range(1, n):
-        sets = [[v for v in range(k) if s >> v & 1] for s in range(1 << k)]
-        inside = np.array(
-            [sum(1 << index[p] for p in combinations(S, 2)) for S in sets], dtype=np.uint32
-        )
-        join = np.array([sum(1 << index[(v, k)] for v in S) for S in sets], dtype=np.uint32)
+        inside = np.concatenate([inside, inside | join])
+        join = np.zeros(1, dtype=np.uint32)
+        for v in range(k):
+            join = np.concatenate([join, join | _mask(pairs, {(v, k)}.__contains__)])
         independent = (graphs[:, None] & inside) == 0
         tested += independent.size
         graphs = (graphs[:, None] | join)[independent]
@@ -732,7 +732,8 @@ def aes_scan(n: int) -> SearchReport:
     pairs = all_pairs(n)
     graphs, tested = _triangle_free_graphs(n, pairs)
     mindeg = np.full(len(graphs), 255, dtype=np.uint8)
-    for incidence in _incidence_masks(pairs, n):
+    for w in range(n):
+        incidence = _mask(pairs, lambda p: w in p)
         mindeg = np.minimum(mindeg, np.bitwise_count(graphs & np.uint32(incidence)))
     # 5 * d > 2n exactly when d > floor(2n/5)
     above = mindeg > (2 * n) // 5
@@ -768,14 +769,10 @@ def _fano_copy_masks() -> list[int]:
     """Edge-subset masks (over the 35 triples of 7 vertices) of all labeled
     Fano planes."""
     triples = list(combinations(range(7), 3))
-    tindex = {t: i for i, t in enumerate(triples)}
-    seen = set()
-    for perm in permutations(range(7)):
-        mask = 0
-        for a, b, c in FANO_EDGES:
-            mask |= 1 << tindex[tuple(sorted((perm[a], perm[b], perm[c])))]
-        seen.add(mask)
-    return sorted(seen)
+    # the plane's automorphisms take any two points to any two, so every
+    # labelling is reached by a vertex map fixing 0 and 1 (each four times)
+    planes = {_relabel(FANO_EDGES, (0, 1, *rest)) for rest in permutations(range(2, 7))}
+    return sorted(_mask(triples, set(plane).__contains__) for plane in planes)
 
 
 def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
@@ -868,9 +865,8 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     descend(0, 0)
     if best_deleted is None:
         raise AssertionError("no hitting set found")
-    host = Uniform3Graph(
-        7, [t for i, t in enumerate(triples) if not best_deleted >> i & 1]
-    )
+    # the complement's bits are the kept triples
+    host = Uniform3Graph(7, _members(triples, ~best_deleted))
     if host.lp_norm(2) != best or contains_fano(host) is not None:
         raise AssertionError("maximum-norm witness failed revalidation")
     return SearchReport(
@@ -894,14 +890,7 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
 def canonical_3graph(H: Uniform3Graph) -> tuple[tuple[int, int, int], ...]:
     """Lexicographically minimal relabeling of the edge set; equal exactly
     for isomorphic graphs (intended for small n)."""
-    best = None
-    for perm in permutations(range(H.n)):
-        relabeled = tuple(
-            sorted(tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in H.triples())
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
+    return min(_relabel(H.triples(), perm) for perm in permutations(range(H.n)))
 
 
 def bipartite_l2_scan(n: int) -> SearchReport:
@@ -934,7 +923,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         # a norm (15 pairs at n = 6) fits uint16
         norms = np.zeros(len(masks), dtype=np.uint16)
         for u, v in pairs:
-            pmask = sum(1 << i for i, t in enumerate(cross) if u in t and v in t)
+            pmask = _mask(cross, lambda t: u in t and v in t)
             if pmask:
                 d = np.bitwise_count(masks & np.uint32(pmask))
                 norms += d * d
@@ -944,10 +933,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         if block_best > best:
             best = block_best
             block_hits = {}
-        block_hits[a] = [
-            [t for i, t in enumerate(cross) if mask >> i & 1]
-            for mask in masks[norms == block_best]
-        ]
+        block_hits[a] = [_members(cross, mask) for mask in masks[norms == block_best]]
     nodes = 0
     # the same labeled graph may be crossing for two bipartitions
     maximizers: set[tuple[tuple[int, ...], ...]] = set()
@@ -958,7 +944,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         nodes += block_states[a]
         sigma = part1 + part2
         for hit in block_hits.get(a, ()):
-            maximizers.add(tuple(sorted(tuple(sorted(sigma[x] for x in t)) for t in hit)))
+            maximizers.add(_relabel(hit, sigma))
     # every maximizer is a relabelled representative hit
     canon = {
         canonical_3graph(Uniform3Graph(n, hit)) for hits in block_hits.values() for hit in hits

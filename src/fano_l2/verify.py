@@ -99,13 +99,16 @@ def report_to_json(report: VerifyReport) -> str:
 # Aggregate checks count failing instances and expect zero.
 
 
-def _identity_pool(seed: int):
-    """The 60 seeded random 3-graphs every identity check runs on."""
+@functools.cache
+def _identity_pool(seed: int) -> tuple:
+    """The 60 seeded random 3-graphs every identity check runs on, built once
+    a seed and shared by the six `identities.*` rows."""
     rng = random.Random(seed)
     sizes = (4, 5, 6, 7, 8, 9, 10, 11, 12)
     probs = (0.15, 0.3, 0.5, 0.7)
-    for i in range(60):
-        yield random_3graph(sizes[i % len(sizes)], probs[i % len(probs)], rng)
+    return tuple(
+        random_3graph(sizes[i % len(sizes)], probs[i % len(probs)], rng) for i in range(60)
+    )
 
 
 def _check_l1_norm(seed: int):

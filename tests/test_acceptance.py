@@ -239,6 +239,9 @@ DELETED_NAMES = (
     "Pattern3",
     "_k53_pattern",
     "_edge_set",
+    "_incidence_masks",
+    "_mask_to_graph",
+    "_state_to_multigraph",
 )
 
 

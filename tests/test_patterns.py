@@ -182,6 +182,36 @@ def test_bipartite_recognition():
         is_bipartite3(Uniform3Graph(BIPARTITENESS_CAP + 1, []))
 
 
+def first_bipartition(host):
+    """Reference: the first proper 2-colouring in lexicographic order of the
+    colour vector, vertex 0 in the first part, as (first part, second part)."""
+    n = host.n
+    for rest in product((0, 1), repeat=max(n - 1, 0)):
+        side = (0, *rest)[:n]
+        if all(len({side[v] for v in t}) == 2 for t in host.triples()):
+            return (
+                tuple(v for v in range(n) if side[v] == 0),
+                tuple(v for v in range(n) if side[v] == 1),
+            )
+    return None
+
+
+def test_bipartite_recognition_matches_the_first_colouring():
+    rng = random.Random(17)
+    hosts = [complete3(5)] + [
+        random_3graph(n, p, rng)
+        for n in range(1, 11)
+        for p in (0.05, 0.15, 0.3, 0.5)
+        for _ in range(4)
+    ]
+    found = 0
+    for host in hosts:
+        expect = first_bipartition(host)
+        assert is_bipartite3(host) == expect
+        found += expect is not None
+    assert 0 < found < len(hosts)
+
+
 def violating_spoke_host():
     # three spokes through vertex 0 and all eight triples crossing the three
     # spoke ends: every branch of the matching extends to the 7-point plane

@@ -26,8 +26,10 @@ def test_bench_scans_records_seconds_and_traced_peak(tmp_path):
     scans = [(row["scan"], row["n"]) for row in data["rows"]]
     assert scans == [("aes_scan", 5), ("aes_scan", 6), ("aes_scan", 7), ("_cold_star_table", 7)] + [
         ("bipartite_l2_scan", n) for n in (4, 5, 6)
-    ]
+    ] + [("max_l2_fano_free", 7)]
     assert all(row["seconds"] > 0 and row["traced_peak_mb"] > 0 for row in data["rows"])
+    fano = data["rows"][-1]
+    assert (fano["optimum"], fano["nodes"]) == (410, 1078)
 
 
 def test_bench_k4_times_the_detector_and_the_constructor(tmp_path):

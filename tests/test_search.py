@@ -270,7 +270,7 @@ def test_census_m5_witness_is_pinned():
     rep = k4_census(5)
     assert rep.blocks == 56
     assert rep.witness == write_mgraph(
-        search._state_to_multigraph(5, (0, 31, 31, 31, 31, 31))
+        MMultigraph.from_masks(4, 5, dict(zip(search._CENSUS_PAIRS, (0, 31, 31, 31, 31, 31))))
     )
     assert rep.witness == (
         "mgraph 4 5\n"
@@ -578,6 +578,20 @@ def test_fano_free_optima_small():
         w = parse_3graph(rep.witness)
         assert contains_fano(w) is None
         assert w.lp_norm(2) == rep.optimum
+
+
+def test_fano_free_search_at_seven_is_pinned():
+    rep = max_l2_fano_free(7)
+    assert (rep.optimum, rep.nodes, rep.complete) == (410, 1078, True)
+    # K7 minus the five triples through the pair {0, 1}
+    kept = [t for t in combinations(range(7), 3) if not {0, 1} <= set(t)]
+    assert rep.witness == write_3graph(Uniform3Graph(7, kept))
+    masks = search._fano_copy_masks()
+    assert len(set(masks)) == len(masks) == 30
+    triples = list(combinations(range(7), 3))
+    for mask in masks:
+        assert mask.bit_count() == 7
+        assert contains_fano(Uniform3Graph(7, graph_edges(triples, mask))) is not None
 
 
 def test_fano_free_small_hosts_are_complete():
