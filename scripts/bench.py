@@ -10,12 +10,12 @@ Each row records the blocks, the inner rows scanned per block (the
 class-product rows) and the rows scanned per second. At m=5 the cold census
 takes a few hundredths of a second and the every-block scan under a second.
 
-fano: for n = 7..14 it times `contains_fano` and `link_triple_violation` on
-`balanced_bipartite3(n)` (plane-free, so every branch is searched) and on
-`complete3(n)` (a plane at the first branch), and for n <= 12 the generic
-embedder `contains_pattern(host, fano_plane())`, the oracle the plane
-embedder is tested against; it takes about ten seconds at n = 12. Each row
-asserts that the three agree.
+fano: for n = 7..14 it times `contains_fano`, `link_triple_violation` and
+`contains_k53`, the kernels on the table of common third vertices, on
+`balanced_bipartite3(n)` (no plane and no K5^3, so every branch is
+searched) and on `complete3(n)` (both found at the first branch). Each row
+asserts that the two plane tests agree, and that `contains_k53` returns
+None on the bipartite host and (0, 1, 2, 3, 4) on the complete one.
 
 bnb: times the branch and bound `max_k4free_multigraph(n, m, "bnb")` at
 (4,5), (5,4) and (5,5), three runs each, and records the median seconds with
@@ -61,7 +61,7 @@ import numpy as np
 from fano_l2 import search
 from fano_l2.hypergraphs import balanced_bipartite3, complete3
 from fano_l2.multigraphs import bipartite_construction_5, contains_k4, turan_layers_5
-from fano_l2.patterns import contains_fano, contains_pattern, fano_plane, link_triple_violation
+from fano_l2.patterns import contains_fano, contains_k53, link_triple_violation
 
 
 def _report_fields(rep) -> dict:
@@ -125,21 +125,18 @@ def _timed(fn, *args):
 
 
 def _fano_rows() -> list[dict]:
-    plane = fano_plane()
     rows = []
-    for build in (balanced_bipartite3, complete3):
+    for build, clique in ((balanced_bipartite3, None), (complete3, (0, 1, 2, 3, 4))):
         host_name = build.__name__
         for n in range(7, 15):
             host = build(n)
             witness, fano_s = _timed(contains_fano, host)
             violation, link_s = _timed(link_triple_violation, host)
-            oracle_s = None
-            if n <= 12:
-                expected, oracle_s = _timed(contains_pattern, host, plane)
-                if witness != expected:
-                    raise AssertionError(f"plane embedder and oracle disagree on {host_name}({n})")
+            k53, k53_s = _timed(contains_k53, host)
             if (violation is None) != (witness is None):
                 raise AssertionError(f"link test and plane embedder disagree on {host_name}({n})")
+            if k53 != clique:
+                raise AssertionError(f"contains_k53 gave {k53} on {host_name}({n})")
             rows.append(
                 {
                     "host": host_name,
@@ -147,13 +144,12 @@ def _fano_rows() -> list[dict]:
                     "edges": host.edge_count,
                     "plane": witness is not None,
                     "contains_fano_s": fano_s,
-                    "contains_pattern_s": oracle_s,
+                    "contains_k53_s": k53_s,
                     "link_triple_violation_s": link_s,
                 }
             )
-            oracle = "-" if oracle_s is None else f"{oracle_s:.3f}s"
             print(
-                f"{host_name}({n}): contains_fano {fano_s:.4f}s, oracle {oracle}, "
+                f"{host_name}({n}): contains_fano {fano_s:.4f}s, contains_k53 {k53_s:.4f}s, "
                 f"link_triple_violation {link_s:.4f}s"
             )
     return rows

@@ -1,22 +1,22 @@
 """Forbidden-pattern detection for 3-graphs.
 
-The Fano plane has its own embedder: a table of "common third vertex"
-sets, built once per host over the shadow pairs, lets two placed points fix
-the third point of their line, so the images of points 3..6 come from set
-intersections. The same kernel answers, for one edge, whether some
-plane has that edge as a line. The generic backtracking embedder
-(`contains_pattern`) serves the complete 3-graph on five vertices, and is
-the oracle the plane embedder is tested against. Also here: bipartiteness
-testing, and the link-based necessary condition satisfied by every
-Fano-free host: no edge whose three links stack into the three-matching
-multigraph pattern.
+Both patterns run on one table of "common third vertex" sets, built once
+per host over the shadow pairs. In the Fano plane embedder two placed
+points fix the third point of their line, so the images of points 3..6
+come from set intersections; the same kernel answers, for one edge,
+whether some plane has that edge as a line. The complete 3-graph on five
+vertices walks three vertices of an edge and intersects their pairs' sets
+for the other two. Also here: bipartiteness testing, and the link-based
+necessary condition satisfied by every Fano-free host: no edge whose three
+links stack into the three-matching multigraph pattern.
 """
 
 from __future__ import annotations
 
-from .hypergraphs import Uniform3Graph, complete3
+from .hypergraphs import Uniform3Graph
 from .multigraphs import K4Witness, MMultigraph, contains_k4
 
+# the seven lines of the Fano plane on points 0..6
 FANO_EDGES = (
     (0, 1, 2),
     (2, 3, 4),
@@ -28,78 +28,14 @@ FANO_EDGES = (
 )
 
 
-def fano_plane() -> Uniform3Graph:
-    """The Fano plane: 7 points, 7 lines, every point on 3 lines."""
-    return Uniform3Graph(7, FANO_EDGES)
-
-
-def contains_pattern(host: Uniform3Graph, pattern: Uniform3Graph) -> tuple[int, ...] | None:
-    """Injective edge-preserving embedding of pattern into host, or None.
-
-    The returned tuple maps pattern vertex i to host vertex witness[i].
-    Pattern vertices are branched in descending degree order (ties by
-    index). At each branching position, the earlier-placed vertices sharing
-    edges with the new one prune by codegree, and the pattern edges it
-    completes are checked for membership. The witness is the
-    lexicographically first assignment under this fixed order, so repeated
-    runs agree exactly.
-    """
-    g = pattern
-    if g.n > host.n or g.edge_count > host.edge_count:
-        return None
-    if g.n == 0:
-        return ()
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    pos = {v: t for t, v in enumerate(order)}
-    earlier = [
-        [(q, c) for q in order[:t] if (c := g.codegree(p, q))]
-        for t, p in enumerate(order)
-    ]
-    completed: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for triple in g.triples():
-        completed[max(pos[x] for x in triple)].append(triple)
-    edges = set(host.triples())
-    witness = [-1] * g.n
-    used = bytearray(host.n)
-    host_degrees = host.degrees()
-
-    def extend(t: int) -> bool:
-        if t == g.n:
-            return True
-        p = order[t]
-        dp = g.degree(p)
-        for h in range(host.n):
-            if used[h] or host_degrees[h] < dp:
-                continue
-            ok = True
-            for q, c in earlier[t]:
-                if host.codegree(h, witness[q]) < c:
-                    ok = False
-                    break
-            if ok:
-                for triple in completed[t]:
-                    if tuple(sorted(h if x == p else witness[x] for x in triple)) not in edges:
-                        ok = False
-                        break
-            if ok:
-                witness[p] = h
-                used[h] = 1
-                if extend(t + 1):
-                    return True
-                used[h] = 0
-                witness[p] = -1
-        return False
-
-    return tuple(witness) if extend(0) else None
-
-
 def _plane_rows(host: Uniform3Graph) -> dict[int, dict[int, set[int]]]:
-    """rows[u][v]: the set of vertices w such that uvw is an edge.
+    """rows[u][v]: the set of vertices w such that uvw is an edge; the table
+    both the plane and the K5^3 kernels read.
 
     Only edges whose three vertices have degree at least 3, as every point of
-    a plane does, enter the table, so it holds three sets per such edge and
-    nothing else. rows[u][v] and rows[v][u] are the same set, and each row
-    holds its keys in ascending order.
+    a plane and every vertex of a K5^3 has, enter the table, so it holds
+    three sets per such edge and nothing else. rows[u][v] and rows[v][u]
+    are the same set, and each row holds its keys in ascending order.
     """
     thirds: dict[tuple[int, int], set[int]] = {}
     for a, b, c in host.triples():
@@ -169,14 +105,14 @@ def _first_plane_line(
 def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
     """Embedding of the Fano plane into host, or None.
 
-    The witness maps point i of `fano_plane()` to host vertex witness[i] and
-    is the lexicographically first such map over (witness[0], ...,
-    witness[6]), the one `contains_pattern(host, fano_plane())` returns.
-    Its witness[0] is the smallest vertex on any plane, since the plane's
-    automorphisms move point 0 to every point. Each plane line through that
-    vertex starts with it, so it starts the first plane line too, and the
-    search runs at that h0 alone, over h1 ascending and h2 in rows[h0][h1]
-    ascending.
+    The witness maps point i of the lines `FANO_EDGES` to host vertex
+    witness[i] and is the lexicographically first such map over
+    (witness[0], ..., witness[6]), the one a generic backtracking embedder
+    returns. Its witness[0] is the smallest vertex on any plane, since the
+    plane's automorphisms move point 0 to every point. Each plane line
+    through that vertex starts with it, so it starts the first plane line
+    too, and the search runs at that h0 alone, over h1 ascending and h2 in
+    rows[h0][h1] ascending.
     """
     rows = _plane_rows(host)
     first = _first_plane_line(host, rows)
@@ -192,8 +128,35 @@ def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
 
 
 def contains_k53(host: Uniform3Graph) -> tuple[int, ...] | None:
-    """Embedding of the complete 3-graph on 5 vertices into host, or None."""
-    return contains_pattern(host, complete3(5))
+    """The lexicographically first vertex set of a complete 3-graph on 5
+    vertices in host, ascending, or None.
+
+    It runs on the plane kernel's table: every vertex of the clique has
+    degree at least 6, so each of its edges is in the table. For a < b < c
+    with abc an edge, the candidates for d > c are the common thirds of ab,
+    ac and bc, and e is the smallest vertex that closes a triple with each
+    pair from a, b, c, d. The walk meets 5-sets in lexicographic order, so
+    at the first hit every such vertex lies above d.
+    """
+    rows = _plane_rows(host)
+    for a in sorted(rows):
+        ra = rows[a]
+        for b, sab in ra.items():
+            if b < a:
+                continue
+            rb = rows[b]
+            for c in sorted(sab):
+                if c < b:
+                    continue
+                rc = rows[c]
+                s = sab & ra[c] & rb[c]
+                for d in sorted(s):
+                    if d < c:
+                        continue
+                    last = s & ra[d] & rb[d] & rc[d]
+                    if last:
+                        return a, b, c, d, min(last)
+    return None
 
 
 # ----- bipartiteness ---------------------------------------------------------

@@ -11,6 +11,7 @@ from fano_l2 import search
 from fano_l2.graphs import SimpleGraph, all_pairs
 from fano_l2.hypergraphs import Uniform3Graph
 from fano_l2.multigraphs import MATCHINGS, K4Witness, MMultigraph
+from fano_l2.patterns import FANO_EDGES
 
 
 def has_edge(H: Uniform3Graph, *vertices: int) -> bool:
@@ -20,6 +21,73 @@ def has_edge(H: Uniform3Graph, *vertices: int) -> bool:
     edges = H.triples()
     i = bisect_left(edges, triple)
     return i < len(edges) and edges[i] == triple
+
+
+def fano_plane() -> Uniform3Graph:
+    """The Fano plane: 7 points, 7 lines, every point on 3 lines."""
+    return Uniform3Graph(7, FANO_EDGES)
+
+
+def contains_pattern(host: Uniform3Graph, pattern: Uniform3Graph) -> tuple[int, ...] | None:
+    """Injective edge-preserving embedding of pattern into host, or None: the
+    generic backtracking embedder that `contains_fano` and `contains_k53`
+    must agree with.
+
+    The returned tuple maps pattern vertex i to host vertex witness[i].
+    Pattern vertices are branched in descending degree order (ties by
+    index). At each branching position, the earlier-placed vertices sharing
+    edges with the new one prune by codegree, and the pattern edges it
+    completes are checked for membership. The witness is the
+    lexicographically first assignment under this fixed order, so repeated
+    runs agree exactly.
+    """
+    g = pattern
+    if g.n > host.n or g.edge_count > host.edge_count:
+        return None
+    if g.n == 0:
+        return ()
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    pos = {v: t for t, v in enumerate(order)}
+    earlier = [
+        [(q, c) for q in order[:t] if (c := g.codegree(p, q))]
+        for t, p in enumerate(order)
+    ]
+    completed: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for triple in g.triples():
+        completed[max(pos[x] for x in triple)].append(triple)
+    edges = set(host.triples())
+    witness = [-1] * g.n
+    used = bytearray(host.n)
+    host_degrees = host.degrees()
+
+    def extend(t: int) -> bool:
+        if t == g.n:
+            return True
+        p = order[t]
+        dp = g.degree(p)
+        for h in range(host.n):
+            if used[h] or host_degrees[h] < dp:
+                continue
+            ok = True
+            for q, c in earlier[t]:
+                if host.codegree(h, witness[q]) < c:
+                    ok = False
+                    break
+            if ok:
+                for triple in completed[t]:
+                    if tuple(sorted(h if x == p else witness[x] for x in triple)) not in edges:
+                        ok = False
+                        break
+            if ok:
+                witness[p] = h
+                used[h] = 1
+                if extend(t + 1):
+                    return True
+                used[h] = 0
+                witness[p] = -1
+        return False
+
+    return tuple(witness) if extend(0) else None
 
 
 def verify_k4_witness(mg: MMultigraph, w: K4Witness) -> bool:

@@ -110,6 +110,22 @@ def test_check_arity_mismatch(tmp_path, capsys):
     assert main(["check", str(g), "--pattern", "fano"]) == 2
 
 
+def test_check_k53(tmp_path, capsys):
+    k6 = tmp_path / "k6.3graph"
+    k6.write_text(write_3graph(complete3(6)), encoding="utf-8")
+    assert main(["check", str(k6), "--pattern", "k53"]) == 1
+    assert "k53: found at vertices 0 1 2 3 4" in capsys.readouterr().out
+    b40 = tmp_path / "b40.3graph"
+    assert main(["gen", "--construction", "bn", "--params", "40", "--out", str(b40)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(b40), "--pattern", "k53"]) == 0
+    assert "k53: absent" in capsys.readouterr().out
+    g = tmp_path / "g.graph"
+    g.write_text("graph 3\n0 1\n", encoding="utf-8")
+    assert main(["check", str(g), "--pattern", "k53"]) == 2
+    assert "pattern k53 needs a 3graph file" in capsys.readouterr().err
+
+
 def test_check_bipartite3(b4_file, tmp_path, capsys):
     assert main(["check", b4_file, "--pattern", "bipartite3"]) == 0
     assert "holds" in capsys.readouterr().out

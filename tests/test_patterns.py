@@ -6,20 +6,30 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fano_l2.hypergraphs import Uniform3Graph, bipartite3, complete3, random_3graph
+from fano_l2.hypergraphs import (
+    Uniform3Graph,
+    balanced_bipartite3,
+    bipartite3,
+    complete3,
+    random_3graph,
+)
 from fano_l2.multigraphs import K4Witness, contains_k4
 from fano_l2.patterns import (
     BIPARTITENESS_CAP,
     contains_fano,
     contains_k53,
-    contains_pattern,
     edge_link_multigraph,
-    fano_plane,
     is_bipartite3,
     link_triple_violation,
 )
 
-from helpers import has_edge, link_matching_violation, verify_k4_witness
+from helpers import (
+    contains_pattern,
+    fano_plane,
+    has_edge,
+    link_matching_violation,
+    verify_k4_witness,
+)
 
 
 def brute_force_fano(host):
@@ -162,11 +172,50 @@ def test_fano_detection_monotone_under_edge_addition(seed):
 
 
 def test_k53_detection():
-    assert contains_k53(complete3(5)) is not None
+    assert contains_k53(complete3(5)) == (0, 1, 2, 3, 4)
     assert contains_k53(complete3(4)) is None
     assert contains_k53(bipartite3(4, 4)) is None
-    image = contains_k53(complete3(6))
-    assert image is not None and len(set(image)) == 5
+    assert contains_k53(complete3(6)) == (0, 1, 2, 3, 4)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_k53_witness_matches_generic_embedder(seed):
+    rng = random.Random(seed)
+    host = random_3graph(rng.randint(5, 10), rng.choice((0.5, 0.8, 0.95)), rng)
+    assert contains_k53(host) == contains_pattern(host, complete3(5))
+
+
+def test_k53_search_on_a_large_sparse_host_stays_small():
+    # a clique on the last 5 of 65,536 vertices, below it a tight cycle on
+    # 2048 vertices (every vertex of degree 3, so in the table, and no clique)
+    n, k = 65536, 2048
+    base = n - 5 - k
+    cycle = [tuple(sorted(base + (i + d) % k for d in range(3))) for i in range(k)]
+    host = Uniform3Graph(n, cycle + list(combinations(range(n - 5, n), 3)))
+    tracemalloc.start()
+    try:
+        image = contains_k53(host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image == tuple(range(n - 5, n))
+    assert peak < 4 << 20
+
+
+def test_k53_search_on_a_bipartite_host_is_fast():
+    # the generic embedder grows about as n^5 here: 3.3 s already at n = 18
+    host = balanced_bipartite3(40)
+    start = time.perf_counter()
+    assert contains_k53(host) is None
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        contains_k53(host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_bipartite_recognition():

@@ -43,3 +43,20 @@ def test_bench_k4_times_the_detector_and_the_constructor(tmp_path):
         for n in range(4, 13)
     ] + [("balanced_bipartite3", None, n) for n in range(10, 41)]
     assert all(row["seconds"] > 0 for row in rows)
+
+
+def test_bench_fano_times_both_kernels_on_the_same_hosts(tmp_path):
+    out = tmp_path / "fano.json"
+    proc = run_bench("fano", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [(row["host"], row["n"], row["plane"]) for row in rows] == [
+        (host, n, host == "complete3")
+        for host in ("balanced_bipartite3", "complete3")
+        for n in range(7, 15)
+    ]
+    assert all(
+        row[key] > 0
+        for row in rows
+        for key in ("contains_fano_s", "contains_k53_s", "link_triple_violation_s")
+    )
