@@ -4,14 +4,20 @@ Both patterns run on one table of "common third vertex" sets, built once
 per host over the shadow pairs. In the Fano plane embedder two placed
 points fix the third point of their line, so the images of points 3..6
 come from set intersections; the same kernel answers, for one edge,
-whether some plane has that edge as a line. The complete 3-graph on five
+whether some plane has that edge as a line. The scan for the first plane
+line drops each edge that completes no plane from the table as it passes,
+and its result is cached for the last host, so the embedder and the
+link-based test below share one scan. The complete 3-graph on five
 vertices walks three vertices of an edge and intersects their pairs' sets
-for the other two. Also here: bipartiteness testing, and the link-based
-necessary condition satisfied by every Fano-free host: no edge whose three
-links stack into the three-matching multigraph pattern.
+for the other two, on its own unpruned table. Also here: bipartiteness
+testing by 2-colouring with vertex bitmasks, and the link-based necessary
+condition satisfied by every Fano-free host: no edge whose three links
+stack into the three-matching multigraph pattern.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .hypergraphs import Uniform3Graph
 from .multigraphs import K4Witness, MMultigraph, contains_k4
@@ -95,11 +101,39 @@ def _first_plane_line(
     arbitrarily, so a plane through (a, b, c) also maps line (0, 1, 2) onto
     (a, b, c) in this order. An edge with a vertex outside the table lies
     on no plane.
+
+    Each edge that completes no plane is removed from rows as the scan
+    passes it: its third vertex leaves the set of each of its three pairs,
+    and a pair whose set empties loses its key in both rows. An edge on no
+    plane belongs to no plane, so removing it removes no plane: later edges
+    and the embedder's search at the first line's h0 see the same planes,
+    and the same first completions, with fewer dead ends. Deleting keys
+    keeps each row in ascending key order.
     """
     for edge in host.triples():
-        if all(x in rows for x in edge) and _complete_plane(rows, *edge) is not None:
+        a, b, c = edge
+        if not (a in rows and b in rows and c in rows):
+            continue
+        if _complete_plane(rows, a, b, c) is not None:
             return edge
+        for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
+            ws = rows[u][v]
+            ws.discard(w)
+            if not ws:
+                del rows[u][v], rows[v][u]
     return None
+
+
+@lru_cache(maxsize=1)
+def _plane_search(
+    host: Uniform3Graph,
+) -> tuple[dict[int, dict[int, set[int]]], tuple[int, int, int] | None]:
+    """The plane table of host, pruned by the scan for its first plane line,
+    and that line or None. Hosts are immutable and hash on their edges, so
+    `contains_fano` and `link_triple_violation` on one host share a scan.
+    Every caller gets the same table, so none may change it."""
+    rows = _plane_rows(host)
+    return rows, _first_plane_line(host, rows)
 
 
 def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
@@ -112,10 +146,10 @@ def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
     plane's automorphisms move point 0 to every point. Each plane line
     through that vertex starts with it, so it starts the first plane line
     too, and the search runs at that h0 alone, over h1 ascending and h2 in
-    rows[h0][h1] ascending.
+    rows[h0][h1] ascending. It reads the cached `_plane_search`, so a
+    following `link_triple_violation` on the same host does not scan again.
     """
-    rows = _plane_rows(host)
-    first = _first_plane_line(host, rows)
+    rows, first = _plane_search(host)
     if first is None:
         return None
     h0 = first[0]
@@ -168,56 +202,67 @@ BIPARTITENESS_CAP = 30
 def is_bipartite3(H: Uniform3Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A vertex bipartition leaving no edge inside either part, or None.
 
-    Branches on the lowest unassigned vertex with unit propagation: an edge
-    with two vertices settled on one side forces its third vertex to the
-    other side. Vertex 0 is pinned to the first part, which costs nothing
-    since the two sides are exchangeable.
+    Branches on the lowest unassigned vertex, first part before second, with
+    unit propagation: an edge with two vertices settled on one side forces
+    its third vertex to the other side. Vertex 0 is pinned to the first
+    part, which costs nothing since the two sides are exchangeable. So the
+    result is the first proper 2-colouring in lexicographic order of the
+    colour vector. The two sides are vertex bitmasks, and each vertex keeps
+    one mask per edge through it, of that edge's two other vertices: putting
+    x on a side tests each of its edges with two ands.
     """
     if H.n > BIPARTITENESS_CAP:
         raise ValueError(f"vertex count {H.n} above bipartiteness cap {BIPARTITENESS_CAP}")
     if H.n == 0:
         return ((), ())
+    others: list[list[int]] = [[] for _ in range(H.n)]
+    for a, b, c in H.triples():
+        others[a].append(1 << b | 1 << c)
+        others[b].append(1 << a | 1 << c)
+        others[c].append(1 << a | 1 << b)
 
-    def propagate(side: list[int], v: int) -> bool:
-        stack = [v]
+    def settle(parts: tuple[int, int], v: int, s: int) -> tuple[int, int] | None:
+        """parts with v on side s and every vertex this forces placed, or
+        None when an edge falls inside one side."""
+        sides = list(parts)
+        sides[s] |= 1 << v
+        stack = [(v, s)]
         while stack:
-            x = stack.pop()
-            for triple in H.triples_containing(x):
-                assigned = [side[y] for y in triple]
-                free = [y for y in triple if side[y] < 0]
-                for s in (0, 1):
-                    if assigned.count(s) == 3:
-                        return False
-                    if assigned.count(s) == 2 and len(free) == 1:
-                        y = free[0]
-                        side[y] = 1 - s
-                        stack.append(y)
-        return True
+            x, t = stack.pop()
+            same, other = sides[t], sides[1 - t]
+            for pair in others[x]:
+                hit = pair & same
+                if hit == pair:
+                    return None
+                if hit and not pair & other:
+                    y = pair ^ hit
+                    other |= y
+                    stack.append((y.bit_length() - 1, 1 - t))
+            sides[1 - t] = other
+        return sides[0], sides[1]
 
-    def extend(side: list[int]) -> list[int] | None:
-        try:
-            v = side.index(-1)
-        except ValueError:
-            return side
+    everyone = (1 << H.n) - 1
+
+    def extend(parts: tuple[int, int]) -> tuple[int, int] | None:
+        free = everyone & ~(parts[0] | parts[1])
+        if not free:
+            return parts
+        v = (free & -free).bit_length() - 1
         for s in (0, 1):
-            trial = side.copy()
-            trial[v] = s
-            if propagate(trial, v):
-                result = extend(trial)
-                if result is not None:
-                    return result
+            trial = settle(parts, v, s)
+            if trial is not None and (result := extend(trial)) is not None:
+                return result
         return None
 
-    side0 = [-1] * H.n
-    side0[0] = 0
-    if not propagate(side0, 0):
-        return None
-    final = extend(side0)
+    # vertex 0 alone on the first side forces nothing
+    final = extend((1, 0))
     if final is None:
         return None
-    part1 = tuple(v for v in range(H.n) if final[v] == 0)
-    part2 = tuple(v for v in range(H.n) if final[v] == 1)
-    return part1, part2
+    first, second = final
+    return (
+        tuple(v for v in range(H.n) if first >> v & 1),
+        tuple(v for v in range(H.n) if second >> v & 1),
+    )
 
 
 # ----- link-based necessary condition ----------------------------------------
@@ -249,9 +294,11 @@ def link_triple_violation(
     carries one matching. That matching gives the two other lines through
     x, and with e these are the seven lines. So the edges are tested with
     the plane kernel, and only the first edge that passes is handed to
-    `contains_k4` for its witness.
+    `contains_k4` for its witness. The scan is the cached `_plane_search`
+    that `contains_fano` reads, so after `contains_fano` on the same host
+    only the witness search runs.
     """
-    edge = _first_plane_line(H, _plane_rows(H))
+    edge = _plane_search(H)[1]
     if edge is None:
         return None
     return edge, contains_k4(edge_link_multigraph(H, edge))

@@ -16,6 +16,8 @@ from fano_l2.hypergraphs import (
 from fano_l2.multigraphs import K4Witness, contains_k4
 from fano_l2.patterns import (
     BIPARTITENESS_CAP,
+    FANO_EDGES,
+    _plane_search,
     contains_fano,
     contains_k53,
     edge_link_multigraph,
@@ -73,11 +75,10 @@ def test_fano_witness_matches_generic_embedder(seed):
     assert contains_fano(host) == contains_pattern(host, fano_plane())
 
 
-@given(st.integers(0, 10**9))
-@settings(max_examples=40, deadline=None)
-def test_link_triple_violation_matches_edge_scan(seed):
-    host = random_host(seed)
-    scan = next(
+def link_edge_scan(host):
+    """Reference for `link_triple_violation`: the three-matching detector on
+    the stacked links of every edge in turn."""
+    return next(
         (
             (edge, w)
             for edge in host.triples()
@@ -85,9 +86,83 @@ def test_link_triple_violation_matches_edge_scan(seed):
         ),
         None,
     )
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_link_triple_violation_matches_edge_scan(seed):
+    host = random_host(seed)
     found = link_triple_violation(host)
-    assert found == scan
+    assert found == link_edge_scan(host)
     assert (found is None) == (contains_fano(host) is None)
+
+
+def plane_below_a_free_prefix(seed):
+    """A plane on the top 7 labels of 9..12 vertices, under random crossing
+    triples of a bipartition that each have a vertex below those 7. The
+    crossing triples come first in `triples()` order and hold no plane by
+    themselves, so the plane scan often drops dozens of them before its
+    first hit; with the plane's lines they sometimes close an earlier
+    plane."""
+    rng = random.Random(seed)
+    n = rng.randint(9, 12)
+    first = set(rng.sample(range(n), rng.randint(3, n - 3)))
+    keep = rng.uniform(0.2, 0.6)
+    prefix = [
+        t
+        for t in combinations(range(n), 3)
+        if t[0] < n - 7 and 0 < len(first & set(t)) < 3 and rng.random() < keep
+    ]
+    plane = {tuple(sorted(n - 7 + x for x in line)) for line in FANO_EDGES}
+    return Uniform3Graph(n, sorted(set(prefix) | plane))
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_pruned_plane_scan_matches_the_oracles(seed):
+    host = plane_below_a_free_prefix(seed)
+    assert contains_fano(host) == contains_pattern(host, fano_plane())
+    assert link_triple_violation(host) == link_edge_scan(host)
+
+
+def test_plane_scan_drops_the_edges_it_passes():
+    # bipartite3(4, 4) on 0..7 and a plane on 8..14: every bipartite edge
+    # comes before the plane's first line and lies on no plane, so the scan
+    # drops them all and the table keeps the plane's 21 pairs alone
+    lines = [tuple(sorted(8 + x for x in line)) for line in FANO_EDGES]
+    host = Uniform3Graph(15, list(bipartite3(4, 4).triples()) + lines)
+    _plane_search.cache_clear()
+    rows, first = _plane_search(host)
+    assert first == (8, 9, 10)
+    kept = {(u, v): ws for u, row in rows.items() for v, ws in row.items()}
+    assert kept == {(u, v): {w} for line in lines for u, v, w in permutations(line)}
+    assert all(list(row) == sorted(row) for row in rows.values())
+    assert contains_fano(host) == contains_pattern(host, fano_plane())
+
+
+def test_plane_search_follows_the_host_it_is_given():
+    hosts = [complete3(8), bipartite3(3, 4), violating_spoke_host()]
+    images = [contains_pattern(h, fano_plane()) for h in hosts]
+    scans = [link_edge_scan(h) for h in hosts]
+    assert images[1] is None and None not in (images[0], images[2])
+    for i, a in enumerate(hosts):
+        for j, b in enumerate(hosts):
+            if i != j:
+                assert contains_fano(a) == images[i]
+                assert link_triple_violation(b) == scans[j]
+                assert link_triple_violation(a) == scans[i]
+                assert contains_fano(b) == images[j]
+
+
+def test_equal_hosts_share_one_plane_search():
+    edges = violating_spoke_host().triples()
+    host, twin = Uniform3Graph(7, edges), Uniform3Graph(7, list(reversed(edges)))
+    assert host == twin and host is not twin
+    _plane_search.cache_clear()
+    image = contains_fano(host)
+    assert link_triple_violation(twin) == link_edge_scan(host)
+    assert contains_fano(twin) == image == (0, 1, 2, 3, 5, 6, 4)
+    assert _plane_search.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 def test_plane_witnesses_are_pinned():
@@ -231,6 +306,17 @@ def test_bipartite_recognition():
         is_bipartite3(Uniform3Graph(BIPARTITENESS_CAP + 1, []))
 
 
+def test_bipartite_recognition_at_the_cap():
+    assert BIPARTITENESS_CAP == 30
+    host = bipartite3(15, 15)
+    parts = is_bipartite3(host)
+    assert parts == (tuple(range(15)), tuple(range(15, 30)))
+    for t in host.triples():
+        assert not set(t) <= set(parts[0]) and not set(t) <= set(parts[1])
+    with pytest.raises(ValueError):
+        is_bipartite3(bipartite3(16, 15))
+
+
 def first_bipartition(host):
     """Reference: the first proper 2-colouring in lexicographic order of the
     colour vector, vertex 0 in the first part, as (first part, second part)."""
@@ -249,7 +335,7 @@ def test_bipartite_recognition_matches_the_first_colouring():
     rng = random.Random(17)
     hosts = [complete3(5)] + [
         random_3graph(n, p, rng)
-        for n in range(1, 11)
+        for n in range(1, 15)
         for p in (0.05, 0.15, 0.3, 0.5)
         for _ in range(4)
     ]
@@ -259,6 +345,40 @@ def test_bipartite_recognition_matches_the_first_colouring():
         assert is_bipartite3(host) == expect
         found += expect is not None
     assert 0 < found < len(hosts)
+
+
+def grown_plane_free_host(n, rng):
+    """The last bipartite and the first non-bipartite plane-free host met
+    while growing one, as the benchmark's free hosts grow: random crossing
+    triples of a bipartition, then triples inside a part in random order,
+    each kept only if no plane appears."""
+    first = set(rng.sample(range(n), rng.randint(3, n - 3)))
+    keep = rng.uniform(0.15, 0.45)
+    while True:
+        edges = [
+            t for t in combinations(range(n), 3)
+            if 0 < len(first & set(t)) < 3 and rng.random() < keep
+        ]
+        inside = [t for t in combinations(range(n), 3) if len(first & set(t)) in (0, 3)]
+        rng.shuffle(inside)
+        before = Uniform3Graph(n, edges)
+        for t in inside:
+            grown = Uniform3Graph(n, edges + [t])
+            if contains_fano(grown) is not None:
+                continue
+            if first_bipartition(grown) is None:
+                return before, grown
+            edges.append(t)
+            before = grown
+        keep = min(1.0, keep + 0.05)  # sparse hosts stay bipartite
+
+
+def test_bipartite_recognition_on_grown_plane_free_hosts():
+    rng = random.Random(23)
+    for n in (7, 8, 9, 10, 11, 12) * 2:
+        before, grown = grown_plane_free_host(n, rng)
+        assert is_bipartite3(before) == first_bipartition(before) is not None
+        assert is_bipartite3(grown) is None
 
 
 def violating_spoke_host():
