@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-ROOT_EQUATION_TOKENS = ("claim32", "claim33", "claim34", "linear_branch")
-
-
 @dataclass(frozen=True, slots=True)
 class BoundPoint:
     """One evaluation of a two-branch maximum.
@@ -139,6 +136,7 @@ _ROOT_EQUATIONS = {
     "claim34": (_eq_claim34, 0.3, 0.4),
     "linear_branch": (_eq_linear_branch, 0.3, 0.4),
 }
+ROOT_EQUATION_TOKENS = tuple(_ROOT_EQUATIONS)
 
 
 # every density equation is solved against the degree level 5/4

@@ -264,10 +264,7 @@ def bn_min_l2_degree(n: int) -> int:
         deg = comb(t, 2) + (s - 1) * t
         return squares + 2 * link_sum - deg
 
-    values = [part_value(a, b)]
-    if b:
-        values.append(part_value(b, a))
-    return min(values)
+    return min(part_value(a, b), part_value(b, a))
 
 
 def random_3graph(n: int, edge_prob: float, rng) -> Uniform3Graph:

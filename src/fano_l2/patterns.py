@@ -202,24 +202,26 @@ BIPARTITENESS_CAP = 30
 def is_bipartite3(H: Uniform3Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A vertex bipartition leaving no edge inside either part, or None.
 
-    Branches on the lowest unassigned vertex, first part before second, with
+    Colours each connected component on its own, in order of its lowest
+    vertex, which is pinned to the first part (the component's two sides
+    are exchangeable), so a part that cannot be coloured never backtracks
+    through the colourings of vertices it does not touch. Within one it
+    branches on the lowest unassigned vertex, first part before second, with
     unit propagation: an edge with two vertices settled on one side forces
-    its third vertex to the other side. Vertex 0 is pinned to the first
-    part, which costs nothing since the two sides are exchangeable. So the
-    result is the first proper 2-colouring in lexicographic order of the
-    colour vector. The two sides are vertex bitmasks, and each vertex keeps
-    one mask per edge through it, of that edge's two other vertices: putting
-    x on a side tests each of its edges with two ands.
+    its third vertex to the other side. So the result is the first proper
+    2-colouring in lexicographic order of the colour vector. The two sides
+    are vertex bitmasks, and each vertex keeps one mask per edge through
+    it, of that edge's two other vertices: putting x on a side tests each of
+    its edges with two ands.
     """
     if H.n > BIPARTITENESS_CAP:
         raise ValueError(f"vertex count {H.n} above bipartiteness cap {BIPARTITENESS_CAP}")
-    if H.n == 0:
-        return ((), ())
     others: list[list[int]] = [[] for _ in range(H.n)]
     for a, b, c in H.triples():
-        others[a].append(1 << b | 1 << c)
-        others[b].append(1 << a | 1 << c)
-        others[c].append(1 << a | 1 << b)
+        ea, eb, ec = 1 << a, 1 << b, 1 << c
+        others[a].append(eb | ec)
+        others[b].append(ea | ec)
+        others[c].append(ea | eb)
 
     def settle(parts: tuple[int, int], v: int, s: int) -> tuple[int, int] | None:
         """parts with v on side s and every vertex this forces placed, or
@@ -241,24 +243,35 @@ def is_bipartite3(H: Uniform3Graph) -> tuple[tuple[int, ...], tuple[int, ...]] |
             sides[1 - t] = other
         return sides[0], sides[1]
 
-    everyone = (1 << H.n) - 1
-
-    def extend(parts: tuple[int, int]) -> tuple[int, int] | None:
-        free = everyone & ~(parts[0] | parts[1])
+    def extend(parts: tuple[int, int], component: int) -> tuple[int, int] | None:
+        free = component & ~(parts[0] | parts[1])
         if not free:
             return parts
         v = (free & -free).bit_length() - 1
         for s in (0, 1):
             trial = settle(parts, v, s)
-            if trial is not None and (result := extend(trial)) is not None:
+            if trial is not None and (result := extend(trial, component)) is not None:
                 return result
         return None
 
-    # vertex 0 alone on the first side forces nothing
-    final = extend((1, 0))
-    if final is None:
+    parts: tuple[int, int] | None = (0, 0)
+    everyone = (1 << H.n) - 1
+    while parts is not None and (left := everyone & ~(parts[0] | parts[1])):
+        low = left & -left
+        component = frontier = low
+        while frontier:
+            x = frontier & -frontier
+            frontier ^= x
+            grown = 0
+            for pair in others[x.bit_length() - 1]:
+                grown |= pair
+            frontier |= grown & ~component
+            component |= grown
+        # the lowest vertex alone on the first side forces nothing
+        parts = extend((parts[0] | low, parts[1]), component)
+    if parts is None:
         return None
-    first, second = final
+    first, second = parts
     return (
         tuple(v for v in range(H.n) if first >> v & 1),
         tuple(v for v in range(H.n) if second >> v & 1),

@@ -5,7 +5,7 @@ formulas and constructions elsewhere in the package can be checked against
 exhaustive ground truth at desk scale: the full 4-vertex multigraph census,
 branch-and-bound for multigraph Turán numbers, two-edge-star maxima over all
 small graphs, the minimum-degree bipartiteness scan, the maximum-norm
-Fano-free search on seven vertices, and the bipartite norm scan.
+Fano-free search up to seven vertices, and the bipartite norm scan.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .graphs import SimpleGraph, all_pairs, bipartitions, quasi_complete, quasi_star
-from .hypergraphs import Uniform3Graph, bipartite3, bn_l2_closed, complete3
+from .hypergraphs import Uniform3Graph, bipartite3, bn_l2_closed
 from .multigraphs import MATCHINGS, MMultigraph, contains_k4, hall_fits, turan_layers_5
 from .patterns import FANO_EDGES, contains_fano
 from .formats import write_3graph, write_graph, write_mgraph
@@ -374,17 +374,19 @@ def max_k4free_multigraph(
     it, stays the witness; the first optimal leaf is another state, so a
     seedless run reports a different witness.
     Each pair tries its candidate masks in non-increasing popcount order
-    against three tests: the capacity bound (size so far plus m for every
-    open pair), the quad bound (each 4-subset capped by the 4-vertex optimum,
-    from per-subset popcount sums kept on push and pop), and the pattern
-    test on each 4-subset the pair completes. Both bounds depend only on the
-    popcount and never fall as it grows, so the first candidate that fails
-    one ends the loop; a pattern hit skips only that candidate. A subtree is
-    cut only when it cannot beat the incumbent, so the incumbent updates, and
-    the witness, are those of the unpruned search. params counts the
-    candidate trials by outcome: capacity_prunes, pattern_prunes,
-    bound_prunes and descents sum to nodes on a complete run. A budget
-    (seconds) turns the report incomplete instead of raising.
+    against two tests: the quad bound (each 4-subset capped by the 4-vertex
+    optimum, from per-subset popcount sums kept on push and pop), and the
+    pattern test on each 4-subset the pair completes. The quad bound implies
+    the capacity bound (size so far plus m for every open pair): each pair
+    lies in C(n-2, 2) of the 4-subsets, so the uncapped sums add up to
+    exactly C(n-2, 2) times it. The bound depends only on the popcount and
+    never falls as it grows, so the first candidate that fails it ends the
+    loop; a pattern hit skips only that candidate. A subtree is cut only
+    when it cannot beat the incumbent, so the incumbent updates, and the
+    witness, are those of the unpruned search. params counts the candidate
+    trials by outcome: pattern_prunes, bound_prunes and descents sum to
+    nodes on a complete run. A budget (seconds) turns the report incomplete
+    instead of raising.
     """
     start = time.perf_counter()
     if engine == "exhaustive":
@@ -440,8 +442,8 @@ def max_k4free_multigraph(
     others_of = [[q for q in range(quad_count) if q not in mine] for mine in quads_of]
     # every 4-subset of a 5-vertex state is itself a 4-vertex state
     quad_cap = max_k4free_multigraph(4, m, engine="bnb").optimum if n == 5 else 6 * m
-    # every pair of K5 lies in 3 of the 5 quads; of K4 in its single quad
-    quads_per_pair = 3 if n == 5 else 1
+    # every pair lies in the quads that add two of the other n - 2 vertices
+    quads_per_pair = comb(n - 2, 2)
 
     # incumbent seeding: the identical-layer construction when it applies,
     # else the empty state, so a deadline before the first leaf still reports
@@ -457,7 +459,7 @@ def max_k4free_multigraph(
     # running per-quad bounds, kept on push and pop: the popcounts assigned
     # so far plus m for each of the quad's pairs still open
     quad_sums = [6 * m] * quad_count
-    nodes = capacity_prunes = pattern_prunes = bound_prunes = descents = 0
+    nodes = pattern_prunes = bound_prunes = descents = 0
     deadline = None if budget is None else start + budget
     complete = True
     # candidate lists by (layer classes, popcount limit), built on first use
@@ -465,7 +467,7 @@ def max_k4free_multigraph(
 
     def descend(depth: int, size: int, classes: tuple[int, ...], limit: int) -> None:
         nonlocal best, best_masks, nodes, complete
-        nonlocal capacity_prunes, pattern_prunes, bound_prunes, descents
+        nonlocal pattern_prunes, bound_prunes, descents
         if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
             complete = False
             return
@@ -483,7 +485,6 @@ def max_k4free_multigraph(
         for q in others_of[depth]:
             rest += min(quad_cap, quad_sums[q])
         open_sums = [quad_sums[q] - m for q in mine]
-        room = m * (total - depth - 1)
         checks = completes_at[depth]
         key = (classes, limit)
         candidates = options.get(key)
@@ -495,16 +496,12 @@ def max_k4free_multigraph(
             p = pop[mask]
             if p != last:
                 last = p
-                capacity = size + p + room
                 bound = rest
                 for s in open_sums:
                     bound += s + p if s + p < quad_cap else quad_cap
                 bound //= quads_per_pair
-            # both bounds only grow with p, and p never grows along the
-            # loop, so once one fails it fails for every later candidate
-            if capacity <= best:
-                capacity_prunes += 1
-                break
+            # the bound only grows with p, and p never grows along the
+            # loop, so once it fails it fails for every later candidate
             if bound <= best:
                 bound_prunes += 1
                 break
@@ -542,7 +539,6 @@ def max_k4free_multigraph(
         complete=complete,
         engine="bnb",
         params={
-            "capacity_prunes": capacity_prunes,
             "pattern_prunes": pattern_prunes,
             "bound_prunes": bound_prunes,
             "descents": descents,
@@ -765,54 +761,45 @@ def aes_scan(n: int) -> SearchReport:
 # ----- maximum-norm Fano-free search ------------------------------------------------
 
 
-def _fano_copy_masks() -> list[int]:
-    """Edge-subset masks (over the 35 triples of 7 vertices) of all labeled
-    Fano planes."""
-    triples = list(combinations(range(7), 3))
+def _fano_copy_masks(n: int) -> list[int]:
+    """Edge-subset masks (over the triples of n vertices) of all labeled
+    Fano planes; below seven vertices there are none."""
+    triples = list(combinations(range(n), 3))
     # the plane's automorphisms take any two points to any two, so every
-    # labelling is reached by a vertex map fixing 0 and 1 (each four times)
+    # labelling of seven points is reached by a vertex map fixing 0 and 1
+    # (each four times)
     planes = {_relabel(FANO_EDGES, (0, 1, *rest)) for rest in permutations(range(2, 7))}
-    return sorted(_mask(triples, set(plane).__contains__) for plane in planes)
+    return sorted(
+        _mask(triples, set(_relabel(plane, points)).__contains__)
+        for points in combinations(range(n), 7)
+        for plane in planes
+    )
 
 
 def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     """Maximum squared norm of a Fano-free 3-graph on n vertices.
 
-    For n <= 6 the complete 3-graph wins outright (the pattern needs seven
-    vertices and the norm grows with every added edge). For n = 7 every
-    Fano-free graph is the complete graph minus an edge set hitting all 30
-    labeled copies, and the norm is monotone, so the search branches over
-    which edge of the first uncovered copy gets deleted, pruning when the
-    norm after current deletions cannot beat the incumbent.
+    Every Fano-free graph is the complete graph minus an edge set hitting
+    all labeled copies of the plane, and the norm is monotone, so the search
+    branches over which edge of the first uncovered copy gets deleted,
+    pruning when the norm after current deletions cannot beat the
+    incumbent. Below seven vertices there is no copy, and the single leaf
+    is the complete graph.
     """
     start = time.perf_counter()
     if n < 3 or n > 7:
         raise ValueError("supported vertex counts are 3..7")
-    if n <= 6:
-        host = complete3(n)
-        return SearchReport(
-            objective="fano-l2",
-            n=n,
-            m=None,
-            optimum=host.lp_norm(2),
-            witness=write_3graph(host),
-            witness_kind="3graph",
-            nodes=1,
-            elapsed=time.perf_counter() - start,
-            complete=True,
-            engine="closed",
-            params={},
-        )
 
-    triples = list(combinations(range(7), 3))
-    fanos = _fano_copy_masks()
-    pair_index = {p: i for i, p in enumerate(all_pairs(7))}
+    triples = list(combinations(range(n), 3))
+    fanos = _fano_copy_masks(n)
+    pair_index = {p: i for i, p in enumerate(all_pairs(n))}
     triple_pairs = [
         (pair_index[(a, b)], pair_index[(a, c)], pair_index[(b, c)])
         for a, b, c in triples
     ]
-    codegrees = [5] * 21
-    norm = sum(5 * 5 for _ in range(21))  # 525 on K7
+    # the complete graph's: every pair in n - 2 triples
+    codegrees = [n - 2] * len(pair_index)
+    norm = len(pair_index) * (n - 2) ** 2
 
     def deletion_cost(t: int) -> int:
         return sum(2 * codegrees[p] - 1 for p in triple_pairs[t])
@@ -847,10 +834,8 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
                 best = norm
                 best_deleted = deleted
             return
-        if not uncovered & ~forbidden:
-            return
         banned = forbidden
-        for t in range(35):
+        for t in range(len(triples)):
             bit = 1 << t
             if not uncovered & bit or banned & bit:
                 continue
@@ -866,12 +851,12 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     if best_deleted is None:
         raise AssertionError("no hitting set found")
     # the complement's bits are the kept triples
-    host = Uniform3Graph(7, _members(triples, ~best_deleted))
+    host = Uniform3Graph(n, _members(triples, ~best_deleted))
     if host.lp_norm(2) != best or contains_fano(host) is not None:
         raise AssertionError("maximum-norm witness failed revalidation")
     return SearchReport(
         objective="fano-l2",
-        n=7,
+        n=n,
         m=None,
         optimum=best,
         witness=write_3graph(host),

@@ -31,6 +31,15 @@ def test_norm_output(b4_file, capsys):
     assert "two_edge_stars: 6" in out
 
 
+def test_norm_on_a_graph_file(tmp_path, capsys):
+    path = tmp_path / "path.graph"
+    path.write_text("graph 3\n0 1\n1 2\n", encoding="utf-8")
+    assert main(["norm", str(path), "--p", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "degree_power_sum_2: 6" in out
+    assert "two_edge_stars: 1" in out
+
+
 def test_norm_p1(b4_file, capsys):
     assert main(["norm", b4_file, "--p", "1"]) == 0
     assert "norm_1: 12" in capsys.readouterr().out
@@ -139,6 +148,30 @@ def test_check_k4multi(tmp_path, capsys):
     assert main(["gen", "--construction", "mg-bipartite", "--params", "8", "--out", str(mg)]) == 0
     assert main(["check", str(mg), "--pattern", "k4multi"]) == 0
     assert "absent" in capsys.readouterr().out
+
+
+def test_check_k4multi_found(tmp_path, capsys):
+    # every pair carries all three layers, so each matching takes its own
+    full = tmp_path / "full.mgraph"
+    full.write_text(
+        "mgraph 4 3\n" + "".join(f"{u} {v} 1,2,3\n" for u, v in
+                                  ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+        encoding="utf-8",
+    )
+    assert main(["check", str(full), "--pattern", "k4multi"]) == 1
+    out = capsys.readouterr().out
+    assert "k4multi: found on vertices (0, 1, 2, 3) with matching layers (1, 2, 3)" in out
+
+
+def test_check_pattern_on_the_wrong_file_kind_exits_2(tmp_path, capsys):
+    g = tmp_path / "g.graph"
+    g.write_text("graph 3\n0 1\n", encoding="utf-8")
+    assert main(["check", str(g), "--pattern", "bipartite3"]) == 2
+    assert "pattern bipartite3 needs a 3graph file" in capsys.readouterr().err
+    h = tmp_path / "h.3graph"
+    h.write_text("3graph 3\n0 1 2\n", encoding="utf-8")
+    assert main(["check", str(h), "--pattern", "k4multi"]) == 2
+    assert "pattern k4multi needs an mgraph file" in capsys.readouterr().err
 
 
 def test_k4multi_check_on_an_empty_host_with_every_layer_is_fast(tmp_path, capsys):
@@ -270,7 +303,7 @@ def test_search_json_shape(tmp_path, capsys):
     assert data["optimum"] == 15
     assert data["complete"] is True
     assert set(data["params"]) == {
-        "capacity_prunes", "pattern_prunes", "bound_prunes", "descents",
+        "pattern_prunes", "bound_prunes", "descents",
     }
     assert sum(data["params"].values()) == data["nodes"]
     mg = parse_mgraph(data["witness"])

@@ -347,6 +347,32 @@ def test_bipartite_recognition_matches_the_first_colouring():
     assert 0 < found < len(hosts)
 
 
+def test_bipartite_recognition_colours_each_component_alone():
+    # a K5^3 on the top five vertices above 25 isolated ones: the isolated
+    # vertices' 2^25 colourings are never walked
+    k = BIPARTITENESS_CAP - 5
+    host = Uniform3Graph(k + 5, list(combinations(range(k, k + 5), 3)))
+    start = time.perf_counter()
+    assert is_bipartite3(host) is None
+    assert time.perf_counter() - start < 0.1
+    assert is_bipartite3(Uniform3Graph(0, [])) == ((), ())
+    rng = random.Random(29)
+    found = []
+    for n in range(6, 15):
+        # two random components on shuffled labels, plus two isolated vertices
+        labels = rng.sample(range(n), n)
+        for p in (0.3, 0.6, 0.9):
+            edges = [
+                tuple(sorted(t)) for part in (labels[: n // 2], labels[n // 2 : -2])
+                for t in combinations(part, 3) if rng.random() < p
+            ]
+            host = Uniform3Graph(n, edges)
+            expect = first_bipartition(host)
+            assert is_bipartite3(host) == expect
+            found.append(expect is not None)
+    assert any(found) and not all(found)
+
+
 def grown_plane_free_host(n, rng):
     """The last bipartite and the first non-bipartite plane-free host met
     while growing one, as the benchmark's free hosts grow: random crossing

@@ -320,11 +320,10 @@ def test_five_vertex_bnb_does_not_run_the_census(monkeypatch):
     monkeypatch.setattr(search, "k4_census", no_census)
     rep = max_k4free_multigraph(5, 4, engine="bnb")
     assert (rep.optimum, rep.nodes, rep.complete) == (32, 4317, True)
-    # every candidate trial ends in exactly one of the four outcomes
+    # every candidate trial ends in exactly one of the three outcomes
     assert rep.params == {
-        "capacity_prunes": 97,
         "pattern_prunes": 1773,
-        "bound_prunes": 1170,
+        "bound_prunes": 1267,
         "descents": 1277,
     }
     for m in (0, 6):
@@ -586,7 +585,7 @@ def test_fano_free_search_at_seven_is_pinned():
     # K7 minus the five triples through the pair {0, 1}
     kept = [t for t in combinations(range(7), 3) if not {0, 1} <= set(t)]
     assert rep.witness == write_3graph(Uniform3Graph(7, kept))
-    masks = search._fano_copy_masks()
+    masks = search._fano_copy_masks(7)
     assert len(set(masks)) == len(masks) == 30
     triples = list(combinations(range(7), 3))
     for mask in masks:
@@ -595,14 +594,18 @@ def test_fano_free_search_at_seven_is_pinned():
 
 
 def test_fano_free_small_hosts_are_complete():
-    # below 7 vertices nothing can carry the 7-point plane, so the complete
-    # host wins: 3^2 per shadow pair at n=5, 4^2 at n=6
+    # below 7 vertices there is no copy of the plane to hit, so the search's
+    # one node is the complete host: 3^2 per shadow pair at n=5, 4^2 at n=6,
+    # which from n=5 on beats the balanced bipartite host
     from fano_l2.hypergraphs import complete3
 
-    for n in (5, 6):
+    for n in range(3, 7):
+        assert search._fano_copy_masks(n) == []
         rep = max_l2_fano_free(n)
+        assert (rep.engine, rep.nodes, rep.complete) == ("bnb", 1, True)
+        assert rep.witness == write_3graph(complete3(n))
         assert rep.optimum == complete3(n).lp_norm(2)
-        assert rep.optimum > bn_l2_closed(n)
+        assert rep.optimum > bn_l2_closed(n) or n < 5
 
 
 def test_canonical_form_identifies_relabelings():

@@ -120,6 +120,18 @@ def test_constructions_suite_passes():
     assert rep.passed == len(rep.checks) == 7
 
 
+def test_oracles_suite_passes():
+    # no other test runs the branch-and-bound agreement and six-vertex rows
+    rep = run_suite("oracles")
+    assert [c.check_id for c in rep.checks] == [
+        "oracles.s2_quasi", "oracles.ak_asymptotic", "oracles.aes",
+        "oracles.fano_free_max", "oracles.bipartite_scan", "oracles.bnb_agreement",
+        "oracles.bnb_stretch", "oracles.bnb_six",
+    ]
+    assert rep.overall == "pass"
+    assert rep.passed == len(rep.checks)
+
+
 def test_registry_order_and_suite_slices(monkeypatch):
     # each row measures its own expected value, so no engine runs
     trivial = tuple(
