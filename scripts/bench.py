@@ -41,10 +41,22 @@ support 4-clique, and the construction of `balanced_bipartite3(n)` for
 n = 10..40, three runs each, and records the median seconds. It reads only
 public names, so it also times versions from before the 4-clique scan.
 
+check: times the `fano-l2 check` path on seeded hosts on 7..12 vertices,
+built here from the package's own constructions and written as `3graph`
+text, 60 hosts per class: `random_3graph` hosts, relabelled random
+sub-hosts of `balanced_bipartite3` (bipartite, so plane-free), and each of
+the two with a Fano plane planted on seven random vertices. For each host
+it calls `parse_3graph`, `contains_fano`, `is_bipartite3` and
+`link_triple_violation` in that order, as the path does, so the link test
+reads the scan `contains_fano` cached. Each row holds a class's seconds per
+call summed over its hosts, the median of three runs, and asserts that
+the two plane tests agree, that every planted host holds a plane and that
+every bipartite sub-host is bipartite.
+
 The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
 
-    python scripts/bench.py [census|fano|bnb|scans|k4] [OUT]    default OUT: BENCH_<topic>.json
+    python scripts/bench.py [census|fano|bnb|scans|k4|check] [OUT]    default OUT: BENCH_<topic>.json
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ import dataclasses
 import json
 import os
 import platform
+import random
 import sys
 import time
 import tracemalloc
@@ -61,9 +74,16 @@ from pathlib import Path
 import numpy as np
 
 from fano_l2 import patterns, search
-from fano_l2.hypergraphs import balanced_bipartite3, complete3
+from fano_l2.formats import parse_3graph, write_3graph
+from fano_l2.hypergraphs import Uniform3Graph, balanced_bipartite3, complete3, random_3graph
 from fano_l2.multigraphs import bipartite_construction_5, contains_k4, turan_layers_5
-from fano_l2.patterns import contains_fano, contains_k53, link_triple_violation
+from fano_l2.patterns import (
+    FANO_EDGES,
+    contains_fano,
+    contains_k53,
+    is_bipartite3,
+    link_triple_violation,
+)
 
 
 def _report_fields(rep) -> dict:
@@ -239,12 +259,85 @@ def _k4_rows() -> list[dict]:
     return rows
 
 
+CHECK_HOSTS = 60
+CHECK_CALLS = ("parse_3graph", "contains_fano", "is_bipartite3", "link_triple_violation")
+
+
+def _check_hosts(rng: random.Random) -> dict[str, list[str]]:
+    """CHECK_HOSTS hosts per class as `3graph` text, vertex counts cycling
+    through 7..12."""
+    hosts: dict[str, list[str]] = {"random": [], "bipartite": [], "random+plane": [], "bipartite+plane": []}
+    for i in range(CHECK_HOSTS):
+        n = 7 + i % 6
+        dense = random_3graph(n, rng.uniform(0.1, 0.5), rng).triples()
+        perm = rng.sample(range(n), n)
+        keep = rng.uniform(0.15, 0.6)
+        sub = [
+            tuple(sorted(perm[x] for x in t))
+            for t in balanced_bipartite3(n).triples()
+            if rng.random() < keep
+        ]
+        image = rng.sample(range(n), 7)
+        plane = {tuple(sorted(image[x] for x in line)) for line in FANO_EDGES}
+        for name, edges in (("random", dense), ("bipartite", sub)):
+            hosts[name].append(write_3graph(Uniform3Graph(n, edges)))
+            hosts[name + "+plane"].append(write_3graph(Uniform3Graph(n, plane.union(edges))))
+    return hosts
+
+
+def _check_run(texts: list[str]) -> tuple[dict[str, float], list[tuple[bool, bool]]]:
+    """Seconds per call summed over the hosts, and each host's (plane,
+    bipartite) answers."""
+    patterns._plane_search.cache_clear()
+    spent = dict.fromkeys(CHECK_CALLS, 0.0)
+    answers = []
+    for text in texts:
+        host, parse_s = _timed(parse_3graph, text)
+        image, fano_s = _timed(contains_fano, host)
+        parts, bipartite_s = _timed(is_bipartite3, host)
+        violation, link_s = _timed(link_triple_violation, host)
+        if (image is None) != (violation is None):
+            raise AssertionError(f"link test and plane embedder disagree on {text!r}")
+        for call, seconds in zip(CHECK_CALLS, (parse_s, fano_s, bipartite_s, link_s)):
+            spent[call] += seconds
+        answers.append((image is not None, parts is not None))
+    return spent, answers
+
+
+def _check_rows() -> list[dict]:
+    rows = []
+    for name, texts in _check_hosts(random.Random(24)).items():
+        runs = [_check_run(texts) for _ in range(3)]
+        answers = runs[0][1]
+        planes = sum(plane for plane, _ in answers)
+        bipartite = sum(parts for _, parts in answers)
+        if name.endswith("+plane") and planes != len(texts):
+            raise AssertionError(f"a planted {name} host holds no plane")
+        if name == "bipartite" and bipartite != len(texts):
+            raise AssertionError("a bipartite sub-host is not bipartite")
+        runs_s = {call: sorted(spent[call] for spent, _ in runs) for call in CHECK_CALLS}
+        rows.append(
+            {
+                "class": name,
+                "hosts": len(texts),
+                "edges": sum(len(text.splitlines()) - 1 for text in texts),
+                "plane": planes,
+                "bipartite": bipartite,
+                **{f"{call}_s": seconds[1] for call, seconds in runs_s.items()},
+                "runs_s": runs_s,
+            }
+        )
+        print(f"{name}: " + ", ".join(f"{call} {seconds[1] * 1e3:.2f} ms" for call, seconds in runs_s.items()))
+    return rows
+
+
 TOPICS = {
     "census": _census_rows,
     "fano": _fano_rows,
     "bnb": _bnb_rows,
     "scans": _scan_rows,
     "k4": _k4_rows,
+    "check": _check_rows,
 }
 
 

@@ -13,6 +13,10 @@ with a trailing newline.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import lt
+from typing import NoReturn
+
 from .graphs import SimpleGraph
 from .hypergraphs import Uniform3Graph
 from .multigraphs import MMultigraph
@@ -28,15 +32,14 @@ class FormatError(ValueError):
     """Malformed serialized graph text."""
 
 
-def _nonblank_lines(text: str):
-    for i, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield i, line.split()
+def _nonblank_lines(text: str) -> list[tuple[int, list[str]]]:
+    """Each nonblank line's 1-based number and whitespace-split tokens."""
+    return [(i, t) for i, t in enumerate(map(str.split, text.splitlines()), start=1) if t]
 
 
 def _header(text: str, kind: str, lows: tuple[int, ...]) -> tuple[list[int], list]:
     """The header's counts, each at least its entry of lows, and the body lines."""
-    lines = list(_nonblank_lines(text))
+    lines = _nonblank_lines(text)
     if not lines:
         raise FormatError("empty input")
     lineno, tokens = lines[0]
@@ -65,8 +68,8 @@ def _ints(lineno: int, tokens: list[str], count: int) -> list[int]:
         raise FormatError(f"line {lineno}: non-integer field") from None
 
 
-def parse_3graph(text: str) -> Uniform3Graph:
-    (n,), body = _header(text, "3graph", (0,))
+def _raise_first_invalid_edge(n: int, body) -> NoReturn:
+    """Raise the error of the first invalid edge line of a 3graph body."""
     seen: set[tuple[int, int, int]] = set()
     for lineno, tokens in body:
         u, v, w = _ints(lineno, tokens, 3)
@@ -75,7 +78,34 @@ def parse_3graph(text: str) -> Uniform3Graph:
         if (u, v, w) in seen:
             raise FormatError(f"line {lineno}: duplicate edge {u} {v} {w}")
         seen.add((u, v, w))
-    return Uniform3Graph(n, seen)
+    raise AssertionError("bulk checks rejected a valid 3graph body")
+
+
+def _bulk_edges(n: int, rows: list[list[str]]) -> list[tuple[int, int, int]] | None:
+    """The edges of a 3graph body's token rows, checked column by column, or
+    None unless each row is three integers 0 <= u < v < w < n and no edge
+    repeats."""
+    if not set(map(len, rows)) <= {3}:
+        return None
+    try:
+        flat = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        return None
+    A, B, C = flat[0::3], flat[1::3], flat[2::3]
+    if not (all(map(lt, A, B)) and all(map(lt, B, C)) and (not A or (min(A) >= 0 and max(C) < n))):
+        return None
+    edges = list(zip(A, B, C))
+    return edges if len(set(edges)) == len(edges) else None
+
+
+def parse_3graph(text: str) -> Uniform3Graph:
+    """The 3-graph in text. The edge lines are checked in bulk, and read one
+    by one only when that fails, to name the first bad line."""
+    (n,), body = _header(text, "3graph", (0,))
+    edges = _bulk_edges(n, [tokens for _lineno, tokens in body])
+    if edges is None:
+        _raise_first_invalid_edge(n, body)
+    return Uniform3Graph(n, edges)
 
 
 def write_3graph(H: Uniform3Graph) -> str:
@@ -134,12 +164,11 @@ def write_mgraph(mg: MMultigraph) -> str:
 
 
 def parse_any(text: str) -> Uniform3Graph | SimpleGraph | MMultigraph:
-    """Dispatch on the header token."""
-    for _lineno, tokens in _nonblank_lines(text):
-        kind = tokens[0]
-        break
-    else:
+    """Dispatch on the header token, the first token of the text."""
+    head = text.split(maxsplit=1)
+    if not head:
         raise FormatError("empty input")
+    kind = head[0]
     parsers = {"3graph": parse_3graph, "graph": parse_graph, "mgraph": parse_mgraph}
     if kind not in parsers:
         raise FormatError(f"unknown format {kind!r}")

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from functools import cached_property
+from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import eq, lt
 from typing import Iterable, Iterator, NoReturn
@@ -40,59 +41,69 @@ def _raise_first_invalid(n: int, items, sorted_items) -> NoReturn:
     raise AssertionError("edge checks rejected a valid edge list")
 
 
-def _checked_columns(n: int, canon: list) -> tuple[list, list, list] | None:
-    """The three vertex columns of a sorted edge list, or None unless each
-    edge is an increasing triple inside 0..n-1 and no edge repeats."""
+def _checked_vertices(n: int, canon: list) -> list[int] | None:
+    """The vertices of a sorted edge list, three per edge, or None unless
+    each edge is an increasing triple inside 0..n-1 and no edge repeats."""
     if not set(map(len, canon)) <= {3} or any(map(eq, canon, islice(canon, 1, None))):
         return None
     flat = list(chain.from_iterable(canon))
     A, B, C = flat[0::3], flat[1::3], flat[2::3]
     if all(map(lt, A, B)) and all(map(lt, B, C)) and (not canon or (0 <= A[0] and max(C) < n)):
-        return A, B, C
+        return flat
     return None
 
 
 class Uniform3Graph:
     """Immutable 3-uniform hypergraph on vertices 0..n-1.
 
-    Codegrees of all covered pairs are computed eagerly at construction, since
-    every norm, star count and degree expansion reads them.
+    Construction validates and sorts the triples and counts the vertex
+    degrees. The codegree table, which every norm, star count and degree
+    expansion reads, and the per-vertex incidence lists, which links and
+    the per-vertex degree routes read, are built on first read: the plane
+    and K5^3 kernels and the 2-colouring read only the sorted triples and
+    the degrees.
     """
-
-    __slots__ = ("n", "_triples", "_codegree", "_incident", "_degree")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         items = triples if isinstance(triples, (list, tuple)) else list(triples)
-        columns = None
+        vertices = None
         if set(map(type, items)) <= {tuple}:
             # increasing tuples, what most callers pass, are kept as they are
             canon = sorted(items)
-            columns = _checked_columns(n, canon)
-        if columns is None:
+            vertices = _checked_vertices(n, canon)
+        if vertices is None:
             sorted_items = list(map(tuple, map(sorted, items)))
             canon = sorted(sorted_items)
-            columns = _checked_columns(n, canon)
-            if columns is None:
+            vertices = _checked_vertices(n, canon)
+            if vertices is None:
                 _raise_first_invalid(n, items, sorted_items)
-        A, B, C = columns
+        counts = Counter(vertices)
+        self.n = n
+        self._triples = tuple(canon)
+        self._degree = tuple(map(counts.get, range(n), repeat(0, n)))
+
+    @cached_property
+    def _codegree(self) -> Counter:
+        flat = list(chain.from_iterable(self._triples))
+        A, B, C = flat[0::3], flat[1::3], flat[2::3]
         # pairs enter in the order (a,b), (a,c), (b,c) of each triple in
         # sorted order, so the codegree table iterates as a per-triple pass
         # over the sorted edges would fill it
-        codegree = Counter(chain.from_iterable(zip(zip(A, B), zip(A, C), zip(B, C))))
+        return Counter(chain.from_iterable(zip(zip(A, B), zip(A, C), zip(B, C))))
+
+    @cached_property
+    def _incident(self) -> tuple[tuple[int, ...], ...]:
         # append each triple's index to its three vertices' lists, consuming
         # the map without a Python-level loop; iterating one list three
         # times makes the three appends share one int object
-        incident: list[list[int]] = [[] for _ in range(n)]
-        r = list(range(len(canon)))
+        incident: list[list[int]] = [[] for _ in range(self.n)]
+        r = list(range(len(self._triples)))
         indices = chain.from_iterable(zip(r, r, r))
-        deque(map(list.append, map(incident.__getitem__, chain.from_iterable(canon)), indices), maxlen=0)
-        self.n = n
-        self._triples = tuple(canon)
-        self._codegree = codegree
-        self._degree = tuple(map(len, incident))
-        self._incident = tuple(map(tuple, incident))
+        vertices = chain.from_iterable(self._triples)
+        deque(map(list.append, map(incident.__getitem__, vertices), indices), maxlen=0)
+        return tuple(map(tuple, incident))
 
     # ----- basic structure --------------------------------------------------
 

@@ -4,15 +4,17 @@ Both patterns run on one table of "common third vertex" sets, built once
 per host over the shadow pairs. In the Fano plane embedder two placed
 points fix the third point of their line, so the images of points 3..6
 come from set intersections; the same kernel answers, for one edge,
-whether some plane has that edge as a line. The scan for the first plane
-line drops each edge that completes no plane from the table as it passes,
-and its result is cached for the last host, so the embedder and the
-link-based test below share one scan. The complete 3-graph on five
-vertices walks three vertices of an edge and intersects their pairs' sets
-for the other two, on its own unpruned table. Also here: bipartiteness
-testing by 2-colouring with vertex bitmasks, and the link-based necessary
-condition satisfied by every Fano-free host: no edge whose three links
-stack into the three-matching multigraph pattern.
+whether some plane has that edge as a line. It first rejects an edge whose
+three vertices have fewer than four table neighbours in common, since each
+of the four points off a line shares a line with all three of its points.
+The scan for the first plane line drops each edge that completes no plane
+from the table as it passes, and its result is cached for the last host,
+so the embedder and the link-based test below share one scan. The complete
+3-graph on five vertices walks three vertices of an edge and intersects
+their pairs' sets for the other two, on its own unpruned table. Also here:
+bipartiteness testing by 2-colouring with vertex bitmasks, and the
+link-based necessary condition satisfied by every Fano-free host: no edge
+whose three links stack into the three-matching multigraph pattern.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ def _plane_rows(host: Uniform3Graph) -> dict[int, dict[int, set[int]]]:
     three sets per such edge and nothing else. rows[u][v] and rows[v][u]
     are the same set, and each row holds its keys in ascending order.
     """
+    degree = host.degrees()
     thirds: dict[tuple[int, int], set[int]] = {}
     for a, b, c in host.triples():
-        if min(host.degree(a), host.degree(b), host.degree(c)) < 3:
+        if degree[a] < 3 or degree[b] < 3 or degree[c] < 3:
             continue
         thirds.setdefault((a, b), set()).add(c)
         thirds.setdefault((a, c), set()).add(b)
@@ -71,8 +74,15 @@ def _complete_plane(
     h4 on (2, 3, 4), h5 on (4, 5, 0) and (1, 3, 5), h6 on (0, 6, 3),
     (1, 6, 4) and (2, 6, 5). Every two points of the plane share a line, so
     a map sending every line to an edge is injective.
+
+    Before any loop, the edge is rejected unless its three rows share at
+    least four keys: each of the four points h3..h6 shares a line with each
+    of h0, h1 and h2, those lines are edges of the plane, and an edge of a
+    plane stays in the table, so all four are keys of all three rows.
     """
     r0, r1, r2 = rows[h0], rows[h1], rows[h2]
+    if len(r0.keys() & r1.keys() & r2.keys()) < 4:
+        return None
     for h3, s23 in r2.items():
         s03 = r0.get(h3, _EMPTY)
         s13 = r1.get(h3, _EMPTY)

@@ -8,6 +8,7 @@ from math import sqrt
 import numpy as np
 
 from fano_l2 import search
+from fano_l2.formats import FormatError, _header, _ints
 from fano_l2.graphs import SimpleGraph, all_pairs
 from fano_l2.hypergraphs import Uniform3Graph
 from fano_l2.multigraphs import MATCHINGS, K4Witness, MMultigraph
@@ -167,6 +168,23 @@ def uniform3_fields_oracle(n: int, triples) -> dict:
         "_incident": tuple(tuple(ix) for ix in incident),
         "_degree": tuple(degree),
     }
+
+
+def parse_3graph_oracle(text: str) -> Uniform3Graph:
+    """The per-line parser `parse_3graph` must agree with: the header read by
+    `formats._header`, then each nonblank line after it split and checked on
+    its own, in order, raising the FormatError of the first bad one."""
+    (n,), _body = _header(text, "3graph", (0,))
+    lines = [(i, line.split()) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    seen: set[tuple[int, int, int]] = set()
+    for lineno, tokens in lines[1:]:
+        u, v, w = _ints(lineno, tokens, 3)
+        if not 0 <= u < v < w < n:
+            raise FormatError(f"line {lineno}: vertices must satisfy 0 <= u < v < w < {n}")
+        if (u, v, w) in seen:
+            raise FormatError(f"line {lineno}: duplicate edge {u} {v} {w}")
+        seen.add((u, v, w))
+    return Uniform3Graph(n, seen)
 
 
 def aes_scan_oracle(n: int) -> tuple[int, int, dict]:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,8 @@ from fano_l2.formats import (
 from fano_l2.graphs import SimpleGraph
 from fano_l2.hypergraphs import Uniform3Graph, random_3graph
 from fano_l2.multigraphs import MMultigraph, bipartite_construction_5
+
+from helpers import parse_3graph_oracle
 
 
 @given(st.integers(0, 10**9))
@@ -48,8 +51,69 @@ def test_parse_any_dispatch():
     assert isinstance(parse_any("3graph 4\n0 1 2\n"), Uniform3Graph)
     assert isinstance(parse_any("graph 3\n0 1\n"), SimpleGraph)
     assert isinstance(parse_any("mgraph 3 5\n0 1 1,5\n"), MMultigraph)
-    with pytest.raises(FormatError):
-        parse_any("matrix 3\n")
+    assert isinstance(parse_any("\n \t\r\n  3graph 4\r\n0 1 2\r\n"), Uniform3Graph)
+    with pytest.raises(FormatError, match="^unknown format 'matrix'$"):
+        parse_any("\n  matrix 3\n")
+    for blank in ("", "\n", " \t\r\n\n  \n"):
+        with pytest.raises(FormatError, match="^empty input$"):
+            parse_any(blank)
+
+
+# (kind of error, the line that carries it); n is 9 in every text
+_BAD_LINES = (
+    ("field count", "0 1"),
+    ("field count", "0 1 2 3"),
+    ("non-integer", "0 x 2"),
+    ("non-integer", "0 1.0 2"),
+    ("long token", "0 1 " + "7" * 4301),
+    ("order", "2 1 5"),
+    ("order", "3 3 4"),
+    ("range", "-1 2 3"),
+    ("range", "0 4 9"),
+)
+
+
+def _seeded_3graph_text(seed: int) -> str:
+    """A 3graph text on 9 vertices: shuffled edges, blank and whitespace-only
+    lines, and LF or CRLF endings; seeds not divisible by 3 put one bad line,
+    or a repeat of an earlier edge, at a random line."""
+    rng = random.Random(seed)
+    n = 9
+    edges = [t for t in combinations(range(n), 3) if rng.random() < 0.3]
+    rng.shuffle(edges)
+    lines = [" ".join(map(str, t)) for t in edges]
+    if seed % 3:
+        bad = rng.choice([line for _kind, line in _BAD_LINES] + lines[:1])
+        lines.insert(rng.randrange(len(lines) + 1), bad)
+    for _ in range(rng.randrange(4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", "  ", "\t \t")))
+    lines = [f"{' ' * rng.randrange(2)}{line}{' ' * rng.randrange(2)}" for line in lines]
+    end = rng.choice(("\n", "\r\n"))
+    return end.join([f"3graph {n}", *lines]) + end
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_parse_3graph_matches_the_per_line_oracle(seed):
+    text = _seeded_3graph_text(seed)
+    try:
+        expected = parse_3graph_oracle(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as caught:
+            parse_3graph(text)
+        assert str(caught.value) == str(exc)
+        return
+    assert parse_3graph(text) == expected
+
+
+def test_parse_3graph_names_each_kind_of_bad_line():
+    # each bad line after two good ones and a blank, as the oracle reports it
+    for _kind, bad in (*_BAD_LINES, ("duplicate", "1 2 3")):
+        text = f"3graph 9\r\n0 1 2\r\n\r\n1 2 3\r\n{bad}\r\n4 5 6\r\n"
+        with pytest.raises(FormatError, match="^line 5: ") as caught:
+            parse_3graph(text)
+        with pytest.raises(FormatError) as expected:
+            parse_3graph_oracle(text)
+        assert str(caught.value) == str(expected.value)
 
 
 def test_error_messages_carry_line_numbers():

@@ -181,6 +181,21 @@ def test_constructor_matches_the_per_triple_oracle(seed):
     assert h._degree == expected["_degree"]
 
 
+def test_codegree_and_incidence_tables_are_built_on_first_read():
+    rng = random.Random(24)
+    triples = [t for t in combinations(range(9), 3) if rng.random() < 0.4]
+    expected = uniform3_fields_oracle(9, triples)
+    h = Uniform3Graph(9, triples)
+    assert "_codegree" not in vars(h) and "_incident" not in vars(h)
+    assert h.degrees() == expected["_degree"]
+    assert h.lp_norm(2) == sum(d * d for d in expected["_codegree"].values())
+    assert "_codegree" in vars(h) and "_incident" not in vars(h)
+    h.link(0)
+    assert "_incident" in vars(h)
+    assert list(h._codegree.items()) == list(expected["_codegree"].items())
+    assert h._incident == expected["_incident"]
+
+
 def test_constructor_traced_peak_stays_within_the_per_triple_build():
     # the per-triple build, which made a second copy of every input
     # triple, peaked at 2.18 MB under Python 3.11

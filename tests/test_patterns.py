@@ -13,10 +13,13 @@ from fano_l2.hypergraphs import (
     complete3,
     random_3graph,
 )
+from fano_l2.formats import parse_3graph, write_3graph
 from fano_l2.multigraphs import K4Witness, contains_k4
 from fano_l2.patterns import (
     BIPARTITENESS_CAP,
     FANO_EDGES,
+    _complete_plane,
+    _plane_rows,
     _plane_search,
     contains_fano,
     contains_k53,
@@ -138,6 +141,42 @@ def test_plane_scan_drops_the_edges_it_passes():
     assert kept == {(u, v): {w} for line in lines for u, v, w in permutations(line)}
     assert all(list(row) == sorted(row) for row in rows.values())
     assert contains_fano(host) == contains_pattern(host, fano_plane())
+
+
+def test_every_fano_line_shares_four_row_keys_and_completes():
+    rows = _plane_rows(fano_plane())
+    for a, b, c in FANO_EDGES:
+        assert rows[a].keys() & rows[b].keys() & rows[c].keys() == set(range(7)) - {a, b, c}
+        assert _complete_plane(rows, a, b, c) is not None
+
+
+class _Unwalked(dict):
+    """A table row whose walk fails the test."""
+
+    def items(self):
+        raise AssertionError("the search walked a row the reject should have spared")
+
+
+def test_an_edge_whose_rows_share_three_keys_is_rejected_before_any_walk():
+    # the plane with line (2, 5, 6) moved to (2, 6, 7); 7 sits on a K4^3 with
+    # 8, 9 and 10, and (5, 8, 9) keeps 5 at degree 3, so every edge is in
+    # the table and the rows of 0, 1 and 2 share only 3, 4 and 6
+    lines = [line for line in FANO_EDGES if sorted(line) != [2, 5, 6]]
+    host = Uniform3Graph(11, [*lines, (2, 6, 7), (5, 8, 9), *combinations(range(7, 11), 3)])
+    rows = _plane_rows(host)
+    assert rows[0].keys() & rows[1].keys() & rows[2].keys() == {3, 4, 6}
+    rows[2] = _Unwalked(rows[2])
+    assert _complete_plane(rows, 0, 1, 2) is None
+
+
+def test_the_check_path_builds_no_codegree_or_incidence_table():
+    rng = random.Random(24)
+    for host in (balanced_bipartite3(10), complete3(8), random_3graph(11, 0.3, rng)):
+        parsed = parse_3graph(write_3graph(host))
+        _plane_search.cache_clear()
+        contains_fano(parsed)
+        is_bipartite3(parsed)
+        assert not {"_codegree", "_incident"} & vars(parsed).keys()
 
 
 def test_plane_search_follows_the_host_it_is_given():

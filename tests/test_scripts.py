@@ -60,3 +60,17 @@ def test_bench_fano_times_both_kernels_on_the_same_hosts(tmp_path):
         for row in rows
         for key in ("contains_fano_s", "contains_k53_s", "link_triple_violation_s")
     )
+
+
+def test_bench_check_times_each_call_on_each_host_class(tmp_path):
+    out = tmp_path / "check.json"
+    proc = run_bench("check", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [row["class"] for row in rows] == ["random", "bipartite", "random+plane", "bipartite+plane"]
+    calls = ("parse_3graph", "contains_fano", "is_bipartite3", "link_triple_violation")
+    for row in rows:
+        assert row["hosts"] == 60 and row["edges"] > 0
+        assert all(row[f"{call}_s"] > 0 and len(row["runs_s"][call]) == 3 for call in calls)
+    assert [row["plane"] for row in rows[2:]] == [60, 60]
+    assert (rows[1]["plane"], rows[1]["bipartite"]) == (0, 60)
