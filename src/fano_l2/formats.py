@@ -81,31 +81,22 @@ def _raise_first_invalid_edge(n: int, body) -> NoReturn:
     raise AssertionError("bulk checks rejected a valid 3graph body")
 
 
-def _bulk_edges(n: int, rows: list[list[str]]) -> list[tuple[int, int, int]] | None:
-    """The edges of a 3graph body's token rows, checked column by column, or
-    None unless each row is three integers 0 <= u < v < w < n and no edge
-    repeats."""
-    if not set(map(len, rows)) <= {3}:
-        return None
-    try:
-        flat = list(map(int, chain.from_iterable(rows)))
-    except ValueError:
-        return None
-    A, B, C = flat[0::3], flat[1::3], flat[2::3]
-    if not (all(map(lt, A, B)) and all(map(lt, B, C)) and (not A or (min(A) >= 0 and max(C) < n))):
-        return None
-    edges = list(zip(A, B, C))
-    return edges if len(set(edges)) == len(edges) else None
-
-
 def parse_3graph(text: str) -> Uniform3Graph:
-    """The 3-graph in text. The edge lines are checked in bulk, and read one
-    by one only when that fails, to name the first bad line."""
+    """The 3-graph in text. The parser checks in bulk that each edge line is
+    three increasing integers; the `Uniform3Graph` constructor checks the
+    vertex range and repeated edges. Only when a check fails are the lines
+    read one by one, to name the first bad line."""
     (n,), body = _header(text, "3graph", (0,))
-    edges = _bulk_edges(n, [tokens for _lineno, tokens in body])
-    if edges is None:
-        _raise_first_invalid_edge(n, body)
-    return Uniform3Graph(n, edges)
+    rows = [tokens for _lineno, tokens in body]
+    if set(map(len, rows)) <= {3}:
+        try:
+            flat = list(map(int, chain.from_iterable(rows)))
+            A, B, C = flat[0::3], flat[1::3], flat[2::3]
+            if all(map(lt, A, B)) and all(map(lt, B, C)):
+                return Uniform3Graph(n, list(zip(A, B, C)))
+        except ValueError:
+            pass
+    _raise_first_invalid_edge(n, body)
 
 
 def write_3graph(H: Uniform3Graph) -> str:

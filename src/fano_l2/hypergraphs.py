@@ -22,8 +22,6 @@ from math import comb
 from operator import eq, lt
 from typing import Iterable, Iterator, NoReturn
 
-from .graphs import SimpleGraph
-
 Triple = tuple[int, int, int]
 
 
@@ -58,8 +56,8 @@ class Uniform3Graph:
 
     Construction validates and sorts the triples and counts the vertex
     degrees. The codegree table, which every norm, star count and degree
-    expansion reads, and the per-vertex incidence lists, which links and
-    the per-vertex degree routes read, are built on first read: the plane
+    expansion reads, and the per-vertex incidence lists, which the
+    per-vertex degree routes read, are built on first read: the plane
     and K5^3 kernels and the 2-colouring read only the sorted triples and
     the degrees.
     """
@@ -124,17 +122,6 @@ class Uniform3Graph:
         pair = (u, v) if u < v else (v, u)
         return self._codegree.get(pair, 0)
 
-    def triples_containing(self, v: int) -> Iterator[Triple]:
-        for idx in self._incident[v]:
-            yield self._triples[idx]
-
-    def link(self, v: int) -> SimpleGraph:
-        """The link graph of v, on the same vertex set (v itself is isolated)."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside range")
-        pairs = [tuple(w for w in t if w != v) for t in self.triples_containing(v)]
-        return SimpleGraph(self.n, pairs)  # type: ignore[arg-type]
-
     def remove_vertex(self, v: int) -> Uniform3Graph:
         """Delete v and its edges; remaining vertices shift down to 0..n-2."""
         if not 0 <= v < self.n:
@@ -186,8 +173,8 @@ class Uniform3Graph:
             raise ValueError(f"vertex {v} outside range")
         neighbours: set[int] = set()
         link_pairs = []
-        for t in self.triples_containing(v):
-            a, b = (x for x in t if x != v)
+        for idx in self._incident[v]:
+            a, b = (x for x in self._triples[idx] if x != v)
             neighbours.update((a, b))
             link_pairs.append((a, b))
         return neighbours, link_pairs

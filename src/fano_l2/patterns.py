@@ -8,13 +8,15 @@ whether some plane has that edge as a line. It first rejects an edge whose
 three vertices have fewer than four table neighbours in common, since each
 of the four points off a line shares a line with all three of its points.
 The scan for the first plane line drops each edge that completes no plane
-from the table as it passes, and its result is cached for the last host,
-so the embedder and the link-based test below share one scan. The complete
-3-graph on five vertices walks three vertices of an edge and intersects
-their pairs' sets for the other two, on its own unpruned table. Also here:
-bipartiteness testing by 2-colouring with vertex bitmasks, and the
-link-based necessary condition satisfied by every Fano-free host: no edge
-whose three links stack into the three-matching multigraph pattern.
+from the table as it passes and returns that line with its completion,
+which is the embedding. The cache keeps this embedding, not the table, for
+the last host, so the embedder and the link-based test below share one
+scan. The complete 3-graph on five vertices walks three vertices of an edge
+and intersects their pairs' sets for the other two, on its own unpruned
+table. Also here: bipartiteness testing by 2-colouring with vertex
+bitmasks, and the link-based necessary condition satisfied by every
+Fano-free host: no edge whose three links stack into the three-matching
+multigraph pattern.
 """
 
 from __future__ import annotations
@@ -100,11 +102,12 @@ def _complete_plane(
     return None
 
 
-def _first_plane_line(
+def _first_plane(
     host: Uniform3Graph, rows: dict[int, dict[int, set[int]]]
-) -> tuple[int, int, int] | None:
-    """The first edge of host, in `triples()` order, that is a line of some
-    Fano plane in host, or None.
+) -> tuple[int, ...] | None:
+    """(a, b, c, *rest) for the first edge (a, b, c) of host, in `triples()`
+    order, that is a line of some Fano plane in host, with rest the
+    completion `_complete_plane` gives it, or None.
 
     One orientation per edge suffices: the stabilizer of a line in the
     plane's automorphism group permutes that line's three points
@@ -116,16 +119,15 @@ def _first_plane_line(
     passes it: its third vertex leaves the set of each of its three pairs,
     and a pair whose set empties loses its key in both rows. An edge on no
     plane belongs to no plane, so removing it removes no plane: later edges
-    and the embedder's search at the first line's h0 see the same planes,
-    and the same first completions, with fewer dead ends. Deleting keys
-    keeps each row in ascending key order.
+    see the same planes, and the same first completions, with fewer dead
+    ends. Deleting keys keeps each row in ascending key order.
     """
-    for edge in host.triples():
-        a, b, c = edge
+    for a, b, c in host.triples():
         if not (a in rows and b in rows and c in rows):
             continue
-        if _complete_plane(rows, a, b, c) is not None:
-            return edge
+        rest = _complete_plane(rows, a, b, c)
+        if rest is not None:
+            return a, b, c, *rest
         for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
             ws = rows[u][v]
             ws.discard(w)
@@ -135,15 +137,11 @@ def _first_plane_line(
 
 
 @lru_cache(maxsize=1)
-def _plane_search(
-    host: Uniform3Graph,
-) -> tuple[dict[int, dict[int, set[int]]], tuple[int, int, int] | None]:
-    """The plane table of host, pruned by the scan for its first plane line,
-    and that line or None. Hosts are immutable and hash on their edges, so
-    `contains_fano` and `link_triple_violation` on one host share a scan.
-    Every caller gets the same table, so none may change it."""
-    rows = _plane_rows(host)
-    return rows, _first_plane_line(host, rows)
+def _plane_search(host: Uniform3Graph) -> tuple[int, ...] | None:
+    """`_first_plane` on a fresh plane table of host. Hosts are immutable and
+    hash on their edges, so `contains_fano` and `link_triple_violation` on
+    one host share a scan; the cache holds the embedding, not the table."""
+    return _first_plane(host, _plane_rows(host))
 
 
 def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
@@ -152,23 +150,20 @@ def contains_fano(host: Uniform3Graph) -> tuple[int, ...] | None:
     The witness maps point i of the lines `FANO_EDGES` to host vertex
     witness[i] and is the lexicographically first such map over
     (witness[0], ..., witness[6]), the one a generic backtracking embedder
-    returns. Its witness[0] is the smallest vertex on any plane, since the
-    plane's automorphisms move point 0 to every point. Each plane line
-    through that vertex starts with it, so it starts the first plane line
-    too, and the search runs at that h0 alone, over h1 ascending and h2 in
-    rows[h0][h1] ascending. It reads the cached `_plane_search`, so a
-    following `link_triple_violation` on the same host does not scan again.
+    returns. It is the embedding `_first_plane` returns. Let h0 be the
+    smallest vertex on any plane; the plane's automorphisms move point 0 to
+    every point, so witness[0] = h0, and each plane line through h0 starts
+    with it, the first plane line (a, b, c) too. A plane through h0 and h1
+    has a line (h0, x, y) with min(x, y) <= h1, an edge on a plane, which
+    comes no earlier than (a, b, c), so h1 >= b; a plane maps line (0, 1, 2)
+    onto (a, b, c), so witness[1] = b. With h1 = b the same argument gives
+    h2 >= c, so witness[2] = c, and the rest is the first completion of
+    (a, b, c). The scan stops at (a, b, c), so it completes on the table a
+    walk over h1 and h2 at h0 would read. It reads the cached
+    `_plane_search`, so a following `link_triple_violation` on the same host
+    does not scan again.
     """
-    rows, first = _plane_search(host)
-    if first is None:
-        return None
-    h0 = first[0]
-    return next(
-        (h0, h1, h2, *rest)
-        for h1, line in rows[h0].items()
-        for h2 in sorted(line)
-        if (rest := _complete_plane(rows, h0, h1, h2)) is not None
-    )
+    return _plane_search(host)
 
 
 def contains_k53(host: Uniform3Graph) -> tuple[int, ...] | None:
@@ -293,14 +288,19 @@ def is_bipartite3(H: Uniform3Graph) -> tuple[tuple[int, ...], tuple[int, ...]] |
 
 def edge_link_multigraph(H: Uniform3Graph, edge: tuple[int, int, int]) -> MMultigraph:
     """The 3-layer multigraph stacking the links of an edge's three vertices
-    (in increasing vertex order) over the host's vertex set."""
+    (in increasing vertex order) over the host's vertex set.
+
+    One pass over the triples: a triple holding the i-th vertex of the edge
+    sets bit i on the pair of its other two vertices."""
     x, y, z = sorted(edge)
     if len({x, y, z}) != 3 or not (0 <= x and z < H.n):
         raise ValueError(f"invalid vertex triple {edge}")
+    bit = {x: 1, y: 2, z: 4}
     masks: dict[tuple[int, int], int] = {}
-    for i, v in enumerate((x, y, z)):
-        for pair in H.link(v).edges():
-            masks[pair] = masks.get(pair, 0) | 1 << i
+    for a, b, c in H.triples():
+        for v, pair in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+            if v in bit:
+                masks[pair] = masks.get(pair, 0) | bit[v]
     return MMultigraph.from_masks(H.n, 3, masks)
 
 
@@ -321,7 +321,8 @@ def link_triple_violation(
     that `contains_fano` reads, so after `contains_fano` on the same host
     only the witness search runs.
     """
-    edge = _plane_search(H)[1]
-    if edge is None:
+    image = _plane_search(H)
+    if image is None:
         return None
+    edge = image[:3]
     return edge, contains_k4(edge_link_multigraph(H, edge))

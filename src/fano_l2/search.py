@@ -901,7 +901,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
     block_hits: dict[int, list[list[tuple[int, int, int]]]] = {}
     block_states: dict[int, int] = {}
     for a in range(1, n):
-        cross = [t for t in combinations(range(n), 3) if t[0] < a <= t[2]]
+        cross = bipartite3(a, n - a).triples()
         masks = np.arange(1 << len(cross), dtype=np.uint32)
         block_states[a] = len(masks)
         # a codegree is at most n - 2 = 4, so d * d fits the uint8 count and

@@ -24,6 +24,13 @@ def has_edge(H: Uniform3Graph, *vertices: int) -> bool:
     return i < len(edges) and edges[i] == triple
 
 
+def link(H: Uniform3Graph, v: int) -> SimpleGraph:
+    """The link graph of v, on H's vertex set (v itself is isolated)."""
+    if not 0 <= v < H.n:
+        raise ValueError(f"vertex {v} outside range")
+    return SimpleGraph(H.n, [tuple(w for w in t if w != v) for t in H.triples() if v in t])
+
+
 def fano_plane() -> Uniform3Graph:
     """The Fano plane: 7 points, 7 lines, every point on 3 lines."""
     return Uniform3Graph(7, FANO_EDGES)
@@ -318,7 +325,7 @@ def link_matching_violation(
     Fano plane through v, so a Fano-free host never produces one."""
     if not 0 <= v < H.n:
         raise ValueError(f"vertex {v} out of range")
-    link_edges = H.link(v).edges()
+    link_edges = link(H, v).edges()
     for e1, e2, e3 in combinations(link_edges, 3):
         if len({*e1, *e2, *e3}) != 6:
             continue

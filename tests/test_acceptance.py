@@ -242,6 +242,7 @@ DELETED_NAMES = (
     "_incidence_masks",
     "_mask_to_graph",
     "_state_to_multigraph",
+    "triples_containing",
 )
 
 

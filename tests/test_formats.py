@@ -114,6 +114,18 @@ def test_parse_3graph_names_each_kind_of_bad_line():
         with pytest.raises(FormatError) as expected:
             parse_3graph_oracle(text)
         assert str(caught.value) == str(expected.value)
+    # two faults: the first is named, whichever check rejects the body
+    for lines, first in (
+        (("1 2 3", "0 4 9"), "line 5: duplicate edge"),  # repeated edge, then range
+        (("0 4 9", "1 2 3"), "line 5: vertices"),  # range, then repeated edge
+        (("0 4 9", "2 1 5"), "line 5: vertices"),  # range, then order
+    ):
+        text = "3graph 9\n0 1 2\n\n1 2 3\n" + "\n".join(lines) + "\n"
+        with pytest.raises(FormatError, match=f"^{first}") as caught:
+            parse_3graph(text)
+        with pytest.raises(FormatError) as expected:
+            parse_3graph_oracle(text)
+        assert str(caught.value) == str(expected.value)
 
 
 def test_error_messages_carry_line_numbers():

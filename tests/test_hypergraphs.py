@@ -19,7 +19,7 @@ from fano_l2.hypergraphs import (
     random_3graph,
 )
 
-from helpers import has_edge, uniform3_fields_oracle
+from helpers import has_edge, link, uniform3_fields_oracle
 
 
 @st.composite
@@ -40,7 +40,7 @@ def test_basic_queries():
     assert h.degrees() == (2, 2, 2, 2, 1)
     shadow = {(u, v) for u, v in combinations(range(5), 2) if h.codegree(u, v)}
     assert shadow == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}
-    assert h.link(0).edges() == ((1, 2), (1, 3))
+    assert link(h, 0).edges() == ((1, 2), (1, 3))
 
 
 def test_degree_and_star_counts_take_no_exponent_or_size():
@@ -190,7 +190,7 @@ def test_codegree_and_incidence_tables_are_built_on_first_read():
     assert h.degrees() == expected["_degree"]
     assert h.lp_norm(2) == sum(d * d for d in expected["_codegree"].values())
     assert "_codegree" in vars(h) and "_incident" not in vars(h)
-    h.link(0)
+    h.star_degree(0)
     assert "_incident" in vars(h)
     assert list(h._codegree.items()) == list(expected["_codegree"].items())
     assert h._incident == expected["_incident"]

@@ -19,6 +19,7 @@ from fano_l2.patterns import (
     BIPARTITENESS_CAP,
     FANO_EDGES,
     _complete_plane,
+    _first_plane,
     _plane_rows,
     _plane_search,
     contains_fano,
@@ -32,6 +33,7 @@ from helpers import (
     contains_pattern,
     fano_plane,
     has_edge,
+    link,
     link_matching_violation,
     verify_k4_witness,
 )
@@ -97,7 +99,11 @@ def test_link_triple_violation_matches_edge_scan(seed):
     host = random_host(seed)
     found = link_triple_violation(host)
     assert found == link_edge_scan(host)
-    assert (found is None) == (contains_fano(host) is None)
+    image = contains_fano(host)
+    # the cache holds the embedding itself, a tuple or None
+    assert _plane_search(host) is image
+    assert (found is None) == (image is None)
+    assert found is None or image[:3] == found[0]
 
 
 def plane_below_a_free_prefix(seed):
@@ -124,8 +130,11 @@ def plane_below_a_free_prefix(seed):
 @settings(max_examples=40, deadline=None)
 def test_pruned_plane_scan_matches_the_oracles(seed):
     host = plane_below_a_free_prefix(seed)
-    assert contains_fano(host) == contains_pattern(host, fano_plane())
-    assert link_triple_violation(host) == link_edge_scan(host)
+    image = contains_fano(host)
+    assert image == contains_pattern(host, fano_plane())
+    found = link_edge_scan(host)
+    assert link_triple_violation(host) == found
+    assert found is None or image[:3] == found[0]
 
 
 def test_plane_scan_drops_the_edges_it_passes():
@@ -134,13 +143,13 @@ def test_plane_scan_drops_the_edges_it_passes():
     # drops them all and the table keeps the plane's 21 pairs alone
     lines = [tuple(sorted(8 + x for x in line)) for line in FANO_EDGES]
     host = Uniform3Graph(15, list(bipartite3(4, 4).triples()) + lines)
-    _plane_search.cache_clear()
-    rows, first = _plane_search(host)
-    assert first == (8, 9, 10)
+    rows = _plane_rows(host)
+    image = _first_plane(host, rows)
+    assert image[:3] == (8, 9, 10)
     kept = {(u, v): ws for u, row in rows.items() for v, ws in row.items()}
     assert kept == {(u, v): {w} for line in lines for u, v, w in permutations(line)}
     assert all(list(row) == sorted(row) for row in rows.values())
-    assert contains_fano(host) == contains_pattern(host, fano_plane())
+    assert image == contains_fano(host) == contains_pattern(host, fano_plane())
 
 
 def test_every_fano_line_shares_four_row_keys_and_completes():
@@ -471,9 +480,10 @@ def test_edge_link_multigraph_layers():
     h = complete3(5)
     mg = edge_link_multigraph(h, (0, 1, 2))
     assert mg.n == 5 and mg.m == 3
+    assert "_incident" not in vars(h)
     # layer i is the link of the i-th edge vertex
     for i, v in enumerate((0, 1, 2)):
-        assert tuple(pair for pair, mask in mg.pairs() if mask >> i & 1) == h.link(v).edges()
+        assert tuple(pair for pair, mask in mg.pairs() if mask >> i & 1) == link(h, v).edges()
     with pytest.raises(ValueError):
         edge_link_multigraph(h, (0, 1, 1))
 
@@ -491,3 +501,4 @@ def test_link_triple_violation_on_spoke_host():
     host = violating_spoke_host()
     hit = link_triple_violation(host)
     assert hit is not None
+    assert "_incident" not in vars(host)
