@@ -13,11 +13,12 @@ takes a few hundredths of a second and the every-block scan under a second.
 fano: for n = 7..14 it times `contains_fano`, `link_triple_violation` and
 `contains_k53`, the kernels on the table of common third vertices, on
 `balanced_bipartite3(n)` (no plane and no K5^3, so every branch is
-searched) and on `complete3(n)` (both found at the first branch). The two
-plane tests share one cached scan per host, so that cache is cleared before
-`link_triple_violation` and its column times a cold scan too. Each row
-asserts that the two plane tests agree, and that `contains_k53` returns
-None on the bipartite host and (0, 1, 2, 3, 4) on the complete one.
+searched) and on `complete3(n)` (both found at the first branch). Each
+call is the median of three runs, all three kept in `runs_s`. The two plane
+tests share one cached scan per host, so that cache is cleared before every
+run of either, and each times a cold scan. Each row asserts that the two
+plane tests agree, and that `contains_k53` returns None on the bipartite
+host and (0, 1, 2, 3, 4) on the complete one.
 
 bnb: times the branch and bound `max_k4free_multigraph(n, m, "bnb")` at
 (4,5), (5,4) and (5,5), three runs each, and records the median seconds with
@@ -98,18 +99,20 @@ def _cold_census(m: int):
     return search.k4_census(m)
 
 
-def _median_run(fn, *args) -> tuple[object, float, list[float]]:
+def _median_run(fn, *args) -> tuple[list, float, list[float]]:
+    """Three runs of fn(*args): every run's result, the median seconds and
+    the sorted seconds."""
     runs = [_timed(fn, *args) for _ in range(3)]
     seconds = sorted(s for _, s in runs)
-    return runs[0][0], seconds[1], seconds
+    return [result for result, _ in runs], seconds[1], seconds
 
 
 def _census_rows() -> list[dict]:
     rows = []
     for m in range(1, 6):
-        rep, cold_s, cold_runs = _median_run(_cold_census, m)
+        (rep, *_), cold_s, cold_runs = _median_run(_cold_census, m)
         every = [(block, 1) for block in range(4**m)]
-        full, full_s, full_runs = _median_run(search._census_report, m, every)
+        (full, *_), full_s, full_runs = _median_run(search._census_report, m, every)
         if _report_fields(rep) != _report_fields(full):
             raise AssertionError(f"orbit census and every-block scan disagree at m={m}")
         inner_rows = rep.inner_rows
@@ -146,16 +149,20 @@ def _timed(fn, *args):
     return result, time.perf_counter() - start
 
 
+def _cold_plane(fn, host):
+    patterns._plane_search.cache_clear()
+    return fn(host)
+
+
 def _fano_rows() -> list[dict]:
     rows = []
     for build, clique in ((balanced_bipartite3, None), (complete3, (0, 1, 2, 3, 4))):
         host_name = build.__name__
         for n in range(7, 15):
             host = build(n)
-            witness, fano_s = _timed(contains_fano, host)
-            patterns._plane_search.cache_clear()
-            violation, link_s = _timed(link_triple_violation, host)
-            k53, k53_s = _timed(contains_k53, host)
+            (witness, *_), fano_s, fano_runs = _median_run(_cold_plane, contains_fano, host)
+            (violation, *_), link_s, link_runs = _median_run(_cold_plane, link_triple_violation, host)
+            (k53, *_), k53_s, k53_runs = _median_run(contains_k53, host)
             if (violation is None) != (witness is None):
                 raise AssertionError(f"link test and plane embedder disagree on {host_name}({n})")
             if k53 != clique:
@@ -169,6 +176,11 @@ def _fano_rows() -> list[dict]:
                     "contains_fano_s": fano_s,
                     "contains_k53_s": k53_s,
                     "link_triple_violation_s": link_s,
+                    "runs_s": {
+                        "contains_fano": fano_runs,
+                        "contains_k53": k53_runs,
+                        "link_triple_violation": link_runs,
+                    },
                 }
             )
             print(
@@ -181,23 +193,22 @@ def _fano_rows() -> list[dict]:
 def _bnb_rows() -> list[dict]:
     rows = []
     for n, m in ((4, 5), (5, 4), (5, 5)):
-        runs = [_timed(search.max_k4free_multigraph, n, m, "bnb") for _ in range(3)]
-        if len({(rep.optimum, rep.witness, rep.nodes) for rep, _ in runs}) != 1:
+        reps, seconds, runs_s = _median_run(search.max_k4free_multigraph, n, m, "bnb")
+        if len({(rep.optimum, rep.witness, rep.nodes) for rep in reps}) != 1:
             raise AssertionError(f"branch and bound runs disagree at ({n},{m})")
-        rep = runs[0][0]
-        seconds = sorted(s for _, s in runs)
+        rep = reps[0]
         rows.append(
             {
                 "n": n,
                 "m": m,
-                "seconds": seconds[1],
-                "runs_s": seconds,
+                "seconds": seconds,
+                "runs_s": runs_s,
                 "optimum": rep.optimum,
                 "nodes": rep.nodes,
                 "params": rep.params,
             }
         )
-        print(f"({n},{m}): optimum {rep.optimum}, {rep.nodes} nodes, {seconds[1]:.2f}s {rep.params}")
+        print(f"({n},{m}): optimum {rep.optimum}, {rep.nodes} nodes, {seconds:.2f}s {rep.params}")
     return rows
 
 
@@ -217,7 +228,7 @@ def _scan_rows() -> list[dict]:
     calls += [(search.bipartite_l2_scan, n) for n in (4, 5, 6)] + [(search.max_l2_fano_free, 7)]
     rows = []
     for fn, n in calls:
-        result, seconds, runs_s = _median_run(fn, n)
+        (result, *_), seconds, runs_s = _median_run(fn, n)
         tracemalloc.start()
         try:
             fn(n)
@@ -245,14 +256,14 @@ def _k4_rows() -> list[dict]:
     for build in (bipartite_construction_5, turan_layers_5):
         for n in range(4, 13):
             host = build(n)
-            witness, seconds, runs_s = _median_run(contains_k4, host)
+            (witness, *_), seconds, runs_s = _median_run(contains_k4, host)
             if witness is not None:
                 raise AssertionError(f"pattern found in {build.__name__}({n})")
             rows.append({"call": "contains_k4", "host": build.__name__, "n": n,
                          "seconds": seconds, "runs_s": runs_s})
             print(f"contains_k4({build.__name__}({n})): {seconds * 1e3:.3f} ms")
     for n in range(10, 41):
-        host, seconds, runs_s = _median_run(balanced_bipartite3, n)
+        (host, *_), seconds, runs_s = _median_run(balanced_bipartite3, n)
         rows.append({"call": "balanced_bipartite3", "n": n, "edges": host.edge_count,
                      "seconds": seconds, "runs_s": runs_s})
         print(f"balanced_bipartite3({n}): {host.edge_count} edges, {seconds * 1e3:.3f} ms")

@@ -28,18 +28,20 @@ from .formats import write_3graph, write_graph, write_mgraph
 @dataclass(frozen=True, slots=True)
 class SearchReport:
     """Outcome of one oracle run; witness is serialized in the named format,
-    and params holds any further counts the engine measured."""
+    and params holds any further counts the engine measured. The defaults
+    are those of a complete exhaustive scan with no layer count and no
+    witness."""
 
     objective: str
     n: int
-    m: int | None
     optimum: int
-    witness: str
-    witness_kind: str
     nodes: int
     elapsed: float
-    complete: bool
-    engine: str
+    m: int | None = None
+    witness: str = ""
+    witness_kind: str = "none"
+    complete: bool = True
+    engine: str = "exhaustive"
     params: dict = field(default_factory=dict)
 
 
@@ -142,11 +144,42 @@ def _block_orbits(m: int) -> list[tuple[int, int]]:
     return sorted(orbits)
 
 
-def _census_scan(m: int, blocks: list[tuple[int, int]], t: dict) -> dict:
-    """Scan the given (block, weight) pairs over the inner rows t and
-    aggregate statistics, each block counted weight times and each row
-    weighted by its state count; the witness is the smallest state of the
-    first block, in the given order, to reach the maximum."""
+@dataclass(frozen=True, slots=True)
+class CensusReport:
+    """Aggregate over all 4-vertex m-layer states. blocks is the number of
+    outer blocks actually scanned, classes the pair classes of one matching
+    and inner_rows the class-product rows scanned per block; table_build_s
+    and scan_s time the class tables and the block scan, elapsed the whole
+    report."""
+
+    m: int
+    states: int
+    k4_free: int
+    max_size: int
+    max_count: int
+    clause_i_violations: int
+    clause_iii_violations: int
+    clause_iv_violations: int
+    clause_v_violations: int
+    size_histogram: tuple[int, ...]
+    witness: str
+    blocks: int
+    classes: int
+    inner_rows: int
+    table_build_s: float
+    scan_s: float
+    elapsed: float
+
+
+def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
+    """Census report from a scan of (block, weight) pairs that together
+    count every outer block once: each block counted weight times and each
+    inner row weighted by its state count. The witness, revalidated, is the
+    smallest state of the first block, in the given order, to reach the
+    maximum."""
+    start = time.perf_counter()
+    t = _inner_rows(m)
+    built = time.perf_counter()
     pop = t["pop"]
     count = t["count"]
     s2, s3 = t["s2"], t["s3"]
@@ -210,73 +243,25 @@ def _census_scan(m: int, blocks: list[tuple[int, int]], t: dict) -> dict:
             viol_i += weight * v_i
             viol_iii += weight * v_iii
             viol_v += weight * v_v
-    return {
-        "hist": hist,
-        "k4_free": k4_free,
-        "viol_i": viol_i,
-        "viol_iii": viol_iii,
-        "viol_iv": viol_iv,
-        "viol_v": viol_v,
-        "best": best,
-        "best_state": best_state,
-    }
-
-
-@dataclass(frozen=True, slots=True)
-class CensusReport:
-    """Aggregate over all 4-vertex m-layer states. blocks is the number of
-    outer blocks actually scanned, classes the pair classes of one matching
-    and inner_rows the class-product rows scanned per block; table_build_s
-    and scan_s time the class tables and the block scan, elapsed the whole
-    report."""
-
-    m: int
-    states: int
-    k4_free: int
-    max_size: int
-    max_count: int
-    clause_i_violations: int
-    clause_iii_violations: int
-    clause_iv_violations: int
-    clause_v_violations: int
-    size_histogram: tuple[int, ...]
-    witness: str
-    blocks: int
-    classes: int
-    inner_rows: int
-    table_build_s: float
-    scan_s: float
-    elapsed: float
-
-
-def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
-    """Census report from a scan of (block, weight) pairs that together
-    count every outer block once, with the witness revalidated."""
-    start = time.perf_counter()
-    rows = _inner_rows(m)
-    built = time.perf_counter()
-    part = _census_scan(m, blocks, rows)
     scanned = time.perf_counter()
-    hist = part["hist"]
-    best = part["best"]
-    witness_mg = MMultigraph.from_masks(4, m, dict(zip(_CENSUS_PAIRS, part["best_state"])))
+    witness_mg = MMultigraph.from_masks(4, m, dict(zip(_CENSUS_PAIRS, best_state)))
     if witness_mg.size != best or contains_k4(witness_mg) is not None:
         raise AssertionError("census witness failed revalidation")
     return CensusReport(
         m=m,
         states=(1 << m) ** 6,
-        k4_free=part["k4_free"],
+        k4_free=k4_free,
         max_size=best,
         max_count=int(hist[best]),
-        clause_i_violations=part["viol_i"],
-        clause_iii_violations=part["viol_iii"],
-        clause_iv_violations=part["viol_iv"],
-        clause_v_violations=part["viol_v"],
+        clause_i_violations=viol_i,
+        clause_iii_violations=viol_iii,
+        clause_iv_violations=viol_iv,
+        clause_v_violations=viol_v,
         size_histogram=tuple(int(x) for x in hist),
         witness=write_mgraph(witness_mg),
         blocks=len(blocks),
-        classes=rows["classes"],
-        inner_rows=len(rows["count"]),
+        classes=t["classes"],
+        inner_rows=len(count),
         table_build_s=built - start,
         scan_s=scanned - built,
         elapsed=time.perf_counter() - start,
@@ -402,8 +387,6 @@ def max_k4free_multigraph(
             witness_kind="mgraph",
             nodes=census.states,
             elapsed=time.perf_counter() - start,
-            complete=True,
-            engine="exhaustive",
             params={
                 "classes": census.classes,
                 "inner_rows": census.inner_rows,
@@ -655,9 +638,6 @@ def max_s2_graph(n: int, m_edges: int) -> SearchReport:
         witness_kind="graph",
         nodes=data["states"],
         elapsed=time.perf_counter() - start,
-        complete=True,
-        engine="exhaustive",
-        params={},
     )
 
 
@@ -741,14 +721,9 @@ def aes_scan(n: int) -> SearchReport:
     return SearchReport(
         objective="aes",
         n=n,
-        m=None,
         optimum=violations,
-        witness="",
-        witness_kind="none",
         nodes=1 << len(pairs),
         elapsed=time.perf_counter() - start,
-        complete=True,
-        engine="exhaustive",
         params={
             "triangle_free": len(graphs),
             "above_threshold": int(above.sum()),
@@ -781,17 +756,20 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
 
     Every Fano-free graph is the complete graph minus an edge set hitting
     all labeled copies of the plane, and the norm is monotone, so the search
-    branches over which edge of the first uncovered copy gets deleted,
-    pruning when the norm after current deletions cannot beat the
-    incumbent. Below seven vertices there is no copy, and the single leaf
-    is the complete graph.
+    branches over which of the seven triples of the first uncovered copy
+    gets deleted, in ascending order, each later branch banning the triples
+    earlier ones deleted. The norm is carried down the recursion beside the
+    codegrees, and a deletion is pruned when the norm after it cannot beat
+    the incumbent; params counts those bound_prunes. Below seven vertices
+    there is no copy, and the single leaf is the complete graph.
     """
     start = time.perf_counter()
     if n < 3 or n > 7:
         raise ValueError("supported vertex counts are 3..7")
 
     triples = list(combinations(range(n), 3))
-    fanos = _fano_copy_masks(n)
+    # each copy as its mask and its seven triple indices, ascending
+    fanos = [(f, _members(range(len(triples)), f)) for f in _fano_copy_masks(n)]
     pair_index = {p: i for i, p in enumerate(all_pairs(n))}
     triple_pairs = [
         (pair_index[(a, b)], pair_index[(a, c)], pair_index[(b, c)])
@@ -799,55 +777,44 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     ]
     # the complete graph's: every pair in n - 2 triples
     codegrees = [n - 2] * len(pair_index)
-    norm = len(pair_index) * (n - 2) ** 2
-
-    def deletion_cost(t: int) -> int:
-        return sum(2 * codegrees[p] - 1 for p in triple_pairs[t])
-
-    def apply_delete(t: int) -> None:
-        nonlocal norm
-        for p in triple_pairs[t]:
-            norm -= 2 * codegrees[p] - 1
-            codegrees[p] -= 1
-
-    def undo_delete(t: int) -> None:
-        nonlocal norm
-        for p in triple_pairs[t]:
-            codegrees[p] += 1
-            norm += 2 * codegrees[p] - 1
 
     best = -1
     best_deleted: int | None = None
-    nodes = 0
+    nodes = bound_prunes = 0
     deadline = None if budget is None else start + budget
     complete = True
 
-    def descend(deleted: int, forbidden: int) -> None:
-        nonlocal best, best_deleted, nodes, complete
+    def descend(deleted: int, banned: int, norm: int) -> None:
+        nonlocal best, best_deleted, nodes, bound_prunes, complete
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.perf_counter() > deadline:
             complete = False
             return
-        uncovered = next((f for f in fanos if not f & deleted), None)
+        uncovered = next((members for f, members in fanos if not f & deleted), None)
         if uncovered is None:
             if norm > best:
                 best = norm
                 best_deleted = deleted
             return
-        banned = forbidden
-        for t in range(len(triples)):
+        for t in uncovered:
             bit = 1 << t
-            if not uncovered & bit or banned & bit:
+            if banned & bit:
                 continue
-            if norm - deletion_cost(t) > best:
-                apply_delete(t)
-                descend(deleted | bit, banned)
-                undo_delete(t)
+            # a pair of codegree d loses d^2 - (d - 1)^2 = 2d - 1
+            cost = sum(2 * codegrees[p] - 1 for p in triple_pairs[t])
+            if norm - cost > best:
+                for p in triple_pairs[t]:
+                    codegrees[p] -= 1
+                descend(deleted | bit, banned, norm - cost)
+                for p in triple_pairs[t]:
+                    codegrees[p] += 1
                 if not complete:
                     return
+            else:
+                bound_prunes += 1
             banned |= bit
 
-    descend(0, 0)
+    descend(0, 0, len(pair_index) * (n - 2) ** 2)
     if best_deleted is None:
         raise AssertionError("no hitting set found")
     # the complement's bits are the kept triples
@@ -857,7 +824,6 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     return SearchReport(
         objective="fano-l2",
         n=n,
-        m=None,
         optimum=best,
         witness=write_3graph(host),
         witness_kind="3graph",
@@ -865,7 +831,7 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
         elapsed=time.perf_counter() - start,
         complete=complete,
         engine="bnb",
-        params={},
+        params={"bound_prunes": bound_prunes},
     )
 
 
@@ -938,14 +904,11 @@ def bipartite_l2_scan(n: int) -> SearchReport:
     return SearchReport(
         objective="bipartite-l2",
         n=n,
-        m=None,
         optimum=best,
         witness=write_3graph(Uniform3Graph(n, min(maximizers))),
         witness_kind="3graph",
         nodes=nodes,
         elapsed=time.perf_counter() - start,
-        complete=True,
-        engine="exhaustive",
         params={
             "closed_value": bn_l2_closed(n),
             "maximizer_count": len(maximizers),

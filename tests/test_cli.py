@@ -11,7 +11,7 @@ import pytest
 
 from fano_l2 import cli
 from fano_l2.cli import main
-from fano_l2.formats import MAX_HEADER_COUNT, parse_3graph, parse_mgraph, write_3graph
+from fano_l2.formats import MAX_HEADER_COUNT, parse_3graph, parse_graph, parse_mgraph, write_3graph
 from fano_l2.hypergraphs import balanced_bipartite3, complete3
 from fano_l2.multigraphs import contains_k4
 from fano_l2.verify import run_suite
@@ -365,6 +365,23 @@ def test_search_scan_json(tmp_path, capsys):
         "closed_value": 24, "maximizer_count": 1, "unique_up_to_iso": True,
         "blocks_scanned": 3, "states_scanned": 32,
     }
+    star = tmp_path / "star.json"
+    argv = ["search", "--objective", "ak-s2", "--n", "5", "--m", "4", "--out", str(star)]
+    assert main(argv) == 0
+    data = json.loads(star.read_text(encoding="utf-8"))
+    assert set(data) == SEARCH_KEYS
+    assert (data["objective"], data["optimum"], data["nodes"]) == ("ak-s2", 6, 1024)
+    assert (data["m"], data["witness_kind"], data["engine"]) == (4, "graph", "exhaustive")
+    assert (data["complete"], data["params"]) == (True, {})
+    assert parse_graph(data["witness"]).star_count() == 6
+    fano = tmp_path / "fano.json"
+    assert main(["search", "--objective", "fano-l2", "--n", "7", "--out", str(fano)]) == 0
+    data = json.loads(fano.read_text(encoding="utf-8"))
+    assert set(data) == SEARCH_KEYS
+    assert (data["objective"], data["optimum"], data["nodes"]) == ("fano-l2", 410, 1078)
+    assert (data["m"], data["witness_kind"], data["engine"]) == (None, "3graph", "bnb")
+    assert (data["complete"], data["params"]) == (True, {"bound_prunes": 4282})
+    assert parse_3graph(data["witness"]).lp_norm(2) == 410
 
 
 def test_search_requires_dimensions(capsys):

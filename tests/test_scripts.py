@@ -29,7 +29,7 @@ def test_bench_scans_records_seconds_and_traced_peak(tmp_path):
     ] + [("max_l2_fano_free", 7)]
     assert all(row["seconds"] > 0 and row["traced_peak_mb"] > 0 for row in data["rows"])
     fano = data["rows"][-1]
-    assert (fano["optimum"], fano["nodes"]) == (410, 1078)
+    assert (fano["optimum"], fano["nodes"], fano["params"]) == (410, 1078, {"bound_prunes": 4282})
 
 
 def test_bench_k4_times_the_detector_and_the_constructor(tmp_path):
@@ -56,9 +56,9 @@ def test_bench_fano_times_both_kernels_on_the_same_hosts(tmp_path):
         for n in range(7, 15)
     ]
     assert all(
-        row[key] > 0
+        row[f"{call}_s"] > 0 and len(row["runs_s"][call]) == 3
         for row in rows
-        for key in ("contains_fano_s", "contains_k53_s", "link_triple_violation_s")
+        for call in ("contains_fano", "contains_k53", "link_triple_violation")
     )
 
 

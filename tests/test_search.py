@@ -582,6 +582,7 @@ def test_fano_free_optima_small():
 def test_fano_free_search_at_seven_is_pinned():
     rep = max_l2_fano_free(7)
     assert (rep.optimum, rep.nodes, rep.complete) == (410, 1078, True)
+    assert rep.params == {"bound_prunes": 4282}
     # K7 minus the five triples through the pair {0, 1}
     kept = [t for t in combinations(range(7), 3) if not {0, 1} <= set(t)]
     assert rep.witness == write_3graph(Uniform3Graph(7, kept))
@@ -591,6 +592,15 @@ def test_fano_free_search_at_seven_is_pinned():
     for mask in masks:
         assert mask.bit_count() == 7
         assert contains_fano(Uniform3Graph(7, graph_edges(triples, mask))) is not None
+
+
+def test_fano_free_deadline_keeps_the_first_hitting_sets():
+    # the deadline is read every 1,024 nodes, long after the first leaf
+    rep = max_l2_fano_free(7, budget=0)
+    assert (rep.optimum, rep.nodes, rep.complete) == (410, 1024, False)
+    host = parse_3graph(rep.witness)
+    assert contains_fano(host) is None
+    assert host.lp_norm(2) == rep.optimum
 
 
 def test_fano_free_small_hosts_are_complete():
