@@ -54,10 +54,18 @@ call summed over its hosts, the median of three runs, and asserts that
 the two plane tests agree, that every planted host holds a plane and that
 every bipartite sub-host is bipartite.
 
+verify: runs `run_suite("all", seed=0)` in three fresh interpreters, since
+the census, the identity pool and the (5,5) branch and bound are cached per
+process and a second run in one process would time them warm. It records
+each check's status and median `elapsed` seconds, one row per registry
+row in suite order, and a last row with the suite's median total seconds
+and its pass and fail counts. It asserts that the three runs measured the
+same values.
+
 The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
 
-    python scripts/bench.py [census|fano|bnb|scans|k4|check] [OUT]    default OUT: BENCH_<topic>.json
+    python scripts/bench.py [census|fano|bnb|scans|k4|check|verify] [OUT]    default OUT: BENCH_<topic>.json
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ import json
 import os
 import platform
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -342,6 +351,42 @@ def _check_rows() -> list[dict]:
     return rows
 
 
+VERIFY_RUNS = 3
+VERIFY_CHILD = (
+    "from fano_l2.verify import report_to_json, run_suite; "
+    "print(report_to_json(run_suite('all', seed=0)))"
+)
+
+
+def _verify_rows() -> list[dict]:
+    # the census, the identity pool and the (5,5) branch and bound are cached
+    # per process, so each run gets a fresh interpreter to time them cold
+    reports = []
+    for _ in range(VERIFY_RUNS):
+        proc = subprocess.run(
+            [sys.executable, "-c", VERIFY_CHILD], capture_output=True, text=True, check=True
+        )
+        reports.append(json.loads(proc.stdout))
+    measured = {json.dumps([(c["check_id"], c["measured"]) for c in r["checks"]]) for r in reports}
+    if len(measured) != 1:
+        raise AssertionError("verify runs measured different values")
+    rows = []
+    for i, check in enumerate(reports[0]["checks"]):
+        runs_s = sorted(r["checks"][i]["elapsed"] for r in reports)
+        rows.append(
+            {"check": check["check_id"], "status": check["status"],
+             "seconds": runs_s[1], "runs_s": runs_s}
+        )
+        print(f"{check['check_id']}: {check['status']} {runs_s[1] * 1e3:.1f} ms")
+    runs_s = sorted(r["elapsed"] for r in reports)
+    rows.append(
+        {"suite": "all", "seed": 0, "passed": reports[0]["passed"],
+         "failed": reports[0]["failed"], "seconds": runs_s[1], "runs_s": runs_s}
+    )
+    print(f"all: {reports[0]['passed']} passed, {reports[0]['failed']} failed, {runs_s[1]:.3f}s")
+    return rows
+
+
 TOPICS = {
     "census": _census_rows,
     "fano": _fano_rows,
@@ -349,6 +394,7 @@ TOPICS = {
     "scans": _scan_rows,
     "k4": _k4_rows,
     "check": _check_rows,
+    "verify": _verify_rows,
 }
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import eq, lt
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, NoReturn
 
 Triple = tuple[int, int, int]
 
@@ -124,16 +124,17 @@ class Uniform3Graph:
 
     def remove_vertex(self, v: int) -> Uniform3Graph:
         """Delete v and its edges; remaining vertices shift down to 0..n-2."""
-        if not 0 <= v < self.n:
+        n = self.n
+        if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside range")
-
-        def shift(x: int) -> int:
-            return x if x < v else x - 1
-
+        shift = list(range(n))
+        shift[v + 1:] = range(v, n - 1)
         kept = [
-            tuple(shift(x) for x in t) for t in self._triples if v not in t
+            (shift[a], shift[b], shift[c])
+            for a, b, c in self._triples
+            if v != a and v != b and v != c
         ]
-        return Uniform3Graph(self.n - 1, kept)
+        return Uniform3Graph(n - 1, kept)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -194,19 +195,6 @@ class Uniform3Graph:
         shared = sum(comb(self.codegree(v, x), 2) for x in neighbours)
         return shared + sum(self._codegree[pair] - 1 for pair in link_pairs)
 
-    def two_edge_stars(self) -> Iterator[tuple[tuple[int, int], int, int]]:
-        """All two-edge star copies as (shared pair, tip, tip) with tips sorted."""
-        by_pair: dict[tuple[int, int], list[int]] = {}
-        for a, b, c in self._triples:
-            by_pair.setdefault((a, b), []).append(c)
-            by_pair.setdefault((a, c), []).append(b)
-            by_pair.setdefault((b, c), []).append(a)
-        for pair, tips in by_pair.items():
-            tips.sort()
-            for i in range(len(tips)):
-                for j in range(i + 1, len(tips)):
-                    yield pair, tips[i], tips[j]
-
 
 # ----- constructions --------------------------------------------------------
 
@@ -222,11 +210,18 @@ def bipartite3(a: int, b: int) -> Uniform3Graph:
     if a < 0 or b < 0:
         raise ValueError("part sizes must be nonnegative")
     n = a + b
-    return Uniform3Graph(n, [t for t in combinations(range(n), 3) if t[0] < a <= t[2]])
+    # x runs over the first part and z over the second, so each triple is
+    # crossing, and the three ranges list them in lexicographic order
+    return Uniform3Graph(
+        n,
+        [(x, y, z) for x in range(a) for y in range(x + 1, n) for z in range(max(y + 1, a), n)],
+    )
 
 
 def balanced_bipartite3(n: int) -> Uniform3Graph:
     """The balanced complete bipartite 3-graph on n vertices (larger part first)."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     a = (n + 1) // 2
     return bipartite3(a, n - a)
 
@@ -250,6 +245,8 @@ def bn_l2_closed(n: int) -> int:
 def bn_min_l2_degree(n: int) -> int:
     """Minimum 2-norm degree of the balanced complete bipartite 3-graph, from the
     per-part expansion (exact integers, usable far beyond materializable sizes)."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n < 2:
         return 0
     a = (n + 1) // 2

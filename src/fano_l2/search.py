@@ -896,11 +896,15 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         sigma = part1 + part2
         for hit in block_hits.get(a, ()):
             maximizers.add(_relabel(hit, sigma))
-    # every maximizer is a relabelled representative hit
+    host = bipartite3((n + 1) // 2, n // 2)
+    balanced = canonical_3graph(host)
+    # every maximizer is a relabelled representative hit; a hit equal to the
+    # labelled balanced host reuses its canonical form
     canon = {
-        canonical_3graph(Uniform3Graph(n, hit)) for hits in block_hits.values() for hit in hits
+        balanced if tuple(hit) == host.triples() else canonical_3graph(Uniform3Graph(n, hit))
+        for hits in block_hits.values()
+        for hit in hits
     }
-    balanced = canonical_3graph(bipartite3((n + 1) // 2, n // 2))
     return SearchReport(
         objective="bipartite-l2",
         n=n,

@@ -157,28 +157,46 @@ def _check_deletion_lipschitz(seed: int):
     return bad
 
 
+def _star_participation(H) -> tuple[dict, dict, dict]:
+    """How many two-edge stars each edge, vertex and shadow pair of H lies
+    in, as three maps; an edge or pair in no star maps to 0.
+
+    Two distinct edges share at most one pair, so each star has exactly one
+    shared pair p, and p holds C(c(p), 2) stars, where c(p) is the codegree.
+    Counting the stars by their shared pair gives each count exactly:
+      - an edge e pairs with each of the c(p) - 1 other edges through each of
+        its three pairs p, so it lies in sum over p in e of (c(p) - 1) stars;
+      - a vertex w lies in a star as a vertex of its shared pair or as a
+        tip, which is what `star_degree(w)` counts;
+      - a pair p lies in a star when one of the star's two edges contains
+        it, so summing the stars of the edges through p counts each star
+        once, except the C(c(p), 2) stars whose shared pair is p, which
+        hold p in both edges and are counted twice.
+    """
+    per_edge: dict = {}
+    per_pair: dict = {}
+    for e in H.triples():
+        a, b, c = e
+        pairs = ((a, b), (a, c), (b, c))
+        stars = sum(H.codegree(u, v) for u, v in pairs) - 3
+        per_edge[e] = stars
+        for p in pairs:
+            per_pair[p] = per_pair.get(p, 0) + stars
+    per_pair = {p: stars - comb(H.codegree(*p), 2) for p, stars in per_pair.items()}
+    per_vertex = {w: H.star_degree(w) for w in range(H.n)}
+    return per_edge, per_vertex, per_pair
+
+
 def _check_participation(seed: int):
     bad = 0
     for H in _identity_pool(seed):
         n = H.n
-        per_edge: dict = {}
-        per_vertex = [0] * n
-        per_pair: dict = {}
-        for pair, a, b in H.two_edge_stars():
-            u, v = pair
-            e1 = tuple(sorted((u, v, a)))
-            e2 = tuple(sorted((u, v, b)))
-            for e in (e1, e2):
-                per_edge[e] = per_edge.get(e, 0) + 1
-            for w in set(e1) | set(e2):
-                per_vertex[w] += 1
-            for p in {tuple(sorted(q)) for e in (e1, e2) for q in ((e[0], e[1]), (e[0], e[2]), (e[1], e[2]))}:
-                per_pair[p] = per_pair.get(p, 0) + 1
-        if per_edge and max(per_edge.values()) > 3 * (n - 3):
+        per_edge, per_vertex, per_pair = _star_participation(H)
+        if max(per_edge.values(), default=0) > 3 * (n - 3):
             bad += 1
-        if max(per_vertex, default=0) > 24 * comb(n - 1, 3):
+        if max(per_vertex.values(), default=0) > 24 * comb(n - 1, 3):
             bad += 1
-        if per_pair and max(per_pair.values()) > 24 * comb(n - 2, 2):
+        if max(per_pair.values(), default=0) > 24 * comb(n - 2, 2):
             bad += 1
     return bad
 

@@ -31,6 +31,40 @@ def link(H: Uniform3Graph, v: int) -> SimpleGraph:
     return SimpleGraph(H.n, [tuple(w for w in t if w != v) for t in H.triples() if v in t])
 
 
+def two_edge_stars(h: Uniform3Graph):
+    """All two-edge star copies of h as (shared pair, tip, tip), tips sorted."""
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for a, b, c in h.triples():
+        by_pair.setdefault((a, b), []).append(c)
+        by_pair.setdefault((a, c), []).append(b)
+        by_pair.setdefault((b, c), []).append(a)
+    for pair, tips in by_pair.items():
+        tips.sort()
+        for i in range(len(tips)):
+            for j in range(i + 1, len(tips)):
+                yield pair, tips[i], tips[j]
+
+
+def star_participation_oracle(h: Uniform3Graph) -> tuple[dict, dict, dict]:
+    """How many two-edge stars each edge, vertex and pair of h lies in,
+    bucketed star by star from `two_edge_stars`: the per-star count
+    `verify._star_participation` must agree with. Only what lies in some
+    star has an entry."""
+    per_edge: dict = {}
+    per_vertex: dict = {}
+    per_pair: dict = {}
+    for (u, v), a, b in two_edge_stars(h):
+        e1 = tuple(sorted((u, v, a)))
+        e2 = tuple(sorted((u, v, b)))
+        for e in (e1, e2):
+            per_edge[e] = per_edge.get(e, 0) + 1
+        for w in set(e1) | set(e2):
+            per_vertex[w] = per_vertex.get(w, 0) + 1
+        for p in {q for e in (e1, e2) for q in combinations(e, 2)}:
+            per_pair[p] = per_pair.get(p, 0) + 1
+    return per_edge, per_vertex, per_pair
+
+
 def fano_plane() -> Uniform3Graph:
     """The Fano plane: 7 points, 7 lines, every point on 3 lines."""
     return Uniform3Graph(7, FANO_EDGES)

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from fano_l2 import verify
 from fano_l2.graphs import SimpleGraph
 from fano_l2.hypergraphs import (
     Uniform3Graph,
@@ -19,7 +20,7 @@ from fano_l2.hypergraphs import (
     random_3graph,
 )
 
-from helpers import has_edge, link, uniform3_fields_oracle
+from helpers import has_edge, link, star_participation_oracle, two_edge_stars, uniform3_fields_oracle
 
 
 @st.composite
@@ -79,6 +80,15 @@ def test_three_l2_degree_routes_agree(h):
 
 
 @given(small_3graphs())
+def test_star_participation_counts_every_star(h):
+    counted = verify._star_participation(h)
+    nonzero = tuple({key: c for key, c in counts.items() if c} for counts in counted)
+    assert nonzero == star_participation_oracle(h)
+    per_edge, per_vertex, _ = counted
+    assert set(per_edge) == set(h.triples()) and set(per_vertex) == set(range(h.n))
+
+
+@given(small_3graphs())
 def test_l2_degree_sum_identity(h):
     total = sum(h.l2_degree_expanded(v) for v in range(h.n))
     assert total == 4 * h.lp_norm(2) - h.lp_norm(1)
@@ -86,7 +96,7 @@ def test_l2_degree_sum_identity(h):
 
 @given(small_3graphs())
 def test_two_edge_stars_enumeration_consistent(h):
-    stars = list(h.two_edge_stars())
+    stars = list(two_edge_stars(h))
     assert len(stars) == h.count_stars()
     for (u, v), t1, t2 in stars:
         assert t1 < t2
@@ -116,9 +126,36 @@ def test_balanced_bipartite_closed_norm(n):
     assert min(h.l2_degree_expanded(v) for v in range(n)) == bn_min_l2_degree(n)
 
 
+def test_bipartite3_lists_the_crossing_triples_in_order():
+    for a in range(13):
+        for b in range(13):
+            expected = [t for t in combinations(range(a + b), 3) if t[0] < a <= t[2]]
+            h = bipartite3(a, b)
+            assert h.n == a + b and list(h.triples()) == expected
+            if a == 0 or b == 0:
+                assert h.edge_count == 0
+
+
 def test_small_closed_norm_values():
     assert bn_l2_closed(4) == 24
     assert bn_l2_closed(5) == 75
+
+
+@pytest.mark.parametrize(
+    "build", [bn_l2_closed, bn_min_l2_degree, complete3, balanced_bipartite3]
+)
+def test_negative_vertex_counts_are_rejected(build):
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=rf"^vertex count must be nonnegative, got {n}$"):
+            build(n)
+
+
+def test_zero_and_one_vertex_values():
+    assert (bn_l2_closed(0), bn_l2_closed(1)) == (0, 0)
+    assert (bn_min_l2_degree(0), bn_min_l2_degree(1)) == (0, 0)
+    for n in (0, 1):
+        assert (complete3(n).n, complete3(n).edge_count) == (n, 0)
+        assert (balanced_bipartite3(n).n, balanced_bipartite3(n).edge_count) == (n, 0)
 
 
 def test_remove_vertex_relabels():
@@ -126,6 +163,20 @@ def test_remove_vertex_relabels():
     g = h.remove_vertex(1)
     assert g.n == 4
     assert g.triples() == ((1, 2, 3),)
+
+
+def test_remove_vertex_matches_the_per_triple_shift():
+    for h in verify._identity_pool(0):
+        for v in range(h.n):
+            kept = [tuple(x if x < v else x - 1 for x in t) for t in h.triples() if v not in t]
+            assert h.remove_vertex(v) == Uniform3Graph(h.n - 1, kept)
+
+
+def test_remove_vertex_rejects_a_vertex_outside_the_range():
+    h = Uniform3Graph(4, [(0, 1, 2)])
+    for v in (-1, 4, 9):
+        with pytest.raises(ValueError, match=rf"^vertex {v} outside range$"):
+            h.remove_vertex(v)
 
 
 def test_random_3graph_edge_prob_extremes(rng):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fano_l2.verify import _CHECKS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -74,3 +76,15 @@ def test_bench_check_times_each_call_on_each_host_class(tmp_path):
         assert all(row[f"{call}_s"] > 0 and len(row["runs_s"][call]) == 3 for call in calls)
     assert [row["plane"] for row in rows[2:]] == [60, 60]
     assert (rows[1]["plane"], rows[1]["bipartite"]) == (0, 60)
+
+
+def test_bench_verify_times_every_check_in_fresh_runs(tmp_path):
+    out = tmp_path / "verify.json"
+    proc = run_bench("verify", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    *checks, total = rows
+    assert [row["check"] for row in checks] == [c.check_id for c in _CHECKS]
+    assert all(row["status"] == "pass" and len(row["runs_s"]) == 3 for row in checks)
+    assert (total["suite"], total["passed"], total["failed"]) == ("all", len(_CHECKS), 0)
+    assert total["seconds"] > 0

@@ -8,6 +8,7 @@ from fano_l2 import verify
 from fano_l2.cli import build_parser
 from fano_l2.hypergraphs import Uniform3Graph
 from fano_l2.verify import report_to_json, run_suite
+from helpers import star_participation_oracle
 
 REGISTRY_IDS = (
     "roots.f_inverse_5_4",
@@ -102,6 +103,14 @@ def test_lemma51_suite_passes():
     rep = run_suite("lemma51")
     assert rep.overall == "pass"
     assert rep.passed == len(rep.checks) == 5
+
+
+@pytest.mark.parametrize("seed", range(20260819, 20260828))
+def test_star_participation_matches_the_per_star_count(seed):
+    for h in verify._identity_pool(seed):
+        counted = verify._star_participation(h)
+        nonzero = tuple({key: c for key, c in counts.items() if c} for counts in counted)
+        assert nonzero == star_participation_oracle(h)
 
 
 def test_degree_routes_checks_the_deletion_route(monkeypatch):
