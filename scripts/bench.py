@@ -66,6 +66,8 @@ The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
 
     python scripts/bench.py [census|fano|bnb|scans|k4|check|verify] [OUT]    default OUT: BENCH_<topic>.json
+
+Any other first argument prints that usage line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -400,7 +402,10 @@ TOPICS = {
 
 def main() -> int:
     args = sys.argv[1:]
-    topic = args.pop(0) if args and args[0] in TOPICS else "census"
+    if args and args[0] not in TOPICS:
+        print(f"usage: bench.py [{'|'.join(TOPICS)}] [OUT]", file=sys.stderr)
+        return 2
+    topic = args.pop(0) if args else "census"
     out = Path(args[0] if args else f"BENCH_{topic}.json")
     rows = TOPICS[topic]()
     payload = {

@@ -14,7 +14,7 @@ routes to the 2-norm degree, all exposed here.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
@@ -56,10 +56,10 @@ class Uniform3Graph:
 
     Construction validates and sorts the triples and counts the vertex
     degrees. The codegree table, which every norm, star count and degree
-    expansion reads, and the per-vertex incidence lists, which the
-    per-vertex degree routes read, are built on first read: the plane
-    and K5^3 kernels and the 2-colouring read only the sorted triples and
-    the degrees.
+    expansion reads, and the per-vertex link lists (the other two vertices
+    of each triple through the vertex), which the per-vertex degree routes
+    read, are built on first read: the plane and K5^3 kernels and the
+    2-colouring read only the sorted triples and the degrees.
     """
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()) -> None:
@@ -92,16 +92,13 @@ class Uniform3Graph:
         return Counter(chain.from_iterable(zip(zip(A, B), zip(A, C), zip(B, C))))
 
     @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        # append each triple's index to its three vertices' lists, consuming
-        # the map without a Python-level loop; iterating one list three
-        # times makes the three appends share one int object
-        incident: list[list[int]] = [[] for _ in range(self.n)]
-        r = list(range(len(self._triples)))
-        indices = chain.from_iterable(zip(r, r, r))
-        vertices = chain.from_iterable(self._triples)
-        deque(map(list.append, map(incident.__getitem__, vertices), indices), maxlen=0)
-        return tuple(map(tuple, incident))
+    def _links(self) -> list[list[tuple[int, int]]]:
+        links: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for a, b, c in self._triples:
+            links[a].append((b, c))
+            links[b].append((a, c))
+            links[c].append((a, b))
+        return links
 
     # ----- basic structure --------------------------------------------------
 
@@ -169,16 +166,11 @@ class Uniform3Graph:
 
     def _pairs_at(self, v: int) -> tuple[set[int], list[tuple[int, int]]]:
         """The neighbours of v and the link pairs of v (one per incident
-        triple), read from v's triples only."""
+        triple), read from v's link list only."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside range")
-        neighbours: set[int] = set()
-        link_pairs = []
-        for idx in self._incident[v]:
-            a, b = (x for x in self._triples[idx] if x != v)
-            neighbours.update((a, b))
-            link_pairs.append((a, b))
-        return neighbours, link_pairs
+        links = self._links[v]
+        return set(chain.from_iterable(links)), links
 
     def l2_degree_expanded(self, v: int) -> int:
         """2-norm degree via the local expansion: the squared codegrees of the

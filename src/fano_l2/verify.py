@@ -198,6 +198,9 @@ def _check_participation(seed: int):
             bad += 1
         if max(per_pair.values(), default=0) > 24 * comb(n - 2, 2):
             bad += 1
+        # each star meets four vertices: its shared pair and its two tips
+        if sum(per_vertex.values()) != 4 * H.count_stars():
+            bad += 1
     return bad
 
 

@@ -176,7 +176,7 @@ def contains_k4_oracle(mg: MMultigraph) -> K4Witness | None:
 
 def uniform3_fields_oracle(n: int, triples) -> dict:
     """The per-triple construction `Uniform3Graph` must agree with: each
-    triple sorted and checked in input order, then the codegrees, incidence
+    triple sorted and checked in input order, then the codegrees, link
     lists and degrees filled in one pass over the sorted edges. Returns the
     fields by slot name, or raises the first invalid triple's ValueError."""
     if n < 0:
@@ -195,18 +195,18 @@ def uniform3_fields_oracle(n: int, triples) -> dict:
         canon.append(tt)
     canon.sort()
     codegree = {}
-    incident = [[] for _ in range(n)]
+    links = [[] for _ in range(n)]
     degree = [0] * n
-    for idx, (a, b, c) in enumerate(canon):
+    for a, b, c in canon:
         for pair in ((a, b), (a, c), (b, c)):
             codegree[pair] = codegree.get(pair, 0) + 1
         for v in (a, b, c):
-            incident[v].append(idx)
+            links[v].append(tuple(x for x in (a, b, c) if x != v))
             degree[v] += 1
     return {
         "_triples": tuple(canon),
         "_codegree": codegree,
-        "_incident": tuple(tuple(ix) for ix in incident),
+        "_links": links,
         "_degree": tuple(degree),
     }
 

@@ -197,6 +197,24 @@ def test_gen_param_count_enforced(capsys):
     assert main(["gen", "--construction", "cnk", "--params", "7"]) == 2
 
 
+def test_gen_invalid_parameters_exit_2(capsys):
+    assert main(["gen", "--construction", "cnk", "--params", "3", "5"]) == 2
+    assert capsys.readouterr().err == "invalid parameters: clique size 5 outside 0..3\n"
+
+
+def test_norm_on_an_mgraph_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "one.mgraph"
+    path.write_text("mgraph 3 2\n0 1 1\n", encoding="utf-8")
+    assert main(["norm", str(path)]) == 2
+    assert capsys.readouterr().err == "norm is defined for 3graph and graph files\n"
+
+
+def test_bounds_grid_step_must_be_positive(capsys):
+    for table in ("ak", "prop23", "f"):
+        assert main(["bounds", "--table", table, "--grid", "0"]) == 2
+        assert capsys.readouterr().err == "grid step must be positive\n"
+
+
 def test_gen_over_the_cap_exits_2(capsys):
     # kn3 with n = 1000 would hold 166M triples, tens of gigabytes; the
     # C(n, r) bound is checked before anything is built

@@ -139,6 +139,27 @@ def test_error_messages_carry_line_numbers():
         parse_mgraph("mgraph 4 5\n0 1 2,2\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_graph, "graph 3\n0 1\n0 1\n", "line 3: duplicate edge 0 1"),
+        (parse_mgraph, "mgraph 3 2\n0 1\n", "line 2: expected 'u v c1,c2,...'"),
+        (parse_mgraph, "mgraph 3 2\n0 x 1\n", "line 2: non-integer field"),
+        (parse_mgraph, "mgraph 3 2\n0 1 1,y\n", "line 2: non-integer field"),
+        (parse_mgraph, "mgraph 3 2\n1 0 1\n", "line 2: vertices must satisfy 0 <= u < v < 3"),
+        (parse_mgraph, "mgraph 3 2\n1 1 1\n", "line 2: vertices must satisfy 0 <= u < v < 3"),
+        (parse_mgraph, "mgraph 3 2\n0 1 3\n", "line 2: layers must lie in 1..2"),
+        (parse_mgraph, "mgraph 3 2\n0 1 0,1\n", "line 2: layers must lie in 1..2"),
+        (parse_3graph, "3graph x\n", "line 1: non-integer header argument"),
+        (parse_mgraph, "mgraph 3 1.5\n", "line 1: non-integer header argument"),
+    ],
+)
+def test_body_and_header_errors_name_the_fault(parse, text, message):
+    with pytest.raises(FormatError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
 def test_header_validation():
     with pytest.raises(FormatError):
         parse_3graph("")

@@ -93,6 +93,21 @@ def test_quasi_star_exact_two_edge_stars():
         assert g.star_count() == sum(comb(d, 2) for d in g.degrees())
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (-1, [], "vertex count must be nonnegative, got -1"),
+        (3, [(0, 3)], "edge (0,3) outside vertex range 0..2"),
+        (3, [(1, 1)], "loop at vertex 1"),
+        (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ],
+)
+def test_invalid_simple_graphs_are_rejected(n, edges, message):
+    with pytest.raises(ValueError) as caught:
+        SimpleGraph(n, edges)
+    assert str(caught.value) == message
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         clique_plus_isolated(3, 4)

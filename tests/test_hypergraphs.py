@@ -150,6 +150,11 @@ def test_negative_vertex_counts_are_rejected(build):
             build(n)
 
 
+def test_negative_part_sizes_are_rejected():
+    with pytest.raises(ValueError, match=r"^part sizes must be nonnegative$"):
+        bipartite3(-1, 2)
+
+
 def test_zero_and_one_vertex_values():
     assert (bn_l2_closed(0), bn_l2_closed(1)) == (0, 0)
     assert (bn_min_l2_degree(0), bn_min_l2_degree(1)) == (0, 0)
@@ -228,7 +233,7 @@ def test_constructor_matches_the_per_triple_oracle(seed):
     h = Uniform3Graph(n, given)
     assert h._triples == expected["_triples"]
     assert list(h._codegree.items()) == list(expected["_codegree"].items())
-    assert h._incident == expected["_incident"]
+    assert h._links == expected["_links"]
     assert h._degree == expected["_degree"]
 
 
@@ -237,14 +242,14 @@ def test_codegree_and_incidence_tables_are_built_on_first_read():
     triples = [t for t in combinations(range(9), 3) if rng.random() < 0.4]
     expected = uniform3_fields_oracle(9, triples)
     h = Uniform3Graph(9, triples)
-    assert "_codegree" not in vars(h) and "_incident" not in vars(h)
+    assert "_codegree" not in vars(h) and "_links" not in vars(h)
     assert h.degrees() == expected["_degree"]
     assert h.lp_norm(2) == sum(d * d for d in expected["_codegree"].values())
-    assert "_codegree" in vars(h) and "_incident" not in vars(h)
+    assert "_codegree" in vars(h) and "_links" not in vars(h)
     h.star_degree(0)
-    assert "_incident" in vars(h)
+    assert "_links" in vars(h)
     assert list(h._codegree.items()) == list(expected["_codegree"].items())
-    assert h._incident == expected["_incident"]
+    assert h._links == expected["_links"]
 
 
 def test_constructor_traced_peak_stays_within_the_per_triple_build():

@@ -162,7 +162,7 @@ def test_every_fano_line_shares_four_row_keys_and_completes():
 class _Unwalked(dict):
     """A table row whose walk fails the test."""
 
-    def items(self):
+    def __getitem__(self, key):
         raise AssertionError("the search walked a row the reject should have spared")
 
 
@@ -185,7 +185,7 @@ def test_the_check_path_builds_no_codegree_or_incidence_table():
         _plane_search.cache_clear()
         contains_fano(parsed)
         is_bipartite3(parsed)
-        assert not {"_codegree", "_incident"} & vars(parsed).keys()
+        assert not {"_codegree", "_links"} & vars(parsed).keys()
 
 
 def test_plane_search_follows_the_host_it_is_given():
@@ -341,6 +341,25 @@ def test_k53_search_on_a_bipartite_host_is_fast():
     assert peak < 4 << 20
 
 
+def test_plane_table_leaves_out_vertices_of_low_degree():
+    # a sunflower of 30,000 triples: vertex 0 on every one, every other
+    # vertex of degree 1; without the degree filter the table holds every
+    # edge, and each kernel took over a second and about 54 MB
+    host = Uniform3Graph(60_001, [(0, 2 * i + 1, 2 * i + 2) for i in range(30_000)])
+    for kernel in (contains_fano, contains_k53):
+        _plane_search.cache_clear()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert kernel(host) is None
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.5
+        assert peak < 1 << 20
+
+
 def test_bipartite_recognition():
     for a, b in ((1, 2), (2, 2), (3, 3), (4, 3)):
         parts = is_bipartite3(bipartite3(a, b))
@@ -480,7 +499,7 @@ def test_edge_link_multigraph_layers():
     h = complete3(5)
     mg = edge_link_multigraph(h, (0, 1, 2))
     assert mg.n == 5 and mg.m == 3
-    assert "_incident" not in vars(h)
+    assert "_links" not in vars(h)
     # layer i is the link of the i-th edge vertex
     for i, v in enumerate((0, 1, 2)):
         assert tuple(pair for pair, mask in mg.pairs() if mask >> i & 1) == link(h, v).edges()
@@ -501,4 +520,4 @@ def test_link_triple_violation_on_spoke_host():
     host = violating_spoke_host()
     hit = link_triple_violation(host)
     assert hit is not None
-    assert "_incident" not in vars(host)
+    assert "_links" not in vars(host)

@@ -19,6 +19,17 @@ def run_bench(topic, out):
     )
 
 
+def test_bench_rejects_an_unknown_topic_before_running(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "fanoo"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "usage: bench.py [census|fano|bnb|scans|k4|check|verify] [OUT]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_scans_records_seconds_and_traced_peak(tmp_path):
     out = tmp_path / "scans.json"
     proc = run_bench("scans", out)

@@ -282,6 +282,20 @@ def test_census_m5_witness_is_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5, 5), "exhaustive engine requires n=4"),
+        ((4, 5, "magic"), "unknown engine 'magic'"),
+        ((3, 5, "bnb"), "branch and bound supports n in {4, 5}"),
+    ],
+)
+def test_k4free_search_rejects_unsupported_arguments(args, message):
+    with pytest.raises(ValueError) as caught:
+        max_k4free_multigraph(*args)
+    assert str(caught.value) == message
+
+
 def test_census_layer_range_guard():
     # the census and the 4-vertex branch and bound are frozen and checked
     # only for 1..5 layers; other counts are refused before any table of 2^m

@@ -123,6 +123,30 @@ def test_degree_routes_checks_the_deletion_route(monkeypatch):
     assert verify._check_degree_routes(0) > 0
 
 
+def _off_by_one(method):
+    def broken(self, v):
+        return method(self, v) + 1
+
+    return broken
+
+
+def test_degree_rows_check_the_local_expansion(monkeypatch):
+    expanded = _off_by_one(Uniform3Graph.l2_degree_expanded)
+    monkeypatch.setattr(Uniform3Graph, "l2_degree_expanded", expanded)
+    assert verify._check_degree_sum(0) > 0
+    assert verify._check_bn_min_degree(0) > 0
+
+
+def test_participation_checks_the_star_degree(monkeypatch):
+    monkeypatch.setattr(Uniform3Graph, "star_degree", _off_by_one(Uniform3Graph.star_degree))
+    assert verify._check_participation(0) > 0
+
+
+def test_bn_fano_free_checks_the_plane_embedder(monkeypatch):
+    monkeypatch.setattr(verify, "contains_fano", lambda host: tuple(range(7)))
+    assert verify._check_bn_fano_free(0) > 0
+
+
 def test_constructions_suite_passes():
     rep = run_suite("constructions")
     assert rep.overall == "pass"
