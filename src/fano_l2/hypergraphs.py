@@ -59,7 +59,9 @@ class Uniform3Graph:
     expansion reads, and the per-vertex link lists (the other two vertices
     of each triple through the vertex), which the per-vertex degree routes
     read, are built on first read: the plane and K5^3 kernels and the
-    2-colouring read only the sorted triples and the degrees.
+    2-colouring read only the sorted triples and the degrees. The codegree
+    table maps each covered pair (u, v), u < v, to its codegree, both
+    Python ints, in ascending pair order; it is counted in one NumPy pass.
     """
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()) -> None:
@@ -83,13 +85,24 @@ class Uniform3Graph:
         self._degree = tuple(map(counts.get, range(n), repeat(0, n)))
 
     @cached_property
-    def _codegree(self) -> Counter:
-        flat = list(chain.from_iterable(self._triples))
-        A, B, C = flat[0::3], flat[1::3], flat[2::3]
-        # pairs enter in the order (a,b), (a,c), (b,c) of each triple in
-        # sorted order, so the codegree table iterates as a per-triple pass
-        # over the sorted edges would fill it
-        return Counter(chain.from_iterable(zip(zip(A, B), zip(A, C), zip(B, C))))
+    def _codegree(self) -> dict[tuple[int, int], int]:
+        # imported here: the check path never builds this table
+        import numpy as np
+
+        n = self.n
+        t = np.fromiter(
+            chain.from_iterable(self._triples), dtype=np.int64, count=3 * len(self._triples)
+        ).reshape(-1, 3)
+        # pair (u, v) with u < v has code u*n + v, so codes order the pairs
+        # lexicographically; n*n fits int64, as the degree tuple holds n items
+        a, b, c = t[:, 0] * n, t[:, 1], t[:, 2]
+        # sorting the 3m codes, not counting into n*n cells, keeps a wide
+        # sparse host's table the size of its triples
+        codes, counts = np.unique(
+            np.concatenate((a + b, a + c, b * n + c)), return_counts=True
+        )
+        u, v = np.divmod(codes, n)
+        return dict(zip(zip(u.tolist(), v.tolist()), counts.tolist()))
 
     @cached_property
     def _links(self) -> list[list[tuple[int, int]]]:

@@ -445,8 +445,10 @@ def max_k4free_multigraph(
     nodes = pattern_prunes = bound_prunes = descents = 0
     deadline = None if budget is None else start + budget
     complete = True
-    # candidate lists by (layer classes, popcount limit), built on first use
+    # candidate lists by (layer classes, popcount limit) and class splits by
+    # (layer classes, mask), each built on first use
     options: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    splits: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
     def descend(depth: int, size: int, classes: tuple[int, ...], limit: int) -> None:
         nonlocal best, best_masks, nodes, complete
@@ -498,7 +500,9 @@ def max_k4free_multigraph(
                 for q in mine:
                     quad_sums[q] += p - m
                 # every later pair is capped at the first pair's count
-                split = _split_classes(classes, mask)
+                split = splits.get((classes, mask))
+                if split is None:
+                    split = splits[classes, mask] = _split_classes(classes, mask)
                 descend(depth + 1, size + p, split, pop[masks[0]])
                 for q in mine:
                     quad_sums[q] -= p - m

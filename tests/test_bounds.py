@@ -4,6 +4,7 @@ from math import comb, isclose, sqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fano_l2 import bounds
 from fano_l2.bounds import (
     ROOT_EQUATION_TOKENS,
     RationalReport,
@@ -78,6 +79,43 @@ def test_f_endpoints_and_roundtrip():
         assert isclose(f_inverse(f_of(y)), y, abs_tol=1e-9)
 
 
+# f at a few points as the per-point scalar formula gave it: y, f(y), the
+# active branch and both branches
+F_VALUES = [
+    (0.0, 0.0, 0, (0.0, 0.0)),
+    (0.1, 0.3155417527999329, 0, (0.3155417527999329, 0.28944271909999164)),
+    (0.25, 0.8535533905932737, 0, (0.8535533905932737, 0.8535533905932737)),
+    (0.3, 1.0647580015448899, 1, (1.05298221281347, 1.0647580015448899)),
+    (0.342067, 1.2499976045551242, 1, (1.2299248743229496, 1.2499976045551242)),
+    (0.5, 2.0, 0, (2.0, 2.0)),
+]
+
+
+def test_f_values_are_pinned():
+    for y, value, active, branches in F_VALUES:
+        assert f_of(y) == value
+        assert f_bound(y) == bounds.BoundPoint(value, active, branches)
+
+
+def test_f_inverse_refuses_a_formula_the_grid_finds_decreasing(monkeypatch):
+    formula = bounds._f_formula
+
+    def dipped(y):
+        # both branches drop by 1e-3 at the grid point y = 0.3, more than
+        # f rises over one grid step (about 1.5e-4)
+        star, clique = formula(y)
+        dip = 1e-3 * (y == 0.3)
+        return star - dip, clique - dip
+
+    monkeypatch.setattr(bounds, "_f_formula", dipped)
+    bounds._check_f_grid.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="f is not nondecreasing"):
+            f_inverse(1.0)
+    finally:
+        bounds._check_f_grid.cache_clear()
+
+
 def test_root_residuals_and_pinned_values():
     pinned = {
         "linear_branch": 0.346707,
@@ -140,6 +178,16 @@ def test_rational_identity_chunks_match_the_plain_scan():
         )
     with pytest.raises(ValueError, match="overflow"):
         rational_identity_checks(scan_limit=(1 << 31) + 1)
+
+
+@pytest.mark.parametrize("bad", [2 + (1 << 14), 3 + (1 << 14), 2 + (2 << 14), 70_000])
+def test_step_scan_names_the_first_m_where_g_is_wrong(monkeypatch, bad):
+    # g off by one at a single m breaks the steps at m and m+1; the first m
+    # of a chunk is caught only if its chunk also evaluates g at m - 1
+    g = bounds.g_pairs_plus_bipartite
+    monkeypatch.setattr(bounds, "g_pairs_plus_bipartite", lambda m: g(m) + (m == bad))
+    with pytest.raises(AssertionError, match=f"step identity fails at m={bad}$"):
+        rational_identity_checks(scan_limit=70_000)
 
 
 def test_g_matches_construction_sizes():

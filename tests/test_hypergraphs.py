@@ -232,9 +232,49 @@ def test_constructor_matches_the_per_triple_oracle(seed):
         return
     h = Uniform3Graph(n, given)
     assert h._triples == expected["_triples"]
-    assert list(h._codegree.items()) == list(expected["_codegree"].items())
+    _assert_codegree_table(h, expected)
     assert h._links == expected["_links"]
     assert h._degree == expected["_degree"]
+
+
+def _assert_codegree_table(h, expected):
+    # the table lists the covered pairs in ascending order, as tuples of
+    # Python ints mapped to Python ints, so norms stay exact at any p
+    table = list(h._codegree.items())
+    assert table == sorted(expected["_codegree"].items())
+    assert all(type(pair) is tuple and type(d) is int for pair, d in table)
+    assert all(type(u) is int and type(v) is int for (u, v), _ in table)
+
+
+def test_codegree_table_matches_the_oracle_on_the_verify_hosts():
+    hosts = [H for seed in range(3) for H in verify._identity_pool(seed)]
+    hosts += [balanced_bipartite3(n) for n in range(3, 41)]
+    for h in hosts:
+        _assert_codegree_table(h, uniform3_fields_oracle(h.n, h.triples()))
+
+
+def test_codegree_table_of_a_wide_sparse_host_is_not_sized_by_n_squared():
+    # counting in an n*n table would take 33 MB at n = 2,048 and 34 GB at
+    # 65,536 (the widest host the parser accepts); the smaller host comes
+    # first, so a count sized by n*n fails there
+    triples = [(0, 1, 2), (0, 1, 2047), (5, 1000, 2047), (1, 2, 2047)]
+    for n in (2048, 65_536):
+        h = Uniform3Graph(n, triples + [(0, 2, n - 1), (3, n - 2, n - 1)])
+        tracemalloc.start()
+        try:
+            h._codegree
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        _assert_codegree_table(h, uniform3_fields_oracle(n, h.triples()))
+
+
+def test_high_norm_exponents_stay_exact():
+    # 28^25 is about 1.6e36, far past int64
+    h = complete3(30)
+    expected = uniform3_fields_oracle(30, h.triples())["_codegree"]
+    assert h.lp_norm(25) == sum(d**25 for d in expected.values()) == comb(30, 2) * 28**25
 
 
 def test_codegree_and_incidence_tables_are_built_on_first_read():
@@ -248,7 +288,7 @@ def test_codegree_and_incidence_tables_are_built_on_first_read():
     assert "_codegree" in vars(h) and "_links" not in vars(h)
     h.star_degree(0)
     assert "_links" in vars(h)
-    assert list(h._codegree.items()) == list(expected["_codegree"].items())
+    _assert_codegree_table(h, expected)
     assert h._links == expected["_links"]
 
 

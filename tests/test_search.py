@@ -380,9 +380,15 @@ def test_bnb_witnesses_are_pinned():
         rep = max_k4free_multigraph(n, m, engine="bnb")
         assert rep.witness == text
         assert sum(rep.params.values()) == rep.nodes
-    # at (5,5) no leaf beats the identical-layer seed, so it stays the witness
+    # at (5,5) no leaf beats the identical-layer seed, so it stays the
+    # witness; the counters also pin the class splits each descent passes down
     rep = max_k4free_multigraph(5, 5, engine="bnb")
-    assert (rep.optimum, rep.complete) == (40, True)
+    assert (rep.optimum, rep.nodes, rep.complete) == (40, 33490, True)
+    assert rep.params == {
+        "pattern_prunes": 16377,
+        "bound_prunes": 8547,
+        "descents": 8566,
+    }
     assert rep.witness == write_mgraph(turan_layers_5(5))
 
 
