@@ -64,22 +64,12 @@ def _f_formula(y):
     return (1 - 2 * y) ** 1.5 + 6 * y - 1, (2 * y) ** 1.5 + 2 * y
 
 
-def _f_branches(y: float) -> tuple[float, float]:
+def f_bound(y: float) -> BoundPoint:
+    """f(y) = max{(1-2y)^(3/2) + 6y - 1, (2y)^(3/2) + 2y} on [0, 1/2], with
+    its branches, the star first and the clique second."""
     if not 0 <= y <= 0.5:
         raise ValueError(f"argument {y} outside [0, 1/2]")
-    return _f_formula(y)
-
-
-def f_of(y: float) -> float:
-    """max{(1-2y)^(3/2) + 6y - 1, (2y)^(3/2) + 2y} on [0, 1/2]."""
-    # a plain float: the bisection calls it about 40 times a run
-    return max(_f_branches(y))
-
-
-def f_bound(y: float) -> BoundPoint:
-    """f_of(y) with its branches, the star (1-2y)^(3/2) + 6y - 1 first and the
-    clique (2y)^(3/2) + 2y second."""
-    return _pick(_f_branches(y))
+    return _pick(_f_formula(y))
 
 
 @functools.cache
@@ -93,7 +83,7 @@ def _check_f_grid() -> None:
 
 
 def f_inverse(t: float) -> float:
-    """Bisection inverse of f_of on [0, 1/2], to within 1e-12; domain
+    """Bisection inverse of f on [0, 1/2], to within 1e-12; domain
     [0, f(1/2)] = [0, 2]."""
     if not 0 <= t <= 2:
         raise ValueError(f"target {t} outside [0, 2]")
@@ -101,7 +91,9 @@ def f_inverse(t: float) -> float:
     lo, hi = 0.0, 0.5
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
-        if f_of(mid) < t:
+        # a plain float, not a BoundPoint: the bisection evaluates f about
+        # 40 times a call
+        if max(_f_formula(mid)) < t:
             lo = mid
         else:
             hi = mid
@@ -210,7 +202,6 @@ class RationalReport:
     """Outcome of the exact big-integer verifications."""
 
     combined_value: Fraction
-    g_step_threshold: int
     g_step_largest_failing: int
 
 
@@ -256,8 +247,4 @@ def rational_identity_checks(scan_limit: int = 10**6) -> RationalReport:
         failing = np.flatnonzero(13 * step <= 44 * m)
         if failing.size:
             largest_failing = int(m[failing[-1]])
-    return RationalReport(
-        combined_value=combined,
-        g_step_threshold=largest_failing + 1,
-        g_step_largest_failing=largest_failing,
-    )
+    return RationalReport(combined_value=combined, g_step_largest_failing=largest_failing)

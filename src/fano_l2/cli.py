@@ -10,9 +10,7 @@ Exit codes: 0 success or pattern absent, 1 pattern found or failed check,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
-import json
 import sys
 from math import comb
 from pathlib import Path
@@ -57,7 +55,7 @@ def _cmd_norm(args) -> int:
     if isinstance(obj, Uniform3Graph):
         print(f"norm_{p}: {obj.lp_norm(p)}")
         if p == 2:
-            degrees = [obj.lp_norm_degree(v) for v in range(obj.n)]
+            degrees = [obj.l2_degree_expanded(v) for v in range(obj.n)]
             print(f"two_edge_stars: {obj.count_stars()}")
             print(
                 f"l2_degree min/max/total: {min(degrees, default=0)} "
@@ -237,7 +235,7 @@ def _cmd_search(args) -> int:
         print(f"{objective} needs {needs}", file=sys.stderr)
         return 2
     report = run(args)
-    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    text = report_to_json(report)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(

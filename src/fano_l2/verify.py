@@ -3,10 +3,11 @@
 Each suite bundles related checks: seeded identity checks on random
 3-graphs, the pinned decimal roots, construction cross-checks, the
 exhaustive 4-vertex census, and the independent search oracles. Each row
-of the registry holds its check's expected value and tolerance, and
-`run_check` judges every row by the same rule. A suite is an id prefix and
-runs every row it selects; each check records the seconds it took, so a slow
-run is explained by its own report.
+of the registry holds its check's expected value, and `run_check` judges
+every row by the same rule: a float is a pinned decimal, met within
+DECIMAL_TOLERANCE, and any other value must be met exactly. A suite is an
+id prefix and runs every row it selects; each check records the seconds it
+took, so a slow run is explained by its own report.
 """
 
 from __future__ import annotations
@@ -58,12 +59,11 @@ DECIMAL_TOLERANCE = 5e-6
 @dataclass(frozen=True, slots=True)
 class Check:
     """A registry row: `fn(seed)` returns what it measured, and the row holds
-    the value it must equal, or lie within `tolerance` of when that is set."""
+    the value `run_check` judges it against."""
 
     check_id: str
     fn: Callable[[int], object]
     expected: object = 0
-    tolerance: float = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,9 +87,9 @@ class VerifyReport:
     elapsed: float
 
 
-def report_to_json(report: VerifyReport) -> str:
-    """Stable JSON rendering; only the elapsed fields (the report's and each
-    check's) vary between runs of the same configuration."""
+def report_to_json(report) -> str:
+    """Stable JSON rendering of a verify or search report; only its elapsed
+    fields vary between runs of the same configuration."""
     return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
@@ -140,7 +140,7 @@ def _check_degree_sum(seed: int):
     return sum(
         1
         for H in _identity_pool(seed)
-        if sum(H.lp_norm_degree(v) for v in range(H.n))
+        if sum(H.l2_degree_expanded(v) for v in range(H.n))
         != 4 * H.lp_norm(2) - 3 * H.edge_count
     )
 
@@ -208,11 +208,11 @@ def _check_rational_identity(seed: int):
     # these three values are the whole claim: a combined value equal to
     # 5154779/2872915 is the identity, and that fraction exceeds 61/34
     # (5154779*34 > 61*2872915); a largest failure at 29 means the step beats
-    # 44m/13 for every m from 30 up to the scan limit
+    # 44m/13 for every m from the threshold 30 up to the scan limit
     rep = rational_identity_checks()
     return {
         "combined": str(rep.combined_value),
-        "threshold": rep.g_step_threshold,
+        "threshold": rep.g_step_largest_failing + 1,
         "largest_failing": rep.g_step_largest_failing,
     }
 
@@ -227,7 +227,7 @@ def _check_bn_min_degree(seed: int):
     bad = 0
     for n in range(4, 15):
         H = balanced_bipartite3(n)
-        direct = min(H.lp_norm_degree(v) for v in range(n))
+        direct = min(H.l2_degree_expanded(v) for v in range(n))
         if direct != bn_min_l2_degree(n):
             bad += 1
     return bad
@@ -359,28 +359,17 @@ def _check_bnb_six(seed: int):
 
 # A suite is an id prefix, and `all` runs every row in this order.
 _CHECKS: tuple[Check, ...] = (
-    Check("roots.f_inverse_5_4", lambda seed: f_inverse(1.25),
-          0.342067, DECIMAL_TOLERANCE),
-    Check("roots.linear_branch", lambda seed: solve_root_equation("linear_branch"),
-          0.346707, DECIMAL_TOLERANCE),
-    Check("roots.claim32", lambda seed: solve_root_equation("claim32"),
-          0.344635, DECIMAL_TOLERANCE),
-    Check("roots.claim33", lambda seed: solve_root_equation("claim33"),
-          0.346577, DECIMAL_TOLERANCE),
-    Check("roots.claim34", lambda seed: solve_root_equation("claim34"),
-          0.346665, DECIMAL_TOLERANCE),
-    Check("roots.alpha1_at_61_177", lambda seed: alpha1_limit(61 / 177),
-          0.225024, DECIMAL_TOLERANCE),
-    Check("roots.alpha1_at_235_687", lambda seed: alpha1_limit(235 / 687),
-          0.171997, DECIMAL_TOLERANCE),
-    Check("roots.alpha2_at_61_177", lambda seed: alpha2_limit(61 / 177),
-          0.337536, DECIMAL_TOLERANCE),
-    Check("roots.alpha2_at_61_176", lambda seed: alpha2_limit(61 / 176),
-          0.387402, DECIMAL_TOLERANCE),
-    Check("roots.scaled_core_rate", lambda seed: 5 / 13 * core_rate(253 / 730),
-          0.322526, DECIMAL_TOLERANCE),
-    Check("roots.half_core_rate", lambda seed: core_rate(253 / 730) / 2,
-          0.419284, DECIMAL_TOLERANCE),
+    Check("roots.f_inverse_5_4", lambda seed: f_inverse(1.25), 0.342067),
+    Check("roots.linear_branch", lambda seed: solve_root_equation("linear_branch"), 0.346707),
+    Check("roots.claim32", lambda seed: solve_root_equation("claim32"), 0.344635),
+    Check("roots.claim33", lambda seed: solve_root_equation("claim33"), 0.346577),
+    Check("roots.claim34", lambda seed: solve_root_equation("claim34"), 0.346665),
+    Check("roots.alpha1_at_61_177", lambda seed: alpha1_limit(61 / 177), 0.225024),
+    Check("roots.alpha1_at_235_687", lambda seed: alpha1_limit(235 / 687), 0.171997),
+    Check("roots.alpha2_at_61_177", lambda seed: alpha2_limit(61 / 177), 0.337536),
+    Check("roots.alpha2_at_61_176", lambda seed: alpha2_limit(61 / 176), 0.387402),
+    Check("roots.scaled_core_rate", lambda seed: 5 / 13 * core_rate(253 / 730), 0.322526),
+    Check("roots.half_core_rate", lambda seed: core_rate(253 / 730) / 2, 0.419284),
     Check("roots.rational_identity", _check_rational_identity,
           {"combined": "5154779/2872915", "threshold": 30, "largest_failing": 29}),
     Check("identities.l1_norm", _check_l1_norm),
@@ -420,13 +409,15 @@ SUITE_NAMES = (*dict.fromkeys(c.check_id.split(".")[0] for c in _CHECKS), "all")
 
 
 def run_check(check: Check, seed: int) -> CheckResult:
-    """Run one registry row and judge what it measured: within the row's
-    tolerance when it has one, equal to its expected value otherwise."""
+    """Run one registry row and judge what it measured: within
+    DECIMAL_TOLERANCE of a float expected value, the pinned decimal, and equal
+    to any other expected value."""
     start = time.perf_counter()
     measured = check.fn(seed)
     elapsed = time.perf_counter() - start
-    if check.tolerance:
-        ok = abs(measured - check.expected) <= check.tolerance
+    tolerance = DECIMAL_TOLERANCE if isinstance(check.expected, float) else 0
+    if tolerance:
+        ok = abs(measured - check.expected) <= tolerance
     else:
         ok = measured == check.expected
     return CheckResult(
@@ -434,7 +425,7 @@ def run_check(check: Check, seed: int) -> CheckResult:
         status="pass" if ok else "fail",
         measured=measured,
         expected=check.expected,
-        tolerance=check.tolerance,
+        tolerance=tolerance,
         elapsed=elapsed,
     )
 

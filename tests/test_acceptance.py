@@ -105,7 +105,7 @@ def test_criterion_07_identity_suite(acceptance_line):
 
 
 def test_criterion_08_pinned_decimals(acceptance_line):
-    ids = [check_id for check_id, c in CHECKS.items() if c.tolerance]
+    ids = [check_id for check_id, c in CHECKS.items() if isinstance(c.expected, float)]
     text = "all 11 pinned decimals reproduced within 5e-6"
     run_criterion(acceptance_line, 8, ids, text, also=len(ids) == 11)
 

@@ -7,11 +7,15 @@ would run a job, and `Tracer.install` rebinds module functions in place.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fano_l2
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _tree(name):
@@ -74,3 +78,14 @@ def test_every_package_call_the_benchmark_makes_binds_to_the_live_signature():
         assert all(kw.arg is not None for kw in call.keywords)
         signature = inspect.signature(getattr(fano_l2, call.func.attr))
         signature.bind(*[None] * len(call.args), **{kw.arg: None for kw in call.keywords})
+
+
+def test_importing_the_package_loads_numpy():
+    # job.py reads sys.modules["numpy"].__version__ after every job, the
+    # plane_check jobs too, which import nothing but the package
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import fano_l2, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "True"

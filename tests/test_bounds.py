@@ -14,7 +14,6 @@ from fano_l2.bounds import (
     core_rate,
     f_bound,
     f_inverse,
-    f_of,
     g_pairs_plus_bipartite,
     prop23_bound,
     rational_identity_checks,
@@ -30,7 +29,6 @@ densities = st.floats(0.0, 0.5, allow_nan=False)
 
 @given(densities)
 def test_bound_point_invariants(x):
-    assert f_bound(x).value == f_of(x)
     for point in (ak_s2_bound(x), prop23_bound(x, 0.3), f_bound(x)):
         assert point.value == max(point.branches)
         assert point.branches[point.active_branch] >= point.value - 1e-12
@@ -61,7 +59,7 @@ def test_domain_validation():
         with pytest.raises(ValueError):
             ak_s2_bound(bad)
         with pytest.raises(ValueError):
-            f_of(bad)
+            f_bound(bad)
     with pytest.raises(ValueError):
         prop23_bound(0.3, 1.5)
     with pytest.raises(ValueError):
@@ -73,10 +71,10 @@ def test_domain_validation():
 
 
 def test_f_endpoints_and_roundtrip():
-    assert f_of(0.0) == 0.0
-    assert f_of(0.5) == 2.0
+    assert f_bound(0.0).value == 0.0
+    assert f_bound(0.5).value == 2.0
     for y in (0.05, 0.2, 0.342, 0.49):
-        assert isclose(f_inverse(f_of(y)), y, abs_tol=1e-9)
+        assert isclose(f_inverse(f_bound(y).value), y, abs_tol=1e-9)
 
 
 # f at a few points as the per-point scalar formula gave it: y, f(y), the
@@ -93,7 +91,6 @@ F_VALUES = [
 
 def test_f_values_are_pinned():
     for y, value, active, branches in F_VALUES:
-        assert f_of(y) == value
         assert f_bound(y) == bounds.BoundPoint(value, active, branches)
 
 
@@ -150,7 +147,6 @@ def test_rational_identity_report():
     rep = rational_identity_checks(scan_limit=2000)
     assert rep.combined_value == Fraction(5154779, 2872915)
     assert rep.combined_value > Fraction(61, 34)
-    assert rep.g_step_threshold == 30
     assert rep.g_step_largest_failing == 29
 
 
@@ -173,7 +169,6 @@ def test_rational_identity_chunks_match_the_plain_scan():
         largest_failing = _reference_step_scan(limit)
         assert rational_identity_checks(scan_limit=limit) == RationalReport(
             combined_value=Fraction(5154779, 2872915),
-            g_step_threshold=largest_failing + 1,
             g_step_largest_failing=largest_failing,
         )
     with pytest.raises(ValueError, match="overflow"):

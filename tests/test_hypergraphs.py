@@ -47,7 +47,7 @@ def test_basic_queries():
 def test_degree_and_star_counts_take_no_exponent_or_size():
     # the 2-norm degree and the two-edge star count are the only ones the
     # paper uses, so neither method takes p or a star size
-    assert list(inspect.signature(Uniform3Graph.lp_norm_degree).parameters) == ["self", "v"]
+    assert list(inspect.signature(Uniform3Graph.l2_degree_expanded).parameters) == ["self", "v"]
     assert list(inspect.signature(Uniform3Graph.count_stars).parameters) == ["self"]
     assert list(inspect.signature(SimpleGraph.star_count).parameters) == ["self"]
 

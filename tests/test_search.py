@@ -706,6 +706,15 @@ def test_bipartite_scan_matches_the_every_bipartition_oracle():
         )
 
 
+def test_bipartite_scan_revalidates_its_witness(monkeypatch):
+    # a relabelling that drops a triple maps every hit to a graph below the
+    # optimum, so the witness must be refused, not written
+    relabel = search._relabel
+    monkeypatch.setattr(search, "_relabel", lambda triples, perm: relabel(triples, perm)[1:])
+    with pytest.raises(AssertionError, match="bipartite witness failed revalidation"):
+        bipartite_l2_scan(5)
+
+
 def test_bipartite_scan_range_guard():
     # below 3 vertices no triple crosses a bipartition; above 6 the scan
     # outgrows memory
