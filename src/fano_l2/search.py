@@ -5,7 +5,7 @@ formulas and constructions elsewhere in the package can be checked against
 exhaustive ground truth at desk scale: the full 4-vertex multigraph census,
 branch-and-bound for multigraph Turán numbers, two-edge-star maxima over all
 small graphs, the minimum-degree bipartiteness scan, the maximum-norm
-Fano-free search up to seven vertices, and the bipartite norm scan.
+Fano-free search up to eight vertices, and the bipartite norm scan.
 """
 
 from __future__ import annotations
@@ -78,6 +78,16 @@ class SearchReport:
 # ascending order of their smallest state (min2 << 2m) | min3, and the first
 # row of a block to reach its maximum holds the smallest maximizing state of
 # the block, the one a scan of single states finds.
+#
+# A block's first matching enters the Hall test only through i1 = a1 & b1,
+# and everything else through s1, pop(i1) and whether a1 or b1 is full.
+# Once the Hall test has kept a row, the size, the histogram and every
+# clause read only the row's cell (s2, s3, i2 != 0, i3 != 0, full23): 968
+# cells at m=5. So the scan tabulates the pattern-free states per cell once
+# for each distinct i1 (6 among the 56 orbit blocks at m=5, at most 2^m in
+# any scan), and each block reads that small table; only a block that beats
+# the maximum goes back to the rows, for its witness, which is the first
+# free row of the block's largest s2 + s3.
 
 _CENSUS_PAIRS = tuple(pair for matching in MATCHINGS for pair in matching)
 
@@ -97,8 +107,9 @@ def _matching_classes(m: int) -> dict[tuple[int, int, bool], list[int]]:
 
 def _inner_rows(m: int) -> dict:
     """The class product for matchings 2 and 3, class2 major: per row the
-    intersections, popcount sums and full flags it reads, and its state
-    count c2*c3; the counts sum to 16^m."""
+    intersections the Hall test reads, its popcount sum s23, its cell and
+    its state count c2*c3 (the counts sum to 16^m); and per cell its key
+    (s2, s3, has_i2, has_i3, full23)."""
     classes = _matching_classes(m)
     n = len(classes)
     pop = np.array([x.bit_count() for x in range(1 << m)], dtype=np.int64)
@@ -110,6 +121,9 @@ def _inner_rows(m: int) -> dict:
     s2, s3 = np.repeat(sums, n), np.tile(sums, n)
     u23 = i2 | i3
     has_i2, has_i3 = i2 > 0, i3 > 0
+    full23 = np.repeat(full, n) | np.tile(full, n)
+    shape = (2 * m + 1, 2 * m + 1, 2, 2, 2)
+    cell_s2, cell_s3, *flags = np.unravel_index(np.arange(prod(shape)), shape)
     return {
         "pop": pop,
         "smallest": [pair for _, pair in classes.values()],
@@ -118,13 +132,25 @@ def _inner_rows(m: int) -> dict:
         "i2": i2,
         "i3": i3,
         "u23": u23,
-        "s2": s2,
-        "s3": s3,
-        "has_i2": has_i2,
-        "has_i3": has_i3,
         "hall_base": has_i2 & has_i3 & (pop[u23] >= 2),
-        "full23": np.repeat(full, n) | np.tile(full, n),
+        "s23": s2 + s3,
+        "cell": np.ravel_multi_index((s2, s3, has_i2, has_i3, full23), shape),
+        "cell_keys": (cell_s2, cell_s3, *(flag.astype(bool) for flag in flags)),
     }
+
+
+def _free_rows(t: dict, i1: int) -> np.ndarray:
+    """Which inner rows of the table t are pattern-free in a block whose
+    first matching intersects in i1."""
+    pop = t["pop"]
+    if pop[i1] == 0:
+        return np.ones(len(t["count"]), dtype=bool)
+    return ~(
+        t["hall_base"]
+        & (pop[i1 | t["i2"]] >= 2)
+        & (pop[i1 | t["i3"]] >= 2)
+        & (pop[i1 | t["u23"]] >= 3)
+    )
 
 
 def _block_orbits(m: int) -> list[tuple[int, int]]:
@@ -147,10 +173,11 @@ def _block_orbits(m: int) -> list[tuple[int, int]]:
 @dataclass(frozen=True, slots=True)
 class CensusReport:
     """Aggregate over all 4-vertex m-layer states. blocks is the number of
-    outer blocks actually scanned, classes the pair classes of one matching
-    and inner_rows the class-product rows scanned per block; table_build_s
-    and scan_s time the class tables and the block scan, elapsed the whole
-    report."""
+    outer blocks actually scanned, tables the distinct first-matching
+    intersections among them, each tabulated once over the inner rows,
+    classes the pair classes of one matching and inner_rows the
+    class-product rows each table reads; table_build_s and scan_s time the
+    class tables and the block scan, elapsed the whole report."""
 
     m: int
     states: int
@@ -164,6 +191,7 @@ class CensusReport:
     size_histogram: tuple[int, ...]
     witness: str
     blocks: int
+    tables: int
     classes: int
     inner_rows: int
     table_build_s: float
@@ -181,41 +209,35 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
     t = _inner_rows(m)
     built = time.perf_counter()
     pop = t["pop"]
-    count = t["count"]
-    s2, s3 = t["s2"], t["s3"]
+    # per cell, where t["s23"] is per row
+    s2, s3, has_i2, has_i3, full23 = t["cell_keys"]
     s23 = s2 + s3
-    has_i2, has_i3 = t["has_i2"], t["has_i3"]
     size_bits = 1 << m
     hist = np.zeros(6 * m + 1, dtype=np.int64)
     k4_free = 0
     viol_i = viol_iii = viol_iv = viol_v = 0
     best = -1
     best_state = None
+    # per first-matching intersection: the free states per cell, and per s23
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for block, weight in blocks:
         a1, b1 = divmod(block, size_bits)
         i1 = a1 & b1
         pop_i1 = int(pop[i1])
         s1 = int(pop[a1]) + int(pop[b1])
-        if pop_i1 >= 1:
-            free = ~(
-                t["hall_base"]
-                & (pop[i1 | t["i2"]] >= 2)
-                & (pop[i1 | t["i3"]] >= 2)
-                & (pop[i1 | t["u23"]] >= 3)
-            )
-        else:
-            free = np.ones(len(count), dtype=bool)
-        sizes = s23 + s1
-        # float64 weights are exact here: a block's sums stay below 16^m = 2^20
-        hist += weight * np.bincount(
-            sizes[free], weights=count[free], minlength=6 * m + 1
-        ).astype(np.int64)
-        k4_free += weight * int(count[free].sum())
-        free_sizes = np.where(free, sizes, -1)
-        block_best = int(free_sizes.max())
+        if i1 not in tables:
+            free = _free_rows(t, i1)
+            # float64 weights are exact here: a table counts at most 16^m = 2^20 states
+            cells = np.bincount(t["cell"][free], weights=t["count"][free], minlength=len(s23))
+            by_sum = np.bincount(s23, weights=cells, minlength=4 * m + 1)
+            tables[i1] = cells.astype(np.int64), by_sum.astype(np.int64)
+        cells, by_sum = tables[i1]
+        hist[s1 : s1 + len(by_sum)] += weight * by_sum
+        k4_free += weight * int(by_sum.sum())
+        block_best = s1 + int(np.flatnonzero(by_sum)[-1])
         if block_best > best:
             best = block_best
-            row = int(np.argmax(free_sizes == block_best))
+            row = int(np.argmax(_free_rows(t, i1) & (t["s23"] == block_best - s1)))
             class2, class3 = divmod(row, t["classes"])
             best_state = (
                 a1,
@@ -224,9 +246,10 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
                 *divmod(t["smallest"][class3], size_bits),
             )
         if m == 5:
+            sizes = s23 + s1
 
             def states(mask) -> int:
-                return int(count[free & mask].sum())
+                return int(cells[mask].sum())
 
             v_i = v_iii = v_v = 0
             if s1 >= 8:
@@ -239,7 +262,7 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
                 v_iii += states((sizes >= 23) & has_i2 & has_i3)
             v_v += states((s1 + s2 >= 17) & has_i3) + states((s1 + s3 >= 17) & has_i2)
             if pop[a1] < m and pop[b1] < m:
-                viol_iv += weight * states((sizes >= 22) & ~t["full23"])
+                viol_iv += weight * states((sizes >= 22) & ~full23)
             viol_i += weight * v_i
             viol_iii += weight * v_iii
             viol_v += weight * v_v
@@ -260,8 +283,9 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
         size_histogram=tuple(int(x) for x in hist),
         witness=write_mgraph(witness_mg),
         blocks=len(blocks),
+        tables=len(tables),
         classes=t["classes"],
-        inner_rows=len(count),
+        inner_rows=len(t["count"]),
         table_build_s=built - start,
         scan_s=scanned - built,
         elapsed=time.perf_counter() - start,
@@ -282,9 +306,11 @@ def k4_census(m: int) -> CensusReport:
 
     Every state is counted, but only one outer block per layer-relabelling
     orbit is scanned (56 of the 1024 blocks at m=5), weighted by the orbit
-    size, and within a block one row per pair of matching classes (19,044
-    rows standing for 2^20 states at m=5), weighted by its state count; the
-    block comment above says why both are exact and why the witness is the
+    size. The inner part is one row per pair of matching classes (19,044
+    rows standing for 2^20 states at m=5), weighted by its state count, and
+    the rows are tabulated into cells once per distinct first-matching
+    intersection (6 tables at m=5), which each block then reads; the block
+    comment above says why all of this is exact and why the witness is the
     one a scan of every state finds.
 
     Layer counts are limited to 1..5, the range whose values are frozen and
@@ -337,8 +363,9 @@ def max_k4free_multigraph(
 
     The exhaustive engine supports n=4 only: the 4-vertex census, which
     counts every state but scans one outer block per layer-relabelling
-    orbit and one row per pair of matching classes; params holds its
-    classes, inner_rows, blocks, table_build_s and scan_s. Both engines take
+    orbit, and tabulates one row per pair of matching classes once per
+    distinct first-matching intersection; params holds its classes,
+    inner_rows, blocks, tables, table_build_s and scan_s. Both engines take
     1..5 layers. Branch and bound supports n in {4, 5}: depth-first over
     pair color masks in a fixed order, every pair capped at the multiplicity
     of the first (every assignment can be relabeled so a maximum-multiplicity
@@ -391,6 +418,7 @@ def max_k4free_multigraph(
                 "classes": census.classes,
                 "inner_rows": census.inner_rows,
                 "blocks": census.blocks,
+                "tables": census.tables,
                 "table_build_s": census.table_build_s,
                 "scan_s": census.scan_s,
             },
@@ -561,6 +589,23 @@ def _relabel(triples, perm) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted([tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in triples]))
 
 
+def _star_half(
+    n: int, pairs, shift: int, width: int, reverse: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every mask of `width` edge bits from `shift` over pairs: the
+    degree it gives each vertex v, packed in byte v (byte 7 - v if
+    reverse), its two-edge-star count and its edge count."""
+    masks = np.arange(1 << width, dtype=np.uint32)
+    packed = np.zeros(len(masks), dtype=np.uint64)
+    stars = np.zeros(len(masks), dtype=np.uint64)
+    for v in range(n):
+        inc = _mask(pairs, lambda p: v in p) >> shift & ((1 << width) - 1)
+        degree = np.bitwise_count(masks & np.uint32(inc)).astype(np.uint64)
+        packed |= degree << np.uint64(8 * (7 - v if reverse else v))
+        stars += (degree * degree - degree) // 2
+    return packed, stars, np.bitwise_count(masks)
+
+
 @functools.cache
 def _graph_star_table(n: int) -> dict:
     """For every edge count m, the exhaustive max of the two-edge-star count
@@ -570,54 +615,50 @@ def _graph_star_table(n: int) -> dict:
     low_bits | low. A vertex of degree dl + dh from the two halves sits in C(dl, 2) +
     C(dh, 2) + dl * dh two-edge stars, so the count of a graph is
     SL[low] + SH[high] + sum_v DL[low, v] * DH[high, v], with tables over
-    the halves alone. It is evaluated as one lows x highs block per edge
-    count of the high half, never one entry per graph."""
+    the halves alone. It is evaluated as one lows x highs block per pair of
+    edge counts of the two halves, never one entry per graph.
+
+    The cross term comes from one product of packed degrees: PL[low] holds
+    DL[low, v] in byte v and PH[high] holds DH[high, v] in byte 7 - v, so
+    DL[low, v] * DH[high, w] lands in byte 7 + v - w, and byte 7, the top
+    one, is sum_v DL[low, v] * DH[high, v]. Each byte of the product sums at
+    most n terms of at most 6 * 6, at most 252 < 256 at the n <= 7 that
+    _check_scan_capacity allows, so no byte carries into the next, and the
+    wrap-around mod 2^64 drops only the bytes above the top one."""
     _check_scan_capacity(n)
     pairs = all_pairs(n)
     nbits = len(pairs)
     low_bits = nbits // 2
-    incidence = [_mask(pairs, lambda p: w in p) for w in range(n)]
-
-    def half(shift: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # for every mask of `width` edge bits from `shift`: the degree it
-        # gives each vertex, its star count and its edge count
-        masks = np.arange(1 << width, dtype=np.uint32)
-        degrees = np.empty((len(masks), n), dtype=np.int32)
-        for v, inc in enumerate(incidence):
-            degrees[:, v] = np.bitwise_count(masks & np.uint32(inc >> shift & ((1 << width) - 1)))
-        stars = (degrees * (degrees - 1) // 2).sum(axis=1, dtype=np.int32)
-        return degrees, stars, np.bitwise_count(masks)
-
-    dl, sl, low_edges = half(0, low_bits)
-    dh, sh, high_edges = half(low_bits, nbits - low_bits)
+    pl, sl, low_edges = _star_half(n, pairs, 0, low_bits, reverse=False)
+    ph, sh, high_edges = _star_half(n, pairs, low_bits, nbits - low_bits, reverse=True)
     # lows by edge count, ascending within a count: rows bounds[l]:bounds[l+1]
     order = np.argsort(low_edges, kind="stable")
-    dl, sl = dl[order], sl[order]
+    pl, sl = pl[order], sl[order]
     bounds = np.searchsorted(low_edges[order], np.arange(low_bits + 2))
-    widest = int(np.bincount(high_edges).max())
-    # one pair of buffers, sliced per edge count, bounds peak memory: a fresh
-    # block per edge count raised run_suite("all") max RSS from 35.3 to
-    # 37.2 MB (x86_64 Linux, Python 3.11.7, NumPy 2.4.6)
-    block_buf = np.empty((len(order), widest), dtype=np.int32)
-    product_buf = np.empty_like(block_buf)
+    # one buffer, reshaped per pair of edge counts (252 x 462 at n = 7),
+    # bounds peak memory: a block of all lows per high edge count takes four
+    # times the bytes, and with it run_suite("all") peaked at 36.3 MB RSS
+    # against 35.8 MB (x86_64 Linux, Python 3.11.7, NumPy 2.4.6)
+    largest = int(np.diff(bounds).max()) * int(np.bincount(high_edges).max())
+    block_buf = np.empty(largest, dtype=np.uint64)
     table: dict[int, tuple[int, int]] = {}
     for h in range(nbits - low_bits + 1):
         highs = np.flatnonzero(high_edges == h)
-        block = block_buf[:, : len(highs)]
-        product = product_buf[:, : len(highs)]
-        np.add(sl[:, None], sh[highs], out=block)
-        for v in range(n):
-            np.multiply(dl[:, v, None], dh[highs, v], out=product)
-            block += product
+        ph_h, sh_h = ph[highs], sh[highs]
         for l in range(low_bits + 1):
-            rows = block[bounds[l] : bounds[l + 1]]
-            best = int(rows.max())
-            hit = rows == best
+            lo, hi = bounds[l], bounds[l + 1]
+            block = block_buf[: (hi - lo) * len(highs)].reshape(hi - lo, len(highs))
+            np.multiply(pl[lo:hi, None], ph_h, out=block)
+            block >>= np.uint64(56)
+            block += sl[lo:hi, None]
+            block += sh_h
+            best = int(block.max())
+            hit = block == best
             # highs ascend, then lows within a row class: the first hit
             # column and its first hit row give the smallest attaining mask
             j = int(np.argmax(hit.any(axis=0)))
             i = int(np.argmax(hit[:, j]))
-            mask = int(highs[j]) << low_bits | int(order[bounds[l] + i])
+            mask = int(highs[j]) << low_bits | int(order[lo + i])
             old = table.get(l + h)
             if old is None or best > old[0] or (best == old[0] and mask < old[1]):
                 table[l + h] = (best, mask)
@@ -771,8 +812,8 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     there is no copy, and the single leaf is the complete graph.
     """
     start = time.perf_counter()
-    if n < 3 or n > 7:
-        raise ValueError("supported vertex counts are 3..7")
+    if n < 3 or n > 8:
+        raise ValueError("supported vertex counts are 3..8")
 
     triples = list(combinations(range(n), 3))
     # each copy as its mask and its seven triple indices, ascending
@@ -904,13 +945,13 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         for hit in block_hits.get(a, ()):
             maximizers.add(_relabel(hit, sigma))
     host = bipartite3((n + 1) // 2, n // 2)
-    balanced = canonical_3graph(host)
-    # every maximizer is a relabelled representative hit; a hit equal to the
-    # labelled balanced host reuses its canonical form
-    canon = {
-        balanced if tuple(hit) == host.triples() else canonical_3graph(Uniform3Graph(n, hit))
+    # every maximizer is a relabelled representative hit; only a hit other
+    # than the labelled balanced host needs a canonical form
+    others = {
+        canonical_3graph(Uniform3Graph(n, hit))
         for hits in block_hits.values()
         for hit in hits
+        if tuple(hit) != host.triples()
     }
     witness = Uniform3Graph(n, min(maximizers))
     if witness.lp_norm(2) != best or is_bipartite3(witness) is None:
@@ -926,7 +967,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         params={
             "closed_value": bn_l2_closed(n),
             "maximizer_count": len(maximizers),
-            "unique_up_to_iso": canon == {balanced},
+            "unique_up_to_iso": not others or others == {canonical_3graph(host)},
             "blocks_scanned": len(block_states),
             "states_scanned": sum(block_states.values()),
         },

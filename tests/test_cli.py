@@ -330,8 +330,9 @@ def test_search_json_shape(tmp_path, capsys):
 
 def test_search_census_json(tmp_path, capsys):
     # the exhaustive engine is the 4-vertex census: 20 of the 64 outer blocks
-    # (one per layer-relabelling orbit), 24 pair classes a matching and
-    # 24 * 24 class-product rows a block stand for all 8^6 states
+    # (one per layer-relabelling orbit), 4 distinct first-matching
+    # intersections among them, each tabulated once, and 24 pair classes a
+    # matching and 24 * 24 class-product rows a table stand for all 8^6 states
     out = tmp_path / "census.json"
     argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "3", "--out", str(out)]
     assert main(argv) == 0
@@ -340,8 +341,10 @@ def test_search_census_json(tmp_path, capsys):
     assert (data["optimum"], data["nodes"], data["complete"]) == (15, 8**6, True)
     assert (data["engine"], data["witness_kind"]) == ("exhaustive", "mgraph")
     params = data["params"]
-    assert set(params) == {"classes", "inner_rows", "blocks", "table_build_s", "scan_s"}
-    assert (params["blocks"], params["classes"], params["inner_rows"]) == (20, 24, 576)
+    assert set(params) == {"classes", "inner_rows", "blocks", "tables", "table_build_s", "scan_s"}
+    assert (params["blocks"], params["tables"], params["classes"], params["inner_rows"]) == (
+        20, 4, 24, 576,
+    )
     mg = parse_mgraph(data["witness"])
     assert mg.size == 15 and contains_k4(mg) is None
 

@@ -18,7 +18,7 @@ from fano_l2.multigraphs import (
     contains_k4,
     turan_layers_5,
 )
-from fano_l2.patterns import contains_fano
+from fano_l2.patterns import contains_fano, is_bipartite3
 from fano_l2.search import (
     aes_scan,
     bipartite_l2_scan,
@@ -67,7 +67,8 @@ def test_orbit_census_matches_full_scan():
         fast, full = k4_census(m), full_census(m)
         assert (fast.blocks, full.blocks) == (comb(m + 3, 3), 4**m)
         fast_fields, full_fields = census_fields(fast), census_fields(full)
-        del fast_fields["blocks"], full_fields["blocks"]
+        for name in ("blocks", "tables"):
+            del fast_fields[name], full_fields[name]
         assert fast_fields == full_fields
 
 
@@ -121,9 +122,11 @@ def oracle_census(m, blocks):
     viol_i = viol_iii = viol_iv = viol_v = 0
     best = -1
     best_state = None
+    intersections = set()
     for block, weight in blocks:
         a1, b1 = divmod(block, size_bits)
         i1 = a1 & b1
+        intersections.add(i1)
         pop_i1 = int(pop[i1])
         s1 = int(pop[a1]) + int(pop[b1])
         if pop_i1 >= 1:
@@ -203,6 +206,7 @@ def oracle_census(m, blocks):
         "size_histogram": tuple(int(x) for x in hist),
         "witness": witness,
         "blocks": len(blocks),
+        "tables": len(intersections),
         "classes": len(keys),
         "inner_rows": len(keys) ** 2,
     }
@@ -218,7 +222,7 @@ def test_class_rows_match_the_per_state_oracle():
     assert len(blocks) == 56
     fields = census_fields(k4_census(5))
     assert fields == oracle_census(5, blocks)
-    assert (fields["classes"], fields["inner_rows"]) == (138, 19044)
+    assert (fields["tables"], fields["classes"], fields["inner_rows"]) == (6, 138, 19044)
 
 
 def test_class_counts_cover_every_pair_and_state():
@@ -511,6 +515,35 @@ def test_star_table_matches_the_per_edge_count_loop():
         assert data["states"] == 2 ** comb(n, 2)
 
 
+def test_packed_cross_term_is_the_degree_dot_product():
+    # the top byte of PL[low] * PH[high] is sum_v dl_v * dh_v, with the
+    # degrees counted here bit by bit: every (low, high) pair at n = 5, a
+    # seeded sample of pairs at n = 7
+    rng = random.Random(7)
+    for n, sample in ((5, None), (7, 5000)):
+        pairs = all_pairs(n)
+        low_bits = len(pairs) // 2
+        pl, _, _ = search._star_half(n, pairs, 0, low_bits, reverse=False)
+        ph, _, _ = search._star_half(n, pairs, low_bits, len(pairs) - low_bits, reverse=True)
+        if sample is None:
+            lows = np.repeat(np.arange(len(pl)), len(ph))
+            highs = np.tile(np.arange(len(ph)), len(pl))
+        else:
+            lows = np.array([rng.randrange(len(pl)) for _ in range(sample)])
+            highs = np.array([rng.randrange(len(ph)) for _ in range(sample)])
+        cross = pl[lows] * ph[highs] >> np.uint64(56)
+
+        def degrees(mask):
+            return [sum(mask >> i & 1 for i, p in enumerate(pairs) if v in p) for v in range(n)]
+
+        expect = [
+            sum(a * b for a, b in zip(degrees(int(low)), degrees(int(high) << low_bits)))
+            for low, high in zip(lows, highs)
+        ]
+        assert cross.tolist() == expect
+        assert max(expect) > 0
+
+
 def test_aes_scan_small_values():
     a5 = aes_scan(5)
     assert (a5.nodes, a5.params["triangle_free"], a5.optimum) == (1024, 388, 0)
@@ -614,6 +647,22 @@ def test_fano_free_search_at_seven_is_pinned():
         assert contains_fano(Uniform3Graph(7, graph_edges(triples, mask))) is not None
 
 
+def test_fano_free_search_at_eight_is_pinned():
+    # the first size at which the balanced bipartite host wins
+    rep = max_l2_fano_free(8)
+    assert (rep.optimum, rep.nodes, rep.complete) == (768, 127_365, True)
+    assert rep.optimum == bn_l2_closed(8)
+    assert rep.params == {"bound_prunes": 382_713}
+    assert rep.witness == write_3graph(bipartite3(4, 4))
+    assert is_bipartite3(parse_3graph(rep.witness)) == ((0, 1, 2, 3), (4, 5, 6, 7))
+
+
+def test_fano_free_search_range_guard():
+    for n in (2, 9):
+        with pytest.raises(ValueError, match=r"supported vertex counts are 3\.\.8"):
+            max_l2_fano_free(n)
+
+
 def test_fano_free_deadline_keeps_the_first_hitting_sets():
     # the deadline is read every 1,024 nodes, long after the first leaf
     rep = max_l2_fano_free(7, budget=0)
@@ -713,6 +762,33 @@ def test_bipartite_scan_revalidates_its_witness(monkeypatch):
     monkeypatch.setattr(search, "_relabel", lambda triples, perm: relabel(triples, perm)[1:])
     with pytest.raises(AssertionError, match="bipartite witness failed revalidation"):
         bipartite_l2_scan(5)
+
+
+def test_bipartite_scan_canonises_only_hits_other_than_the_host(monkeypatch):
+    # at n = 6 every hit is the labelled balanced host, so no canonical form
+    # (720 relabellings each) is computed; at n = 5 the a = 2 block's hit is
+    # another labelling, which still needs them
+    expect = {
+        3: (3, 6, {"closed_value": 3, "maximizer_count": 1, "unique_up_to_iso": True,
+                   "blocks_scanned": 2, "states_scanned": 4}),
+        4: (24, 80, {"closed_value": 24, "maximizer_count": 1, "unique_up_to_iso": True,
+                     "blocks_scanned": 3, "states_scanned": 32}),
+        5: (75, 5440, {"closed_value": 75, "maximizer_count": 10, "unique_up_to_iso": True,
+                       "blocks_scanned": 4, "states_scanned": 1152}),
+        6: (198, 3_610_624, {"closed_value": 198, "maximizer_count": 10, "unique_up_to_iso": True,
+                             "blocks_scanned": 5, "states_scanned": 395_264}),
+    }
+    calls = []
+    canonical = search.canonical_3graph
+    monkeypatch.setattr(search, "canonical_3graph", lambda H: calls.append(H.n) or canonical(H))
+    for n, (optimum, nodes, params) in expect.items():
+        calls.clear()
+        rep = bipartite_l2_scan(n)
+        assert (rep.optimum, rep.nodes, rep.params) == (optimum, nodes, params)
+        if n == 5:
+            assert calls
+        if n == 6:
+            assert calls == []
 
 
 def test_bipartite_scan_range_guard():
