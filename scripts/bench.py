@@ -9,8 +9,9 @@ median of three runs, and the script asserts that both give the same report
 apart from the blocks and tables they scanned. Each row records the blocks,
 the tables (distinct first-matching intersections, each tabulated once over
 the inner rows), the inner rows each table reads (the class-product rows)
-and the rows tabulated per second. At m=5 the cold census takes about a
-hundredth of a second and the every-block scan under a tenth.
+and the rows tabulated per second, and a fourth, untimed cold census under
+`tracemalloc` gives its `traced_peak_mb`. At m=5 the cold census takes about
+a hundredth of a second and the every-block scan under a tenth.
 
 fano: for n = 7..14 it times `contains_fano`, `link_triple_violation` and
 `contains_k53`, the kernels on the table of common third vertices, on
@@ -60,9 +61,10 @@ verify: runs `run_suite("all", seed=0)` in three fresh interpreters, since
 the census, the identity pool and the (5,5) branch and bound are cached per
 process and a second run in one process would time them warm. It records
 each check's status and median `elapsed` seconds, one row per registry
-row in suite order, and a last row with the suite's median total seconds
-and its pass and fail counts. It asserts that the three runs measured the
-same values.
+row in suite order, and a last row with the suite's median total seconds,
+its pass and fail counts and the median of the interpreters' own peak RSS
+(`peak_rss_mb`, from `ru_maxrss`). It asserts that the three runs measured
+the same values.
 
 The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
@@ -112,6 +114,16 @@ def _cold_census(m: int):
     return search.k4_census(m)
 
 
+def _traced_peak_mb(fn, *args) -> float:
+    """The tracemalloc peak of one untimed run of fn(*args), in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _median_run(fn, *args) -> tuple[list, float, list[float]]:
     """Three runs of fn(*args): every run's result, the median seconds and
     the sorted seconds."""
@@ -129,10 +141,12 @@ def _census_rows() -> list[dict]:
         if _report_fields(rep) != _report_fields(full):
             raise AssertionError(f"orbit census and every-block scan disagree at m={m}")
         inner_rows = rep.inner_rows
+        peak = _traced_peak_mb(_cold_census, m)
         rows.append(
             {
                 "m": m,
                 "inner_rows": inner_rows,
+                "traced_peak_mb": peak,
                 "census": {
                     "seconds": cold_s,
                     "runs_s": cold_runs,
@@ -154,7 +168,7 @@ def _census_rows() -> list[dict]:
         print(
             f"m={m}: {inner_rows} inner rows; cold census {cold_s:.3f}s "
             f"({rep.blocks} blocks, {rep.tables} tables), every block {full_s:.3f}s "
-            f"({full.blocks} blocks, {full.tables} tables)"
+            f"({full.blocks} blocks, {full.tables} tables), cold census {peak:.2f} MB traced"
         )
     return rows
 
@@ -245,12 +259,7 @@ def _scan_rows() -> list[dict]:
     rows = []
     for fn, n in calls:
         (result, *_), seconds, runs_s = _median_run(fn, n)
-        tracemalloc.start()
-        try:
-            fn(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak_mb(fn, n)
         if isinstance(result, search.SearchReport):
             result = {"optimum": result.optimum, "nodes": result.nodes, "params": result.params}
         rows.append(
@@ -259,11 +268,11 @@ def _scan_rows() -> list[dict]:
                 "n": n,
                 "seconds": seconds,
                 "runs_s": runs_s,
-                "traced_peak_mb": peak / 2**20,
+                "traced_peak_mb": peak,
                 **result,
             }
         )
-        print(f"{fn.__name__}({n}): {result['nodes']} nodes, {seconds:.3f}s, {peak / 2**20:.1f} MB traced")
+        print(f"{fn.__name__}({n}): {result['nodes']} nodes, {seconds:.3f}s, {peak:.2f} MB traced")
     return rows
 
 
@@ -359,21 +368,25 @@ def _check_rows() -> list[dict]:
 
 
 VERIFY_RUNS = 3
+# the report's JSON, then the child's own peak RSS in KB on a line of its own
 VERIFY_CHILD = (
-    "from fano_l2.verify import report_to_json, run_suite; "
-    "print(report_to_json(run_suite('all', seed=0)))"
+    "import resource; from fano_l2.verify import report_to_json, run_suite; "
+    "print(report_to_json(run_suite('all', seed=0))); "
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 )
 
 
 def _verify_rows() -> list[dict]:
     # the census, the identity pool and the (5,5) branch and bound are cached
     # per process, so each run gets a fresh interpreter to time them cold
-    reports = []
+    reports, peaks_mb = [], []
     for _ in range(VERIFY_RUNS):
         proc = subprocess.run(
             [sys.executable, "-c", VERIFY_CHILD], capture_output=True, text=True, check=True
         )
-        reports.append(json.loads(proc.stdout))
+        report, peak_kb = proc.stdout.rstrip("\n").rsplit("\n", 1)
+        reports.append(json.loads(report))
+        peaks_mb.append(int(peak_kb) / 1024)
     measured = {json.dumps([(c["check_id"], c["measured"]) for c in r["checks"]]) for r in reports}
     if len(measured) != 1:
         raise AssertionError("verify runs measured different values")
@@ -386,11 +399,16 @@ def _verify_rows() -> list[dict]:
         )
         print(f"{check['check_id']}: {check['status']} {runs_s[1] * 1e3:.1f} ms")
     runs_s = sorted(r["elapsed"] for r in reports)
+    peaks_mb.sort()
     rows.append(
         {"suite": "all", "seed": 0, "passed": reports[0]["passed"],
-         "failed": reports[0]["failed"], "seconds": runs_s[1], "runs_s": runs_s}
+         "failed": reports[0]["failed"], "seconds": runs_s[1], "runs_s": runs_s,
+         "peak_rss_mb": peaks_mb[1], "runs_peak_rss_mb": peaks_mb}
     )
-    print(f"all: {reports[0]['passed']} passed, {reports[0]['failed']} failed, {runs_s[1]:.3f}s")
+    print(
+        f"all: {reports[0]['passed']} passed, {reports[0]['failed']} failed, "
+        f"{runs_s[1]:.3f}s, {peaks_mb[1]:.2f} MB peak RSS"
+    )
     return rows
 
 

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb, factorial, prod
+from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .hypergraphs import Uniform3Graph, bipartite3, bn_l2_closed
 from .multigraphs import MATCHINGS, MMultigraph, contains_k4, hall_fits, turan_layers_5
 from .patterns import FANO_EDGES, contains_fano, is_bipartite3
 from .formats import write_3graph, write_graph, write_mgraph
+
+_BLOCK = 1 << 14  # states a scan evaluates at once, keeping maxima, hits and counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,14 +112,14 @@ def _inner_rows(m: int) -> dict:
     """The class product for matchings 2 and 3, class2 major: per row the
     intersections the Hall test reads, its popcount sum s23, its cell and
     its state count c2*c3 (the counts sum to 16^m); and per cell its key
-    (s2, s3, has_i2, has_i3, full23)."""
+    (s2, s3, has_i2, has_i3, full23), in dtypes that fit their ranges at m <= 5."""
     classes = _matching_classes(m)
     n = len(classes)
-    pop = np.array([x.bit_count() for x in range(1 << m)], dtype=np.int64)
-    inter = np.array([key[0] for key in classes], dtype=np.int64)
-    sums = np.array([key[1] for key in classes], dtype=np.int64)
+    pop = np.array([x.bit_count() for x in range(1 << m)], dtype=np.uint8)
+    inter = np.array([key[0] for key in classes], dtype=np.uint8)
+    sums = np.array([key[1] for key in classes], dtype=np.uint8)
     full = np.array([key[2] for key in classes], dtype=bool)
-    count = np.array([c for c, _ in classes.values()], dtype=np.int64)
+    count = np.array([c for c, _ in classes.values()], dtype=np.int32)
     i2, i3 = np.repeat(inter, n), np.tile(inter, n)
     s2, s3 = np.repeat(sums, n), np.tile(sums, n)
     u23 = i2 | i3
@@ -134,7 +137,7 @@ def _inner_rows(m: int) -> dict:
         "u23": u23,
         "hall_base": has_i2 & has_i3 & (pop[u23] >= 2),
         "s23": s2 + s3,
-        "cell": np.ravel_multi_index((s2, s3, has_i2, has_i3, full23), shape),
+        "cell": np.ravel_multi_index((s2, s3, has_i2, has_i3, full23), shape).astype(np.int16),
         "cell_keys": (cell_s2, cell_s3, *(flag.astype(bool) for flag in flags)),
     }
 
@@ -565,8 +568,8 @@ def max_k4free_multigraph(
 
 
 def _check_scan_capacity(n: int) -> None:
-    # n=8 would put 2^28 graphs through the star table and grow 4,577,274
-    # triangle-free graphs, and no value there is frozen or checked
+    # n=8 would take 128 (star table) and 45 (triangle-free growth) times n=7's
+    # time, in the same memory, and no value there is frozen or checked
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > 7:
@@ -615,8 +618,8 @@ def _graph_star_table(n: int) -> dict:
     low_bits | low. A vertex of degree dl + dh from the two halves sits in C(dl, 2) +
     C(dh, 2) + dl * dh two-edge stars, so the count of a graph is
     SL[low] + SH[high] + sum_v DL[low, v] * DH[high, v], with tables over
-    the halves alone. It is evaluated as one lows x highs block per pair of
-    edge counts of the two halves, never one entry per graph.
+    the halves alone. It is evaluated per pair of edge counts of the two
+    halves, in lows x highs blocks of about _BLOCK entries, never per graph.
 
     The cross term comes from one product of packed degrees: PL[low] holds
     DL[low, v] in byte v and PH[high] holds DH[high, v] in byte 7 - v, so
@@ -635,33 +638,31 @@ def _graph_star_table(n: int) -> dict:
     order = np.argsort(low_edges, kind="stable")
     pl, sl = pl[order], sl[order]
     bounds = np.searchsorted(low_edges[order], np.arange(low_bits + 2))
-    # one buffer, reshaped per pair of edge counts (252 x 462 at n = 7),
-    # bounds peak memory: a block of all lows per high edge count takes four
-    # times the bytes, and with it run_suite("all") peaked at 36.3 MB RSS
-    # against 35.8 MB (x86_64 Linux, Python 3.11.7, NumPy 2.4.6)
-    largest = int(np.diff(bounds).max()) * int(np.bincount(high_edges).max())
-    block_buf = np.empty(largest, dtype=np.uint64)
+    # one buffer, reshaped per block; a block holds at least one row
+    block_buf = np.empty(max(_BLOCK, int(np.bincount(high_edges).max())), dtype=np.uint64)
     table: dict[int, tuple[int, int]] = {}
     for h in range(nbits - low_bits + 1):
         highs = np.flatnonzero(high_edges == h)
         ph_h, sh_h = ph[highs], sh[highs]
+        rows = max(1, _BLOCK // len(highs))
         for l in range(low_bits + 1):
-            lo, hi = bounds[l], bounds[l + 1]
-            block = block_buf[: (hi - lo) * len(highs)].reshape(hi - lo, len(highs))
-            np.multiply(pl[lo:hi, None], ph_h, out=block)
-            block >>= np.uint64(56)
-            block += sl[lo:hi, None]
-            block += sh_h
-            best = int(block.max())
-            hit = block == best
-            # highs ascend, then lows within a row class: the first hit
-            # column and its first hit row give the smallest attaining mask
-            j = int(np.argmax(hit.any(axis=0)))
-            i = int(np.argmax(hit[:, j]))
-            mask = int(highs[j]) << low_bits | int(order[lo + i])
-            old = table.get(l + h)
-            if old is None or best > old[0] or (best == old[0] and mask < old[1]):
-                table[l + h] = (best, mask)
+            for lo in range(bounds[l], bounds[l + 1], rows):
+                hi = min(lo + rows, bounds[l + 1])
+                block = block_buf[: (hi - lo) * len(highs)].reshape(hi - lo, len(highs))
+                np.multiply(pl[lo:hi, None], ph_h, out=block)
+                block >>= np.uint64(56)
+                block += sl[lo:hi, None]
+                block += sh_h
+                best = int(block.max())
+                hit = block == best
+                # highs ascend, then lows within a row class: the first hit
+                # column and its first hit row give the block's smallest mask
+                j = int(np.argmax(hit.any(axis=0)))
+                i = int(np.argmax(hit[:, j]))
+                mask = int(highs[j]) << low_bits | int(order[lo + i])
+                old = table.get(l + h)
+                if old is None or best > old[0] or (best == old[0] and mask < old[1]):
+                    table[l + h] = (best, mask)
     return {"pairs": pairs, "table": table, "states": 1 << nbits}
 
 
@@ -715,14 +716,18 @@ def _two_colourable(n: int, pairs, graphs: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _triangle_free_graphs(n: int, pairs) -> tuple[np.ndarray, int]:
+def _triangle_free_graphs(n: int, pairs) -> Iterator[tuple[np.ndarray, int]]:
     """Every triangle-free graph on n vertices, as adjacency masks over
-    pairs, and the number of candidates tested to find them.
+    pairs, in blocks, each with the candidates tested so far.
 
     The graphs grow vertex by vertex: joining vertex k to a set S of
     0..k-1 keeps a triangle-free graph triangle-free exactly when S is
-    independent in it, so each candidate (graph, S) costs one mask test."""
+    independent in it, so each candidate (graph, S) costs one mask test.
+    The last vertex joins the graphs about _BLOCK candidates at a time."""
     graphs = np.zeros(1, dtype=np.uint32)  # the one graph on at most one vertex
+    if n <= 1:
+        yield graphs, 0
+        return
     # over the sets s of 0..k-1 in ascending order (bit v for vertex v):
     # inside[s] holds the pairs inside s and join[s] those joining vertex k
     # to s. Adding a vertex v doubles the sets: those holding v follow those
@@ -734,10 +739,15 @@ def _triangle_free_graphs(n: int, pairs) -> tuple[np.ndarray, int]:
         join = np.zeros(1, dtype=np.uint32)
         for v in range(k):
             join = np.concatenate([join, join | _mask(pairs, {(v, k)}.__contains__)])
-        independent = (graphs[:, None] & inside) == 0
+        if k < n - 1:
+            independent = (graphs[:, None] & inside) == 0
+            tested += independent.size
+            graphs = (graphs[:, None] | join)[independent]
+    rows = max(1, _BLOCK // len(inside))
+    for part in np.split(graphs[:, None], range(rows, len(graphs), rows)):
+        independent = (part & inside) == 0
         tested += independent.size
-        graphs = (graphs[:, None] | join)[independent]
-    return graphs, tested
+        yield (part | join)[independent], tested
 
 
 def aes_scan(n: int) -> SearchReport:
@@ -754,28 +764,29 @@ def aes_scan(n: int) -> SearchReport:
     start = time.perf_counter()
     _check_scan_capacity(n)
     pairs = all_pairs(n)
-    graphs, tested = _triangle_free_graphs(n, pairs)
-    mindeg = np.full(len(graphs), 255, dtype=np.uint8)
-    for w in range(n):
-        incidence = _mask(pairs, lambda p: w in p)
-        mindeg = np.minimum(mindeg, np.bitwise_count(graphs & np.uint32(incidence)))
-    # 5 * d > 2n exactly when d > floor(2n/5)
-    above = mindeg > (2 * n) // 5
-    boundary = mindeg == (2 * n) // 5
-    selected = np.flatnonzero(above | boundary)
-    odd = ~_two_colourable(n, pairs, graphs[selected])
-    violations = int((odd & above[selected]).sum())
-    boundary_nonbip = int((odd & boundary[selected]).sum())
+    incidences = [np.uint32(_mask(pairs, lambda p: w in p)) for w in range(n)]
+    triangle_free = 0
+    kept = []  # per block the graphs of degree at least floor(2n/5), and which exceed it
+    for graphs, tested in _triangle_free_graphs(n, pairs):
+        triangle_free += len(graphs)
+        mindeg = np.full(len(graphs), 255, dtype=np.uint8)
+        for incidence in incidences:
+            mindeg = np.minimum(mindeg, np.bitwise_count(graphs & incidence))
+        # 5 * d > 2n exactly when d > floor(2n/5)
+        keep = mindeg >= (2 * n) // 5
+        kept.append((graphs[keep], mindeg[keep] > (2 * n) // 5))
+    selected, above = map(np.concatenate, zip(*kept))
+    odd = ~_two_colourable(n, pairs, selected)
     return SearchReport(
         objective="aes",
         n=n,
-        optimum=violations,
+        optimum=int((odd & above).sum()),
         nodes=1 << len(pairs),
         elapsed=time.perf_counter() - start,
         params={
-            "triangle_free": len(graphs),
+            "triangle_free": triangle_free,
             "above_threshold": int(above.sum()),
-            "boundary_nonbipartite": boundary_nonbip,
+            "boundary_nonbipartite": int((odd & ~above).sum()),
             "states_scanned": tested,
         },
     )
@@ -907,7 +918,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
     bipartition."""
     start = time.perf_counter()
     # below 3 vertices there is no crossing triple; above 6 the 2^|cross|
-    # subset blocks outgrow memory
+    # subsets take the time: 2^30 states for a = 3 at n = 7, 4096 times n = 6
     if not 3 <= n <= 6:
         raise ValueError(f"vertex count {n} outside the scan range 3..6")
     pairs = all_pairs(n)
@@ -916,23 +927,22 @@ def bipartite_l2_scan(n: int) -> SearchReport:
     block_states: dict[int, int] = {}
     for a in range(1, n):
         cross = bipartite3(a, n - a).triples()
-        masks = np.arange(1 << len(cross), dtype=np.uint32)
-        block_states[a] = len(masks)
-        # a codegree is at most n - 2 = 4, so d * d fits the uint8 count and
-        # a norm (15 pairs at n = 6) fits uint16
-        norms = np.zeros(len(masks), dtype=np.uint16)
-        for u, v in pairs:
-            pmask = _mask(cross, lambda t: u in t and v in t)
-            if pmask:
-                d = np.bitwise_count(masks & np.uint32(pmask))
-                norms += d * d
-        block_best = int(norms.max())
-        if block_best < best:
-            continue
-        if block_best > best:
-            best = block_best
-            block_hits = {}
-        block_hits[a] = [_members(cross, mask) for mask in masks[norms == block_best]]
+        block_states[a] = 1 << len(cross)
+        pmasks = [np.uint32(_mask(cross, lambda t: u in t and v in t)) for u, v in pairs]
+        # blocks ascend, so hits do, and a best that rises drops them all
+        for lo in range(0, block_states[a], _BLOCK):
+            masks = np.arange(lo, min(lo + _BLOCK, block_states[a]), dtype=np.uint32)
+            # a codegree is at most n - 2 = 4: squares fit uint8, norms uint16
+            norms = np.zeros(len(masks), dtype=np.uint16)
+            for pmask in pmasks:
+                norms += np.bitwise_count(masks & pmask) ** 2
+            top = int(norms.max())
+            if top < best:
+                continue
+            if top > best:
+                best = top
+                block_hits = {}
+            block_hits.setdefault(a, []).extend(_members(cross, mask) for mask in masks[norms == top])
     nodes = 0
     # the same labeled graph may be crossing for two bipartitions
     maximizers: set[tuple[tuple[int, ...], ...]] = set()

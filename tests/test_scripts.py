@@ -45,6 +45,15 @@ def test_bench_scans_records_seconds_and_traced_peak(tmp_path):
     assert (fano["optimum"], fano["nodes"], fano["params"]) == (410, 1078, {"bound_prunes": 4282})
 
 
+def test_bench_census_records_seconds_and_traced_peak(tmp_path):
+    out = tmp_path / "census.json"
+    proc = run_bench("census", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [row["m"] for row in rows] == [1, 2, 3, 4, 5]
+    assert all(row["census"]["seconds"] > 0 and row["traced_peak_mb"] > 0 for row in rows)
+
+
 def test_bench_k4_times_the_detector_and_the_constructor(tmp_path):
     out = tmp_path / "k4.json"
     proc = run_bench("k4", out)
@@ -99,3 +108,5 @@ def test_bench_verify_times_every_check_in_fresh_runs(tmp_path):
     assert all(row["status"] == "pass" and len(row["runs_s"]) == 3 for row in checks)
     assert (total["suite"], total["passed"], total["failed"]) == ("all", len(_CHECKS), 0)
     assert total["seconds"] > 0
+    assert len(total["runs_peak_rss_mb"]) == 3
+    assert total["peak_rss_mb"] == sorted(total["runs_peak_rss_mb"])[1] > 0

@@ -566,16 +566,41 @@ def test_aes_scan_matches_the_full_mask_oracle():
 
 
 def test_graph_scans_hold_no_entry_per_graph():
-    # the full-mask scans peaked at about 22 MB traced at n=7
+    # the full-mask scans peaked at about 22 MB traced at n=7, and with
+    # whole state blocks the four scans peaked at 2.30, 3.01, 1.19 and 1.48 MB
     search._graph_star_table.cache_clear()
-    for scan in (lambda: search._graph_star_table(7), lambda: aes_scan(7)):
+    k4_census.cache_clear()
+    for scan, bound_mb in (
+        (lambda: aes_scan(7), 0.5),
+        (lambda: bipartite_l2_scan(6), 0.5),
+        (lambda: search._graph_star_table(7), 1),
+        (lambda: k4_census(5), 1),
+    ):
         tracemalloc.start()
         try:
             scan()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < bound_mb * 2**20
+
+
+def test_scans_in_tiny_blocks_match_the_real_block_size(monkeypatch):
+    # 2^8 states a block: bests that rise in a later block, hits split
+    # across blocks, and maxima tied across row slices of the star table
+    def reports():
+        rows = [dataclasses.replace(aes_scan(n), elapsed=0.0) for n in range(8)]
+        rows += [dataclasses.replace(bipartite_l2_scan(n), elapsed=0.0) for n in range(3, 7)]
+        for n in (5, 6, 7):
+            search._graph_star_table.cache_clear()
+            rows.append(search._graph_star_table(n))
+        return rows
+
+    expect = reports()
+    monkeypatch.setattr(search, "_BLOCK", 1 << 8)
+    got = reports()
+    search._graph_star_table.cache_clear()
+    assert got == expect
 
 
 def test_aes_and_bipartite_sizes_that_verify_runs_are_pinned():
