@@ -52,8 +52,7 @@ def prop23_bound(x: float, alpha: float) -> BoundPoint:
     if not 0 <= alpha <= 1:
         raise ValueError(f"independence rate {alpha} outside [0, 1]")
     split = (alpha**3 + (2 * x - alpha**2) * sqrt(2 * x + alpha**2)) / 2
-    star = ((1 - 2 * x) ** 1.5 + 4 * x - 1) / 2
-    return _pick((split, star))
+    return _pick((split, ak_s2_bound(x).branches[0]))
 
 
 # ----- the increasing map f and its inverse -----------------------------------
@@ -82,29 +81,29 @@ def _check_f_grid() -> None:
         raise AssertionError("f is not nondecreasing on the check grid")
 
 
+def _bisect(fn, target: float, lo: float, hi: float) -> float:
+    """Where a nondecreasing fn reaches target on [lo, hi]: halves the
+    bracket until no float lies strictly between its ends."""
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def f_inverse(t: float) -> float:
-    """Bisection inverse of f on [0, 1/2], to within 1e-12; domain
+    """Bisection inverse of f on [0, 1/2], to float precision; domain
     [0, f(1/2)] = [0, 2]."""
     if not 0 <= t <= 2:
         raise ValueError(f"target {t} outside [0, 2]")
     _check_f_grid()
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        # a plain float, not a BoundPoint: the bisection evaluates f about
-        # 40 times a call
-        if max(_f_formula(mid)) < t:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    # a plain float, not a BoundPoint: the bisection evaluates f once a
+    # halving, 53 times for t = 5/4
+    return _bisect(lambda y: max(_f_formula(y)), t, 0.0, 0.5)
 
 
 # ----- density root equations --------------------------------------------------
-
-
-def _eq_linear_branch(r: float) -> float:
-    return 4 * r - 1 + (1 - 2 * r) ** 1.5 + 2 * r
 
 
 def _eq_claim32(r: float) -> float:
@@ -133,7 +132,7 @@ _ROOT_EQUATIONS = {
     "claim32": (_eq_claim32, 22 / 65, 0.4),
     "claim33": (_eq_claim33, 22 / 65, 0.4),
     "claim34": (_eq_claim34, 0.3, 0.4),
-    "linear_branch": (_eq_linear_branch, 0.3, 0.4),
+    "linear_branch": (lambda r: _f_formula(r)[0], 0.3, 0.4),  # f's star branch
 }
 ROOT_EQUATION_TOKENS = tuple(_ROOT_EQUATIONS)
 
@@ -147,8 +146,8 @@ def solve_root_equation(which: str) -> float:
 
     Asserts on a 1001-point bracket grid that the equation crosses the
     target exactly once (claim33 has a shallow dip right after its bracket
-    clip, so plain monotonicity is too strong), then bisects until
-    |equation(rho) - 5/4| <= 1e-10.
+    clip, so plain monotonicity is too strong), then bisects to float
+    precision and asserts |equation(rho) - 5/4| <= 1e-10.
     """
     if which not in _ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}, expected one of {ROOT_EQUATION_TOKENS}")
@@ -159,13 +158,7 @@ def solve_root_equation(which: str) -> float:
         raise ValueError(f"{which} crosses the target {crossings} times on [{lo}, {hi}]")
     if above[0] or not above[-1]:
         raise ValueError(f"no upward sign change for {which} on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if eq(mid) < _ROOT_TARGET:
-            lo = mid
-        else:
-            hi = mid
-    root = (lo + hi) / 2
+    root = _bisect(eq, _ROOT_TARGET, lo, hi)
     if abs(eq(root) - _ROOT_TARGET) > 1e-10:
         raise AssertionError(f"{which} bisection did not converge: residual {eq(root) - _ROOT_TARGET}")
     return root
@@ -212,18 +205,17 @@ def g_pairs_plus_bipartite(m):
 
 
 _SCAN_CHUNK = 1 << 14
+_SCAN_LIMIT = 10**6
 
 
-def rational_identity_checks(scan_limit: int = 10**6) -> RationalReport:
+def rational_identity_checks() -> RationalReport:
     """Compute with exact arithmetic the combined degree-density value
     2*(253/730) + 3*(321/926) + (3/17)*(253/730) (the paper's
     5154779/2872915, above 61/34), assert the step identity
-    g(m) - g(m-1) = 2(m-1) + 3*floor(m/2) up to the scan limit, and find the
+    g(m) - g(m-1) = 2(m-1) + 3*floor(m/2) for m up to 10^6, and find the
     largest m there at which the step does not beat 44m/13 (29: it holds
-    from 30 on). The scan runs on int64 chunks of at most 2^14 values, exact
-    while m*m fits, so the limit is capped at 2^31."""
-    if scan_limit > 1 << 31:
-        raise ValueError(f"scan limit {scan_limit} above 2^31 would overflow int64")
+    from 30 on). The scan runs on int64 chunks of at most 2^14 values, in
+    which m*m stays far from overflow."""
     combined = (
         2 * Fraction(253, 730)
         + 3 * Fraction(321, 926)
@@ -236,9 +228,9 @@ def rational_identity_checks(scan_limit: int = 10**6) -> RationalReport:
     import numpy as np
 
     largest_failing = 0
-    for lo in range(2, scan_limit + 1, _SCAN_CHUNK):
+    for lo in range(2, _SCAN_LIMIT + 1, _SCAN_CHUNK):
         # g once over lo-1..hi: its differences are the steps at m = lo..hi
-        span = np.arange(lo - 1, min(lo + _SCAN_CHUNK, scan_limit + 1), dtype=np.int64)
+        span = np.arange(lo - 1, min(lo + _SCAN_CHUNK, _SCAN_LIMIT + 1), dtype=np.int64)
         m = span[1:]
         step = 2 * (m - 1) + 3 * (m // 2)
         wrong = np.flatnonzero(np.diff(g_pairs_plus_bipartite(span)) != step)

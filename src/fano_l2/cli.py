@@ -4,7 +4,7 @@ Subcommands: norm (p-norm of a stored graph), check (pattern detectors),
 gen (write a construction to a file), bounds (CSV tables of the analytic
 bounds), search (the brute-force oracles), verify (named check suites).
 Exit codes: 0 success or pattern absent, 1 pattern found or failed check,
-2 usage or parse errors.
+2 usage or parse errors, or an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out file not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

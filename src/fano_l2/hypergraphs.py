@@ -15,7 +15,6 @@ routes to the 2-norm degree, all exposed here.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
 from math import comb
@@ -25,10 +24,13 @@ from typing import Iterable, NoReturn
 Triple = tuple[int, int, int]
 
 
-def _raise_first_invalid(n: int, items, sorted_items) -> NoReturn:
+def _raise_first_invalid(n: int, items) -> NoReturn:
     """Raise the error of the first invalid triple, in input order."""
     seen: set[tuple] = set()
-    for t, tt in zip(items, sorted_items):
+    for t in items:
+        if not set(map(type, t)) <= {int}:
+            raise ValueError(f"non-integer vertex in {tuple(t)}")
+        tt = tuple(sorted(t))
         if len(tt) != 3 or len(set(tt)) != 3:
             raise ValueError(f"not a 3-element vertex set: {tuple(t)}")
         if not (0 <= tt[0] and tt[2] < n):
@@ -41,10 +43,12 @@ def _raise_first_invalid(n: int, items, sorted_items) -> NoReturn:
 
 def _checked_vertices(n: int, canon: list) -> list[int] | None:
     """The vertices of a sorted edge list, three per edge, or None unless
-    each edge is an increasing triple inside 0..n-1 and no edge repeats."""
+    each edge is an increasing int triple inside 0..n-1 and no edge repeats."""
     if not set(map(len, canon)) <= {3} or any(map(eq, canon, islice(canon, 1, None))):
         return None
     flat = list(chain.from_iterable(canon))
+    if not set(map(type, flat)) <= {int}:
+        return None
     A, B, C = flat[0::3], flat[1::3], flat[2::3]
     if all(map(lt, A, B)) and all(map(lt, B, C)) and (not canon or (0 <= A[0] and max(C) < n)):
         return flat
@@ -69,16 +73,18 @@ class Uniform3Graph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         items = triples if isinstance(triples, (list, tuple)) else list(triples)
         vertices = None
-        if set(map(type, items)) <= {tuple}:
-            # increasing tuples, what most callers pass, are kept as they are
-            canon = sorted(items)
-            vertices = _checked_vertices(n, canon)
-        if vertices is None:
-            sorted_items = list(map(tuple, map(sorted, items)))
-            canon = sorted(sorted_items)
-            vertices = _checked_vertices(n, canon)
+        try:
+            if set(map(type, items)) <= {tuple}:
+                # increasing tuples, what most callers pass, are kept as they are
+                canon = sorted(items)
+                vertices = _checked_vertices(n, canon)
             if vertices is None:
-                _raise_first_invalid(n, items, sorted_items)
+                canon = sorted(map(tuple, map(sorted, items)))
+                vertices = _checked_vertices(n, canon)
+        except TypeError:  # vertices that do not compare, such as 1 and "2"
+            pass
+        if vertices is None:
+            _raise_first_invalid(n, items)
         counts = Counter(vertices)
         self.n = n
         self._triples = tuple(canon)
@@ -238,15 +244,13 @@ def bn_l2_closed(n: int) -> int:
 
         floor(n^2/4) * (n-2)^2 + floor(n^2/4)^2 - (n/2) * floor(n^2/4)
 
-    evaluated in exact rationals; the result is provably integral.
+    in exact integers: n * floor(n^2/4) is even, as for odd n it is
+    n(n^2 - 1)/4 and 8 divides n(n^2 - 1).
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    q = Fraction(n * n // 4)
-    value = q * (n - 2) ** 2 + q * q - Fraction(n, 2) * q
-    if value.denominator != 1:
-        raise ArithmeticError(f"closed form not integral at n={n}")
-    return int(value)
+    q = n * n // 4
+    return q * (n - 2) ** 2 + q * q - n * q // 2
 
 
 def bn_min_l2_degree(n: int) -> int:

@@ -184,6 +184,8 @@ def uniform3_fields_oracle(n: int, triples) -> dict:
     canon = []
     seen = set()
     for t in triples:
+        if any(type(v) is not int for v in t):
+            raise ValueError(f"non-integer vertex in {tuple(t)}")
         tt = tuple(sorted(t))
         if len(tt) != 3 or len(set(tt)) != 3:
             raise ValueError(f"not a 3-element vertex set: {tuple(t)}")

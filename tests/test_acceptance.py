@@ -243,6 +243,7 @@ DELETED_NAMES = (
     "_mask_to_graph",
     "_state_to_multigraph",
     "triples_containing",
+    "_eq_linear_branch",
 )
 
 

@@ -74,7 +74,7 @@ def test_f_endpoints_and_roundtrip():
     assert f_bound(0.0).value == 0.0
     assert f_bound(0.5).value == 2.0
     for y in (0.05, 0.2, 0.342, 0.49):
-        assert isclose(f_inverse(f_bound(y).value), y, abs_tol=1e-9)
+        assert isclose(f_inverse(f_bound(y).value), y, abs_tol=1e-14)
 
 
 # f at a few points as the per-point scalar formula gave it: y, f(y), the
@@ -126,6 +126,17 @@ def test_root_residuals_and_pinned_values():
     assert abs(f_inverse(1.25) - 0.342067) <= 5e-6
 
 
+def test_roots_are_pinned_bit_for_bit():
+    # the floats the equations gave under a fixed 200-step bisection; the
+    # bisection to float precision reaches the same ones
+    assert {which: solve_root_equation(which) for which in ROOT_EQUATION_TOKENS} == {
+        "claim32": 0.34463485978207675,
+        "claim33": 0.346577372130076,
+        "claim34": 0.3466654094448093,
+        "linear_branch": 0.34670715955053477,
+    }
+
+
 def test_alpha_scaling():
     assert isclose(alpha2_limit(0.36), 1.5 * alpha1_limit(0.36), rel_tol=1e-12)
     assert core_rate(22 / 65) == 0.0
@@ -143,8 +154,9 @@ def test_core_size_bound_shape():
     assert core_size_bound(int(taut) + 80, n, 3) > grown
 
 
-def test_rational_identity_report():
-    rep = rational_identity_checks(scan_limit=2000)
+def test_rational_identity_report(monkeypatch):
+    monkeypatch.setattr(bounds, "_SCAN_LIMIT", 2000)
+    rep = rational_identity_checks()
     assert rep.combined_value == Fraction(5154779, 2872915)
     assert rep.combined_value > Fraction(61, 34)
     assert rep.g_step_largest_failing == 29
@@ -163,16 +175,15 @@ def _reference_step_scan(scan_limit):
     return largest_failing
 
 
-def test_rational_identity_chunks_match_the_plain_scan():
+def test_rational_identity_chunks_match_the_plain_scan(monkeypatch):
     # 70,000 crosses several chunk boundaries of the vectorized scan
     for limit in (2000, 70_000):
         largest_failing = _reference_step_scan(limit)
-        assert rational_identity_checks(scan_limit=limit) == RationalReport(
+        monkeypatch.setattr(bounds, "_SCAN_LIMIT", limit)
+        assert rational_identity_checks() == RationalReport(
             combined_value=Fraction(5154779, 2872915),
             g_step_largest_failing=largest_failing,
         )
-    with pytest.raises(ValueError, match="overflow"):
-        rational_identity_checks(scan_limit=(1 << 31) + 1)
 
 
 @pytest.mark.parametrize("bad", [2 + (1 << 14), 3 + (1 << 14), 2 + (2 << 14), 70_000])
@@ -182,7 +193,7 @@ def test_step_scan_names_the_first_m_where_g_is_wrong(monkeypatch, bad):
     g = bounds.g_pairs_plus_bipartite
     monkeypatch.setattr(bounds, "g_pairs_plus_bipartite", lambda m: g(m) + (m == bad))
     with pytest.raises(AssertionError, match=f"step identity fails at m={bad}$"):
-        rational_identity_checks(scan_limit=70_000)
+        rational_identity_checks()
 
 
 def test_g_matches_construction_sizes():

@@ -104,6 +104,24 @@ def test_missing_file_exits_2(capsys):
     assert main(["norm", "/nonexistent/x.3graph"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--construction", "bn", "--params", "5"],
+        ["bounds", "--table", "ak", "--grid", "0.25"],
+        ["search", "--objective", "k4multi", "--n", "4", "--m", "3"],
+        ["verify", "--suite", "roots"],
+    ],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # exit 1 means a pattern found or a failed check, so a file that cannot
+    # be written is an input error like a file that cannot be read
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_check_fano_absent_and_found(tmp_path, b4_file, capsys):
     assert main(["check", b4_file, "--pattern", "fano"]) == 0
     assert "absent" in capsys.readouterr().out

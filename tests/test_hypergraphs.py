@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations
@@ -57,6 +58,29 @@ def test_rejects_degenerate_triples():
         Uniform3Graph(4, [(0, 0, 1)])
     with pytest.raises(ValueError):
         Uniform3Graph(3, [(0, 1, 3)])
+
+
+@pytest.mark.parametrize(
+    "triples, bad",
+    [
+        ([(0, 1, 2.5)], (0, 1, 2.5)),
+        ([(0.0, 1.0, 2.0)], (0.0, 1.0, 2.0)),
+        ([(0, 1, 2), [1, 2, 3.0]], (1, 2, 3.0)),
+        ([(True, 2, 3)], (True, 2, 3)),
+        ([[0, False, 2]], (0, False, 2)),
+        ([("0", "1", "2")], ("0", "1", "2")),
+        ([(0, 1, 2), (1, 2, "3")], (1, 2, "3")),
+    ],
+)
+def test_rejects_non_integer_vertices(triples, bad):
+    # a float vertex would be written as "2.5", which the parser rejects,
+    # and a bool as "True"; the constructor and the per-triple oracle name
+    # the same triple
+    message = rf"^non-integer vertex in {re.escape(str(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        Uniform3Graph(4, triples)
+    with pytest.raises(ValueError, match=message):
+        uniform3_fields_oracle(4, triples)
 
 
 @given(small_3graphs())
