@@ -71,43 +71,40 @@ def _cmd_norm(args) -> int:
     return 0
 
 
+def _at_vertices(witness) -> str:
+    return f"found at vertices {' '.join(map(str, witness))}"
+
+
+# pattern -> (host class, file kind, detector, how a result prints, what None
+# prints, exit code of a result); is_bipartite3's result is the parts it
+# found, so bipartite3's codes are the other way round
+_PATTERNS = {
+    "fano": (Uniform3Graph, "a 3graph", contains_fano, _at_vertices, "absent", 1),
+    "k53": (Uniform3Graph, "a 3graph", contains_k53, _at_vertices, "absent", 1),
+    "k4multi": (
+        MMultigraph, "an mgraph", contains_k4,
+        lambda w: f"found on vertices {w.vertices} with matching layers {w.layers}", "absent", 1,
+    ),
+    "bipartite3": (
+        Uniform3Graph, "a 3graph", is_bipartite3,
+        lambda parts: f"holds with parts {list(parts[0])} | {list(parts[1])}", "fails", 0,
+    ),
+}
+
+
 def _cmd_check(args) -> int:
     obj = _load(args.file)
     pattern = args.pattern
-    if pattern in ("fano", "k53"):
-        if not isinstance(obj, Uniform3Graph):
-            print(f"pattern {pattern} needs a 3graph file", file=sys.stderr)
-            return 2
-        witness = contains_fano(obj) if pattern == "fano" else contains_k53(obj)
-        if witness is None:
-            print(f"{pattern}: absent")
-            return 0
-        print(f"{pattern}: found at vertices {' '.join(map(str, witness))}")
-        return 1
-    if pattern == "bipartite3":
-        if not isinstance(obj, Uniform3Graph):
-            print("pattern bipartite3 needs a 3graph file", file=sys.stderr)
-            return 2
-        parts = is_bipartite3(obj)
-        if parts is not None:
-            print(f"bipartite3: holds with parts {list(parts[0])} | {list(parts[1])}")
-            return 0
-        print("bipartite3: fails")
-        return 1
-    if pattern == "k4multi":
-        if not isinstance(obj, MMultigraph):
-            print("pattern k4multi needs an mgraph file", file=sys.stderr)
-            return 2
-        witness = contains_k4(obj)
-        if witness is None:
-            print("k4multi: absent")
-            return 0
-        print(
-            f"k4multi: found on vertices {witness.vertices} "
-            f"with matching layers {witness.layers}"
-        )
-        return 1
-    raise AssertionError(pattern)
+    kind, kind_name, detect, show, none_text, code = _PATTERNS[pattern]
+    if not isinstance(obj, kind):
+        print(f"pattern {pattern} needs {kind_name} file", file=sys.stderr)
+        return 2
+    result = detect(obj)
+    if result is None:
+        print(f"{pattern}: {none_text}")
+        return 1 - code
+    print(f"{pattern}: {show(result)}")
+    return code
 
 
 # the most rows a bounds table, or edges or coloured pairs a construction, may
@@ -283,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a pattern detector on a file")
     p_check.add_argument("file")
-    p_check.add_argument(
-        "--pattern", required=True, choices=("fano", "k53", "k4multi", "bipartite3")
-    )
+    p_check.add_argument("--pattern", required=True, choices=tuple(_PATTERNS))
     p_check.set_defaults(fn=_cmd_check)
 
     p_gen = sub.add_parser("gen", help="write a named construction to a file")
@@ -329,6 +324,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        # refused before the work, which for verify or search can take minutes
+        out = getattr(args, "out", None)
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise OSError(f"cannot write --out {out}: not a file in an existing directory")
         return args.fn(args)
     except (ValueError, OSError) as exc:  # OSError: an --out file not writable
         print(f"error: {exc}", file=sys.stderr)

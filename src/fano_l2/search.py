@@ -810,6 +810,18 @@ def _fano_copy_masks(n: int) -> list[int]:
     )
 
 
+def _fano_cover(n: int) -> tuple[list[list[int]], list[int]]:
+    """Each labeled plane's triple indices, in the ascending-mask order of
+    _fano_copy_masks, and per triple t the mask of the copies holding t
+    (bit i for copy i)."""
+    copies = [_members(range(comb(n, 3)), f) for f in _fano_copy_masks(n)]
+    cover = [0] * comb(n, 3)
+    for i, members in enumerate(copies):
+        for t in members:
+            cover[t] |= 1 << i
+    return copies, cover
+
+
 def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     """Maximum squared norm of a Fano-free 3-graph on n vertices.
 
@@ -827,8 +839,7 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
         raise ValueError("supported vertex counts are 3..8")
 
     triples = list(combinations(range(n), 3))
-    # each copy as its mask and its seven triple indices, ascending
-    fanos = [(f, _members(range(len(triples)), f)) for f in _fano_copy_masks(n)]
+    copies, cover = _fano_cover(n)
     pair_index = {p: i for i, p in enumerate(all_pairs(n))}
     triple_pairs = [
         (pair_index[(a, b)], pair_index[(a, c)], pair_index[(b, c)])
@@ -843,37 +854,37 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     deadline = None if budget is None else start + budget
     complete = True
 
-    def descend(deleted: int, banned: int, norm: int) -> None:
+    def descend(uncovered: int, deleted: int, banned: int, norm: int) -> None:
         nonlocal best, best_deleted, nodes, bound_prunes, complete
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.perf_counter() > deadline:
             complete = False
             return
-        uncovered = next((members for f, members in fanos if not f & deleted), None)
-        if uncovered is None:
+        if not uncovered:
             if norm > best:
                 best = norm
                 best_deleted = deleted
             return
-        for t in uncovered:
+        # the first copy no deletion hits: the mask's lowest set bit
+        for t in copies[(uncovered & -uncovered).bit_length() - 1]:
             bit = 1 << t
             if banned & bit:
                 continue
             # a pair of codegree d loses d^2 - (d - 1)^2 = 2d - 1
-            cost = sum(2 * codegrees[p] - 1 for p in triple_pairs[t])
+            p, q, r = triple_pairs[t]
+            dp, dq, dr = codegrees[p], codegrees[q], codegrees[r]
+            cost = 2 * (dp + dq + dr) - 3
             if norm - cost > best:
-                for p in triple_pairs[t]:
-                    codegrees[p] -= 1
-                descend(deleted | bit, banned, norm - cost)
-                for p in triple_pairs[t]:
-                    codegrees[p] += 1
+                codegrees[p], codegrees[q], codegrees[r] = dp - 1, dq - 1, dr - 1
+                descend(uncovered & ~cover[t], deleted | bit, banned, norm - cost)
+                codegrees[p], codegrees[q], codegrees[r] = dp, dq, dr
                 if not complete:
                     return
             else:
                 bound_prunes += 1
             banned |= bit
 
-    descend(0, 0, len(pair_index) * (n - 2) ** 2)
+    descend((1 << len(copies)) - 1, 0, 0, len(pair_index) * (n - 2) ** 2)
     if best_deleted is None:
         raise AssertionError("no hitting set found")
     # the complement's bits are the kept triples

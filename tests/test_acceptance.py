@@ -138,9 +138,14 @@ def test_criterion_10_density_envelopes(acceptance_line):
 
 
 def test_min_degree_true_envelope():
-    # companion to the failing clause above: the attainable envelope
-    for n in (100, 1000, 10000):
-        assert abs(bn_min_l2_degree(n) / n**3 - 5 / 4) <= 5 / n
+    # companion to the failing clause above: the exact gap from 5/4, about
+    # 4.875/n at even n and 5.625/n at odd n
+    for n in range(3, 10_002):
+        gap = Fraction(5, 4) - Fraction(bn_min_l2_degree(n), n**3)
+        if n % 2:
+            assert gap == Fraction(45 * n * n - 62 * n + 27, 8 * n**3)
+        else:
+            assert gap == Fraction(39 * n - 38, 8 * n * n)
 
 
 def test_criterion_11_two_edge_star_oracle(acceptance_line):
@@ -265,7 +270,7 @@ def test_deleted_names_stay_deleted():
 
 # public names that only the tests reach, each with the reason it stays
 TEST_ONLY_NAMES = {
-    "find_nice_partition": "the multigraph stability scan of ROADMAP item 3",
+    "find_nice_partition": "the multigraph stability scan of ROADMAP item 7",
 }
 
 

@@ -115,11 +115,14 @@ def test_missing_file_exits_2(capsys):
 )
 def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     # exit 1 means a pattern found or a failed check, so a file that cannot
-    # be written is an input error like a file that cannot be read
-    assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    # be written is an input error like a file that cannot be read; it is
+    # refused before the work, so nothing reaches stdout
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        assert main(argv + ["--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_check_fano_absent_and_found(tmp_path, b4_file, capsys):

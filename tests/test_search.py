@@ -682,6 +682,19 @@ def test_fano_free_search_at_eight_is_pinned():
     assert is_bipartite3(parse_3graph(rep.witness)) == ((0, 1, 2, 3), (4, 5, 6, 7))
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_fano_cover_agrees_with_the_copy_masks(n):
+    # the search's uncovered-copy mask reads copy i's triples from copies[i]
+    # and clears, for a deleted triple t, the copies in cover[t]
+    masks = search._fano_copy_masks(n)
+    copies, cover = search._fano_cover(n)
+    assert [sum(1 << t for t in members) for members in copies] == masks
+    assert all(members == sorted(members) for members in copies)
+    assert len(cover) == comb(n, 3)
+    for t, copy_mask in enumerate(cover):
+        assert copy_mask == sum(1 << i for i, f in enumerate(masks) if f >> t & 1)
+
+
 def test_fano_free_search_range_guard():
     for n in (2, 9):
         with pytest.raises(ValueError, match=r"supported vertex counts are 3\.\.8"):
