@@ -211,25 +211,32 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-# objective -> (flags it needs, engine call); every engine returns a SearchReport
+# objective -> (flags it reads, engine call); every engine returns a
+# SearchReport. The dimensions --n and --m are required where read, and a
+# flag the objective does not read is refused rather than ignored
 _SEARCHES = {
     "k4multi": (
-        ("n", "m"),
-        lambda a: search.max_k4free_multigraph(a.n, a.m, engine=a.engine, budget=a.budget),
+        ("n", "m", "engine", "budget"),
+        lambda a: search.max_k4free_multigraph(a.n, a.m, a.engine or "exhaustive", a.budget),
     ),
     "ak-s2": (("n", "m"), lambda a: search.max_s2_graph(a.n, a.m)),
     "aes": (("n",), lambda a: search.aes_scan(a.n)),
-    "fano-l2": (("n",), lambda a: search.max_l2_fano_free(a.n, budget=a.budget)),
+    "fano-l2": (("n", "budget"), lambda a: search.max_l2_fano_free(a.n, budget=a.budget)),
     "bipartite-l2": (("n",), lambda a: search.bipartite_l2_scan(a.n)),
 }
 
 
 def _cmd_search(args) -> int:
     objective = args.objective
-    flags, run = _SEARCHES[objective]
-    if any(getattr(args, flag) is None for flag in flags):
-        needs = " and ".join(f"--{flag}" for flag in flags)
-        print(f"{objective} needs {needs}", file=sys.stderr)
+    reads, run = _SEARCHES[objective]
+    needs = [flag for flag in ("n", "m") if flag in reads]
+    if any(getattr(args, flag) is None for flag in needs):
+        print(f"{objective} needs {' and '.join(f'--{flag}' for flag in needs)}", file=sys.stderr)
+        return 2
+    refused = [f"--{flag}" for flag in ("n", "m", "engine", "budget")
+               if flag not in reads and getattr(args, flag) is not None]
+    if refused:
+        print(f"{objective} does not take {' or '.join(refused)}", file=sys.stderr)
         return 2
     report = run(args)
     text = report_to_json(report)
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--n", type=int)
     p_search.add_argument("--m", type=int)
-    p_search.add_argument("--engine", choices=("exhaustive", "bnb"), default="exhaustive")
+    p_search.add_argument("--engine", choices=("exhaustive", "bnb"))
     p_search.add_argument("--budget", type=float)
     p_search.add_argument("--out")
     p_search.set_defaults(fn=_cmd_search)

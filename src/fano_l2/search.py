@@ -795,27 +795,22 @@ def aes_scan(n: int) -> SearchReport:
 # ----- maximum-norm Fano-free search ------------------------------------------------
 
 
-def _fano_copy_masks(n: int) -> list[int]:
-    """Edge-subset masks (over the triples of n vertices) of all labeled
-    Fano planes; below seven vertices there are none."""
-    triples = list(combinations(range(n), 3))
+def _fano_cover(n: int) -> tuple[list[list[int]], list[int]]:
+    """Each labeled plane's triple indices, the copies in ascending order of
+    their edge mask (bit t for triple t of n vertices), and per triple t the
+    mask of the copies holding t (bit i for copy i); none below seven."""
+    index = {t: i for i, t in enumerate(combinations(range(n), 3))}
     # the plane's automorphisms take any two points to any two, so every
     # labelling of seven points is reached by a vertex map fixing 0 and 1
     # (each four times)
     planes = {_relabel(FANO_EDGES, (0, 1, *rest)) for rest in permutations(range(2, 7))}
-    return sorted(
-        _mask(triples, set(_relabel(plane, points)).__contains__)
-        for points in combinations(range(n), 7)
-        for plane in planes
+    # _relabel sorts the triples, so each copy's indices ascend
+    copies = sorted(
+        ([index[t] for t in _relabel(plane, points)]
+         for points in combinations(range(n), 7) for plane in planes),
+        key=lambda members: sum(1 << t for t in members),
     )
-
-
-def _fano_cover(n: int) -> tuple[list[list[int]], list[int]]:
-    """Each labeled plane's triple indices, in the ascending-mask order of
-    _fano_copy_masks, and per triple t the mask of the copies holding t
-    (bit i for copy i)."""
-    copies = [_members(range(comb(n, 3)), f) for f in _fano_copy_masks(n)]
-    cover = [0] * comb(n, 3)
+    cover = [0] * len(index)
     for i, members in enumerate(copies):
         for t in members:
             cover[t] |= 1 << i
@@ -908,12 +903,6 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
 # ----- bipartite norm scans -----------------------------------------------------------
 
 
-def canonical_3graph(H: Uniform3Graph) -> tuple[tuple[int, int, int], ...]:
-    """Lexicographically minimal relabeling of the edge set; equal exactly
-    for isomorphic graphs (intended for small n)."""
-    return min(_relabel(H.triples(), perm) for perm in permutations(range(H.n)))
-
-
 def bipartite_l2_scan(n: int) -> SearchReport:
     """Scan every bipartition (vertex 0 pinned to the first part) and every
     subset of its crossing triples; the maximum squared norm must match the
@@ -921,6 +910,13 @@ def bipartite_l2_scan(n: int) -> SearchReport:
     The params hold the closed value, the number of labeled maximizers,
     whether they are all isomorphic to the balanced host, and the blocks
     and states the scan really evaluated.
+
+    The maximizers are all isomorphic to the host exactly when every hit
+    has the host's edge count. A crossing set of the split (a, n - a) has
+    at most C(n, 3) - C(a, 3) - C(n - a, 3) triples, and only a balanced a
+    reaches the host's count. So a hit of that size is the full crossing
+    set of a balanced split, the host up to relabelling, and a hit of any
+    other size is not isomorphic to the host.
 
     Two bipartitions whose first parts have the same size a are relabellings
     of each other, so the scan evaluates one block per a, with parts range(a)
@@ -965,15 +961,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         sigma = part1 + part2
         for hit in block_hits.get(a, ()):
             maximizers.add(_relabel(hit, sigma))
-    host = bipartite3((n + 1) // 2, n // 2)
-    # every maximizer is a relabelled representative hit; only a hit other
-    # than the labelled balanced host needs a canonical form
-    others = {
-        canonical_3graph(Uniform3Graph(n, hit))
-        for hits in block_hits.values()
-        for hit in hits
-        if tuple(hit) != host.triples()
-    }
+    host_size = bipartite3((n + 1) // 2, n // 2).edge_count
     witness = Uniform3Graph(n, min(maximizers))
     if witness.lp_norm(2) != best or is_bipartite3(witness) is None:
         raise AssertionError("bipartite witness failed revalidation")
@@ -988,7 +976,9 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         params={
             "closed_value": bn_l2_closed(n),
             "maximizer_count": len(maximizers),
-            "unique_up_to_iso": not others or others == {canonical_3graph(host)},
+            "unique_up_to_iso": all(
+                len(hit) == host_size for hits in block_hits.values() for hit in hits
+            ),
             "blocks_scanned": len(block_states),
             "states_scanned": sum(block_states.values()),
         },

@@ -13,6 +13,7 @@ from fano_l2.graphs import SimpleGraph, all_pairs
 from fano_l2.hypergraphs import Uniform3Graph
 from fano_l2.multigraphs import MATCHINGS, K4Witness, MMultigraph
 from fano_l2.patterns import FANO_EDGES
+from fano_l2.search import _relabel
 
 
 def has_edge(H: Uniform3Graph, *vertices: int) -> bool:
@@ -228,6 +229,12 @@ def parse_3graph_oracle(text: str) -> Uniform3Graph:
             raise FormatError(f"line {lineno}: duplicate edge {u} {v} {w}")
         seen.add((u, v, w))
     return Uniform3Graph(n, seen)
+
+
+def canonical_3graph(H: Uniform3Graph) -> tuple[tuple[int, int, int], ...]:
+    """Lexicographically minimal relabeling of the edge set; equal exactly
+    for isomorphic graphs (intended for small n)."""
+    return min(_relabel(H.triples(), perm) for perm in permutations(range(H.n)))
 
 
 def aes_scan_oracle(n: int) -> tuple[int, int, dict]:

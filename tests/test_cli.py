@@ -371,10 +371,10 @@ def test_search_census_json(tmp_path, capsys):
 
 
 def test_search_budget_zero_reports_incomplete(capsys):
-    argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "3",
-            "--engine", "bnb", "--budget", "0"]
-    assert main(argv) == 0
-    assert "complete=False" in capsys.readouterr().out
+    # the two objectives that read --budget
+    for flags in (["k4multi", "--n", "4", "--m", "3", "--engine", "bnb"], ["fano-l2", "--n", "7"]):
+        assert main(["search", "--objective", *flags, "--budget", "0"]) == 0
+        assert "complete=False" in capsys.readouterr().out
 
 
 SEARCH_KEYS = {
@@ -431,6 +431,25 @@ def test_search_requires_dimensions(capsys):
     assert "k4multi needs --n and --m" in capsys.readouterr().err
     assert main(["search", "--objective", "aes"]) == 2
     assert "aes needs --n" in capsys.readouterr().err
+
+
+def test_search_refuses_flags_its_objective_does_not_read(tmp_path, capsys):
+    # one stderr line naming every refused flag, nothing on stdout, no --out
+    out = tmp_path / "rep.json"
+    cases = [
+        (["aes", "--n", "5", "--budget", "0.001", "--m", "99", "--engine", "bnb"],
+         "aes does not take --m or --engine or --budget"),
+        (["fano-l2", "--n", "7", "--engine", "exhaustive", "--m", "3"],
+         "fano-l2 does not take --m or --engine"),
+        (["fano-l2", "--n", "7", "--engine", "bnb"], "fano-l2 does not take --engine"),
+        (["ak-s2", "--n", "5", "--m", "4", "--budget", "1"], "ak-s2 does not take --budget"),
+        (["bipartite-l2", "--n", "4", "--m", "1"], "bipartite-l2 does not take --m"),
+    ]
+    for flags, message in cases:
+        assert main(["search", "--objective", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+        assert not out.exists()
 
 
 def test_bipartite_scan_small_host_exits_2(capsys):

@@ -11,7 +11,7 @@ import pytest
 from fano_l2 import search
 from fano_l2.formats import parse_3graph, parse_graph, parse_mgraph, write_3graph, write_mgraph
 from fano_l2.graphs import SimpleGraph, all_pairs, bipartitions
-from fano_l2.hypergraphs import Uniform3Graph, bipartite3, bn_l2_closed
+from fano_l2.hypergraphs import Uniform3Graph, balanced_bipartite3, bipartite3, bn_l2_closed
 from fano_l2.multigraphs import (
     MMultigraph,
     bipartite_construction_5,
@@ -24,7 +24,6 @@ from fano_l2.search import (
     bipartite_l2_scan,
     bipartite_norm_formula,
     bipartite_s2_formula,
-    canonical_3graph,
     k4_census,
     max_k4free_multigraph,
     max_l2_fano_free,
@@ -32,7 +31,7 @@ from fano_l2.search import (
     s2_quasi_agreement,
 )
 
-from helpers import aes_scan_oracle, bipartition, random_sub_multigraph
+from helpers import aes_scan_oracle, bipartition, canonical_3graph, random_sub_multigraph
 
 
 def test_census_m4_frozen_values():
@@ -664,7 +663,7 @@ def test_fano_free_search_at_seven_is_pinned():
     # K7 minus the five triples through the pair {0, 1}
     kept = [t for t in combinations(range(7), 3) if not {0, 1} <= set(t)]
     assert rep.witness == write_3graph(Uniform3Graph(7, kept))
-    masks = search._fano_copy_masks(7)
+    masks = [sum(1 << t for t in members) for members in search._fano_cover(7)[0]]
     assert len(set(masks)) == len(masks) == 30
     triples = list(combinations(range(7), 3))
     for mask in masks:
@@ -685,11 +684,17 @@ def test_fano_free_search_at_eight_is_pinned():
 @pytest.mark.parametrize("n", [7, 8])
 def test_fano_cover_agrees_with_the_copy_masks(n):
     # the search's uncovered-copy mask reads copy i's triples from copies[i]
-    # and clears, for a deleted triple t, the copies in cover[t]
-    masks = search._fano_copy_masks(n)
+    # and clears, for a deleted triple t, the copies in cover[t]; the copies
+    # are the 7!/168 = 30 labelled planes of each 7-set, in strictly
+    # ascending edge-mask order
     copies, cover = search._fano_cover(n)
-    assert [sum(1 << t for t in members) for members in copies] == masks
+    masks = [sum(1 << t for t in members) for members in copies]
+    assert masks == sorted(set(masks))
+    assert len(masks) == 30 * comb(n, 7)
     assert all(members == sorted(members) for members in copies)
+    triples = list(combinations(range(n), 3))
+    for members in copies:
+        assert contains_fano(Uniform3Graph(n, [triples[t] for t in members])) is not None
     assert len(cover) == comb(n, 3)
     for t, copy_mask in enumerate(cover):
         assert copy_mask == sum(1 << i for i, f in enumerate(masks) if f >> t & 1)
@@ -717,7 +722,7 @@ def test_fano_free_small_hosts_are_complete():
     from fano_l2.hypergraphs import complete3
 
     for n in range(3, 7):
-        assert search._fano_copy_masks(n) == []
+        assert search._fano_cover(n) == ([], [0] * comb(n, 3))
         rep = max_l2_fano_free(n)
         assert (rep.engine, rep.nodes, rep.complete) == ("bnb", 1, True)
         assert rep.witness == write_3graph(complete3(n))
@@ -802,10 +807,23 @@ def test_bipartite_scan_revalidates_its_witness(monkeypatch):
         bipartite_l2_scan(5)
 
 
-def test_bipartite_scan_canonises_only_hits_other_than_the_host(monkeypatch):
-    # at n = 6 every hit is the labelled balanced host, so no canonical form
-    # (720 relabellings each) is computed; at n = 5 the a = 2 block's hit is
-    # another labelling, which still needs them
+def test_only_balanced_splits_reach_the_host_edge_count():
+    # the lemma unique_up_to_iso rests on: the crossing triples of the split
+    # (a, n - a) number the balanced host's edges at a balanced a and fewer
+    # at any other
+    for n in range(3, 61):
+        size = balanced_bipartite3(n).edge_count
+        for a in range(1, n):
+            crossing = comb(n, 3) - comb(a, 3) - comb(n - a, 3)
+            if a in (n // 2, (n + 1) // 2):
+                assert crossing == size
+            else:
+                assert crossing < size
+
+
+def test_bipartite_scan_is_pinned_without_canonical_forms():
+    # uniqueness is decided by the hits' edge counts, so the package holds no
+    # canonical form; the oracle scan above still canonises every maximizer
     expect = {
         3: (3, 6, {"closed_value": 3, "maximizer_count": 1, "unique_up_to_iso": True,
                    "blocks_scanned": 2, "states_scanned": 4}),
@@ -816,17 +834,10 @@ def test_bipartite_scan_canonises_only_hits_other_than_the_host(monkeypatch):
         6: (198, 3_610_624, {"closed_value": 198, "maximizer_count": 10, "unique_up_to_iso": True,
                              "blocks_scanned": 5, "states_scanned": 395_264}),
     }
-    calls = []
-    canonical = search.canonical_3graph
-    monkeypatch.setattr(search, "canonical_3graph", lambda H: calls.append(H.n) or canonical(H))
     for n, (optimum, nodes, params) in expect.items():
-        calls.clear()
         rep = bipartite_l2_scan(n)
         assert (rep.optimum, rep.nodes, rep.params) == (optimum, nodes, params)
-        if n == 5:
-            assert calls
-        if n == 6:
-            assert calls == []
+    assert not hasattr(search, "canonical_3graph")
 
 
 def test_bipartite_scan_range_guard():
