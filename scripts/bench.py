@@ -2,13 +2,13 @@
 """Time one engine and write BENCH_<topic>.json.
 
 census: for each layer count m = 1..5 it times a cold `k4_census(m)`, as
-`verify` first meets it (tables, scan of one outer block per
-layer-relabelling orbit, witness check), and the scan of every outer block
-at weight 1, which the tests check the orbit weighting against. Each is the
-median of three runs, and the script asserts that both give the same report
-apart from the blocks and tables they scanned. Each row records the blocks,
-the tables (distinct first-matching intersections, each tabulated once over
-the inner rows), the inner rows each table reads (the class-product rows)
+`verify` first meets it (tables, scan of one outer block per first-matching
+key, witness check), and the scan of every outer block at weight 1, which
+the tests check the key weighting against. Each is the median of three
+runs, and the script asserts that both give the same report apart from the
+blocks and tables they scanned. Each row records the blocks, the tables
+(distinct popcounts of the first-matching intersection, each tabulated once
+over the inner rows), the inner rows each table reads (the class-product rows)
 and the rows tabulated per second, and a fourth, untimed cold census under
 `tracemalloc` gives its `traced_peak_mb`. At m=5 the cold census takes about
 a hundredth of a second and the every-block scan under a tenth.
@@ -139,7 +139,7 @@ def _census_rows() -> list[dict]:
         every = [(block, 1) for block in range(4**m)]
         (full, *_), full_s, full_runs = _median_run(search._census_report, m, every)
         if _report_fields(rep) != _report_fields(full):
-            raise AssertionError(f"orbit census and every-block scan disagree at m={m}")
+            raise AssertionError(f"key-block census and every-block scan disagree at m={m}")
         inner_rows = rep.inner_rows
         peak = _traced_peak_mb(_cold_census, m)
         rows.append(

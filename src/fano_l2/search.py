@@ -14,7 +14,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
@@ -57,40 +57,35 @@ class SearchReport:
 # inner part, which makes ascending block-then-inner order the lexicographic
 # order of the full state.
 #
-# Relabelling the m layers by one permutation in all six masks maps the state
-# space onto itself and keeps pattern-freeness, size and every clause
-# condition, since all of them read only popcounts of unions and
-# intersections. So two blocks in one orbit of that action have the same
-# histogram, pattern-free count, clause counts and block maximum, and the
-# census scans one block per orbit, weighted by the orbit size. An orbit is
-# fixed by (|a1 & b1|, |a1 - b1|, |b1 - a1|); its representative puts a1 on
-# the lowest bits and b1 on the lowest bits it can reach, which makes it the
-# smallest block of its orbit. The first block in ascending order that
-# reaches the maximum is therefore a representative, and scanning the
-# representatives in ascending order finds the same lexicographically
-# minimal witness as scanning every block.
+# Everything the census reads from a matching with masks (a, b) is a
+# function of its key (a & b, |a| + |b|, |a| == m or |b| == m): the Hall
+# test of the pattern reads the intersections, the size the popcount sums,
+# and the clauses those and the full-multiplicity flags. So the 4^m pairs
+# of one matching fall into classes (138 at m=5), and the inner part is the
+# product of two class tables: 19,044 rows at m=5 instead of 2^20 states,
+# each row weighted by the c2*c3 states it stands for. Classes come in
+# ascending order of their smallest pair, so rows come in ascending order
+# of their smallest state (min2 << 2m) | min3, and the first row of a block
+# to reach its maximum holds the smallest maximizing state of the block,
+# the one a scan of single states finds.
 #
-# Inside a block, everything the census reads from a matching with masks
-# (a, b) is a function of its key (a & b, |a| + |b|, |a| == m or |b| == m):
-# the Hall test of the pattern reads the intersections, the size the
-# popcount sums, and the clauses those and the full-multiplicity flags. So
-# the 4^m pairs of one matching fall into classes (138 at m=5), and the
-# inner part is the product of two class tables: 19,044 rows at m=5 instead
-# of 2^20 states, each row weighted by the c2*c3 states it stands for.
-# Classes come in ascending order of their smallest pair, so rows come in
-# ascending order of their smallest state (min2 << 2m) | min3, and the first
-# row of a block to reach its maximum holds the smallest maximizing state of
-# the block, the one a scan of single states finds.
-#
-# A block's first matching enters the Hall test only through i1 = a1 & b1,
-# and everything else through s1, pop(i1) and whether a1 or b1 is full.
 # Once the Hall test has kept a row, the size, the histogram and every
 # clause read only the row's cell (s2, s3, i2 != 0, i3 != 0, full23): 968
-# cells at m=5. So the scan tabulates the pattern-free states per cell once
-# for each distinct i1 (6 among the 56 orbit blocks at m=5, at most 2^m in
-# any scan), and each block reads that small table; only a block that beats
-# the maximum goes back to the rows, for its witness, which is the first
-# free row of the block's largest s2 + s3.
+# cells at m=5. Relabelling the m layers by one permutation in the four
+# inner masks maps the inner states onto themselves and keeps each state's
+# cell, and its Hall test against i1 = a1 & b1 becomes the test against
+# the relabelled i1. So the free states per cell depend on i1 only through
+# pop(i1), and the scan tabulates them once per popcount, from the i1 of
+# that popcount on the lowest bits (m + 1 tables). Beyond that table a
+# block reads pop(i1), s1 = |a1| + |b1| and whether a1 or b1 is full, so
+# every block of one key (pop(i1), s1, a1 or b1 full) adds the same to
+# every count: the census scans the key's smallest block, weighted by the
+# key's pair count (25 of the 1024 blocks at m=5). The first block in
+# ascending order to reach the maximum is the smallest of its key, so
+# scanning these blocks in ascending order finds the same lexicographically
+# minimal witness as scanning every block. Only a block that beats the
+# maximum goes back to the rows, with its own i1, for its witness, which is
+# the first free row of the block's largest s2 + s3.
 
 _CENSUS_PAIRS = tuple(pair for matching in MATCHINGS for pair in matching)
 
@@ -156,29 +151,23 @@ def _free_rows(t: dict, i1: int) -> np.ndarray:
     )
 
 
-def _block_orbits(m: int) -> list[tuple[int, int]]:
-    """One (block, orbit size) pair per layer-relabelling orbit of outer
-    blocks, in ascending block order; the sizes sum to 4^m. An orbit's
-    smallest block has a class-prefix a1 and then, inside the classes a1
-    splits the layers into, a class-prefix b1; the orbit size is
-    m! / prod |c|! over the classes b1 splits those into."""
-    full = ((1 << m) - 1,)
-    orbits = []
-    for a1 in _class_prefix_masks(m, full, m):
-        classes = _split_classes(full, a1)
-        for b1 in _class_prefix_masks(m, classes, m):
-            final = _split_classes(classes, b1)
-            size = factorial(m) // prod(factorial(c.bit_count()) for c in final)
-            orbits.append((a1 << m | b1, size))
-    return sorted(orbits)
+def _outer_blocks(m: int) -> list[tuple[int, int]]:
+    """One (block, weight) pair per key (pop(a1 & b1), |a1| + |b1|, a1 or b1
+    full) of the first matching: the key's smallest block a1 << m | b1,
+    weighted by its pair count, in ascending block order; the weights sum
+    to 4^m."""
+    blocks: dict[tuple[int, int, bool], list[int]] = {}
+    for (inter, total, full), (count, pair) in _matching_classes(m).items():
+        blocks.setdefault((inter.bit_count(), total, full), [pair, 0])[1] += count
+    return [(block, weight) for block, weight in blocks.values()]
 
 
 @dataclass(frozen=True, slots=True)
 class CensusReport:
     """Aggregate over all 4-vertex m-layer states. blocks is the number of
-    outer blocks actually scanned, tables the distinct first-matching
-    intersections among them, each tabulated once over the inner rows,
-    classes the pair classes of one matching and inner_rows the
+    outer blocks actually scanned, tables the distinct popcounts of the
+    first-matching intersections among them, each tabulated once over the
+    inner rows, classes the pair classes of one matching and inner_rows the
     class-product rows each table reads; table_build_s and scan_s time the
     class tables and the block scan, elapsed the whole report."""
 
@@ -221,20 +210,21 @@ def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
     viol_i = viol_iii = viol_iv = viol_v = 0
     best = -1
     best_state = None
-    # per first-matching intersection: the free states per cell, and per s23
+    # per popcount of the first-matching intersection: the free states per
+    # cell, and per s23
     tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for block, weight in blocks:
         a1, b1 = divmod(block, size_bits)
         i1 = a1 & b1
         pop_i1 = int(pop[i1])
         s1 = int(pop[a1]) + int(pop[b1])
-        if i1 not in tables:
-            free = _free_rows(t, i1)
+        if pop_i1 not in tables:
+            free = _free_rows(t, (1 << pop_i1) - 1)
             # float64 weights are exact here: a table counts at most 16^m = 2^20 states
             cells = np.bincount(t["cell"][free], weights=t["count"][free], minlength=len(s23))
             by_sum = np.bincount(s23, weights=cells, minlength=4 * m + 1)
-            tables[i1] = cells.astype(np.int64), by_sum.astype(np.int64)
-        cells, by_sum = tables[i1]
+            tables[pop_i1] = cells.astype(np.int64), by_sum.astype(np.int64)
+        cells, by_sum = tables[pop_i1]
         hist[s1 : s1 + len(by_sum)] += weight * by_sum
         k4_free += weight * int(by_sum.sum())
         block_best = s1 + int(np.flatnonzero(by_sum)[-1])
@@ -307,13 +297,15 @@ def k4_census(m: int) -> CensusReport:
     size >= 22 forces a full-multiplicity pair, and matching sums adding to
     17 force an empty intersection.
 
-    Every state is counted, but only one outer block per layer-relabelling
-    orbit is scanned (56 of the 1024 blocks at m=5), weighted by the orbit
-    size. The inner part is one row per pair of matching classes (19,044
-    rows standing for 2^20 states at m=5), weighted by its state count, and
-    the rows are tabulated into cells once per distinct first-matching
-    intersection (6 tables at m=5), which each block then reads; the block
-    comment above says why all of this is exact and why the witness is the
+    Every state is counted, but only one outer block per key (pop(a1 & b1),
+    |a1| + |b1|, a1 or b1 full) of the first matching is scanned (25 of the
+    1024 blocks at m=5), weighted by the key's pair count. The inner part is
+    one row per pair of matching classes (19,044 rows standing for 2^20
+    states at m=5), weighted by its state count, and the rows are tabulated
+    into cells once per popcount of the first-matching intersection (6
+    tables at m=5), which each block then reads. The key blocks and the
+    per-popcount tables rest on one argument, relabelling the layers; the
+    block comment above says why they are exact and why the witness is the
     one a scan of every state finds.
 
     Layer counts are limited to 1..5, the range whose values are frozen and
@@ -323,7 +315,7 @@ def k4_census(m: int) -> CensusReport:
     """
     if not 1 <= m <= 5:
         raise ValueError(f"layer count {m} outside the census range 1..5")
-    return _census_report(m, _block_orbits(m))
+    return _census_report(m, _outer_blocks(m))
 
 
 # ----- branch and bound for multigraph Turán numbers -----------------------------
@@ -364,14 +356,15 @@ def max_k4free_multigraph(
 ) -> SearchReport:
     """Maximum size of a pattern-free m-layer multigraph on n vertices.
 
-    The exhaustive engine supports n=4 only: the 4-vertex census, which
-    counts every state but scans one outer block per layer-relabelling
-    orbit, and tabulates one row per pair of matching classes once per
-    distinct first-matching intersection; params holds its classes,
-    inner_rows, blocks, tables, table_build_s and scan_s. Both engines take
-    1..5 layers. Branch and bound supports n in {4, 5}: depth-first over
-    pair color masks in a fixed order, every pair capped at the multiplicity
-    of the first (every assignment can be relabeled so a maximum-multiplicity
+    The exhaustive engine supports n=4 only and takes no budget: the
+    4-vertex census, which counts every state but scans one outer block per
+    first-matching key, and tabulates one row per pair of matching classes
+    once per popcount of the first-matching intersection, both by the same
+    layer-relabelling argument; params holds its classes, inner_rows,
+    blocks, tables, table_build_s and scan_s. Both engines take 1..5
+    layers. Branch and bound supports n in {4, 5}: depth-first over pair
+    color masks in a fixed order, every pair capped at the multiplicity of
+    the first (every assignment can be relabeled so a maximum-multiplicity
     pair comes first). The layers are
     relabeled at every pair, not only the first: the masks placed so far
     split the m layers into classes (one class at the root; a placed mask
@@ -407,6 +400,8 @@ def max_k4free_multigraph(
     if engine == "exhaustive":
         if n != 4:
             raise ValueError("exhaustive engine requires n=4")
+        if budget is not None:
+            raise ValueError("the exhaustive engine takes no budget")
         census = k4_census(m)
         return SearchReport(
             objective="k4multi",

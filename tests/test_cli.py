@@ -350,9 +350,9 @@ def test_search_json_shape(tmp_path, capsys):
 
 
 def test_search_census_json(tmp_path, capsys):
-    # the exhaustive engine is the 4-vertex census: 20 of the 64 outer blocks
-    # (one per layer-relabelling orbit), 4 distinct first-matching
-    # intersections among them, each tabulated once, and 24 pair classes a
+    # the exhaustive engine is the 4-vertex census: 12 of the 64 outer blocks
+    # (one per first-matching key), 4 popcounts of the first-matching
+    # intersection among them, each tabulated once, and 24 pair classes a
     # matching and 24 * 24 class-product rows a table stand for all 8^6 states
     out = tmp_path / "census.json"
     argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "3", "--out", str(out)]
@@ -364,7 +364,7 @@ def test_search_census_json(tmp_path, capsys):
     params = data["params"]
     assert set(params) == {"classes", "inner_rows", "blocks", "tables", "table_build_s", "scan_s"}
     assert (params["blocks"], params["tables"], params["classes"], params["inner_rows"]) == (
-        20, 4, 24, 576,
+        12, 4, 24, 576,
     )
     mg = parse_mgraph(data["witness"])
     assert mg.size == 15 and contains_k4(mg) is None
@@ -375,6 +375,19 @@ def test_search_budget_zero_reports_incomplete(capsys):
     for flags in (["k4multi", "--n", "4", "--m", "3", "--engine", "bnb"], ["fano-l2", "--n", "7"]):
         assert main(["search", "--objective", *flags, "--budget", "0"]) == 0
         assert "complete=False" in capsys.readouterr().out
+
+
+def test_search_exhaustive_engine_refuses_a_budget(tmp_path, capsys):
+    # engine unset or exhaustive: the census takes no budget, so the run
+    # exits 2 with one error line, nothing on stdout and no --out file
+    out = tmp_path / "rep.json"
+    base = ["search", "--objective", "k4multi", "--n", "4", "--m", "3", "--budget", "0"]
+    for engine in ([], ["--engine", "exhaustive"]):
+        assert main([*base, *engine, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the exhaustive engine takes no budget\n"
+        assert not out.exists()
 
 
 SEARCH_KEYS = {

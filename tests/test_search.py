@@ -64,10 +64,9 @@ def census_fields(rep):
 def test_orbit_census_matches_full_scan():
     for m in (1, 2, 3, 4):
         fast, full = k4_census(m), full_census(m)
-        assert (fast.blocks, full.blocks) == (comb(m + 3, 3), 4**m)
+        assert (fast.blocks, full.blocks) == ((3, 7, 12, 18)[m - 1], 4**m)
         fast_fields, full_fields = census_fields(fast), census_fields(full)
-        for name in ("blocks", "tables"):
-            del fast_fields[name], full_fields[name]
+        del fast_fields["blocks"], full_fields["blocks"]
         assert fast_fields == full_fields
 
 
@@ -121,12 +120,12 @@ def oracle_census(m, blocks):
     viol_i = viol_iii = viol_iv = viol_v = 0
     best = -1
     best_state = None
-    intersections = set()
+    popcounts = set()
     for block, weight in blocks:
         a1, b1 = divmod(block, size_bits)
         i1 = a1 & b1
-        intersections.add(i1)
         pop_i1 = int(pop[i1])
+        popcounts.add(pop_i1)
         s1 = int(pop[a1]) + int(pop[b1])
         if pop_i1 >= 1:
             sdr = (
@@ -205,20 +204,20 @@ def oracle_census(m, blocks):
         "size_histogram": tuple(int(x) for x in hist),
         "witness": witness,
         "blocks": len(blocks),
-        "tables": len(intersections),
+        "tables": len(popcounts),
         "classes": len(keys),
         "inner_rows": len(keys) ** 2,
     }
 
 
 def test_class_rows_match_the_per_state_oracle():
-    # every block at m=1..4; the 56 orbit blocks at m=5, the only layer
-    # count with clause counts
+    # every block at m=1..4; the 25 key blocks at m=5, the only layer count
+    # with clause counts
     for m in (1, 2, 3, 4):
         blocks = [(block, 1) for block in range(4**m)]
         assert census_fields(search._census_report(m, blocks)) == oracle_census(m, blocks)
-    blocks = search._block_orbits(5)
-    assert len(blocks) == 56
+    blocks = search._outer_blocks(5)
+    assert len(blocks) == 25
     fields = census_fields(k4_census(5))
     assert fields == oracle_census(5, blocks)
     assert (fields["tables"], fields["classes"], fields["inner_rows"]) == (6, 138, 19044)
@@ -255,23 +254,41 @@ def test_cold_census_memory_stays_small():
     assert peak < 8 * 2**20
 
 
-def test_block_orbits_are_the_layer_relabelling_classes():
-    # group every block by (|a1 & b1|, |a1 - b1|, |b1 - a1|): one entry per
-    # class, at its smallest block, weighted by the class size
+def test_free_rows_depend_on_the_first_intersection_only_through_its_popcount():
+    # the free states per cell for each i1 equal those for the i1 of the
+    # same popcount on the lowest bits, the table the census builds
     for m in range(1, 6):
-        classes: dict = {}
+        t = search._inner_rows(m)
+        cells = len(t["cell_keys"][0])
+
+        def per_cell(i1):
+            free = search._free_rows(t, i1)
+            return np.bincount(t["cell"][free], weights=t["count"][free], minlength=cells)
+
+        lowest = [per_cell((1 << k) - 1) for k in range(m + 1)]
+        for i1 in range(1 << m):
+            assert np.array_equal(per_cell(i1), lowest[i1.bit_count()])
+
+
+def test_outer_blocks_are_one_smallest_block_per_key():
+    # group every block by (pop(a1 & b1), |a1| + |b1|, a1 or b1 full): one
+    # entry per key, at its smallest block, weighted by the key's block count
+    for m in range(1, 6):
+        keys: dict = {}
         for block in range(4**m):
             a1, b1 = divmod(block, 1 << m)
-            key = ((a1 & b1).bit_count(), (a1 & ~b1).bit_count(), (b1 & ~a1).bit_count())
-            classes.setdefault(key, []).append(block)
-        orbits = search._block_orbits(m)
-        assert sum(weight for _, weight in orbits) == 4**m
-        assert orbits == sorted((min(c), len(c)) for c in classes.values())
+            sizes = (a1.bit_count(), b1.bit_count())
+            keys.setdefault(((a1 & b1).bit_count(), sum(sizes), m in sizes), []).append(block)
+        blocks = search._outer_blocks(m)
+        assert sum(weight for _, weight in blocks) == 4**m
+        assert [block for block, _ in blocks] == sorted(block for block, _ in blocks)
+        assert blocks == sorted((min(c), len(c)) for c in keys.values())
+        assert len(blocks) == (3, 7, 12, 18, 25)[m - 1]
 
 
 def test_census_m5_witness_is_pinned():
     rep = k4_census(5)
-    assert rep.blocks == 56
+    assert rep.blocks == 25
     assert rep.witness == write_mgraph(
         MMultigraph.from_masks(4, 5, dict(zip(search._CENSUS_PAIRS, (0, 31, 31, 31, 31, 31))))
     )
@@ -437,6 +454,15 @@ def test_class_prefix_masks_keep_the_smallest_mask_of_each_orbit():
             for k in range(m + 1):
                 expected = [x for x in descending if x.bit_count() <= k and x in smallest]
                 assert search._class_prefix_masks(m, classes, k) == expected
+
+
+def test_exhaustive_engine_refuses_a_budget():
+    # the census always counts every state, so no budget can cut it short
+    for budget in (0.0, 60.0):
+        with pytest.raises(ValueError) as caught:
+            max_k4free_multigraph(4, 3, budget=budget)
+        assert str(caught.value) == "the exhaustive engine takes no budget"
+    assert max_k4free_multigraph(4, 3, budget=None).complete
 
 
 def test_bnb_deadline_before_the_first_leaf_reports_the_empty_state():
