@@ -42,13 +42,16 @@ def _plane_rows(host: Uniform3Graph) -> dict[int, dict[int, set[int]]]:
     """rows[u][v]: the set of vertices w such that uvw is an edge; the table
     both the plane and the K5^3 kernels read.
 
-    Only edges whose three vertices have degree at least 3, as every point of
-    a plane and every vertex of a K5^3 has, enter the table, so it holds
-    three sets per such edge and nothing else. rows[u][v] and rows[v][u]
-    are the same set, and each row holds its keys in ascending order.
+    Every vertex of degree at least 3, as every point of a plane and every
+    vertex of a K5^3 has, gets a row, and only edges whose three vertices
+    have rows enter the table, so it holds three sets per such edge and
+    nothing else. One pass over the triples fills it: the first edge on a
+    pair stores one new set under both rows[u][v] and rows[v][u], so a
+    change to either is a change to both. Rows hold their keys in no
+    particular order.
     """
     degree = host.degrees()
-    thirds: dict[tuple[int, int], set[int]] = {}
+    rows: dict[int, dict[int, set[int]]] = {v: {} for v, d in enumerate(degree) if d >= 3}
     for a, b, c in host.triples():
         # the four-keys reject of `_complete_plane` turns these edges away
         # too, but after the table holds them: on a 30,000-triple sunflower
@@ -56,22 +59,28 @@ def _plane_rows(host: Uniform3Graph) -> dict[int, dict[int, set[int]]]:
         # 1.3 s and 55 MB without it (Python 3.11, 2-core x86-64)
         if degree[a] < 3 or degree[b] < 3 or degree[c] < 3:
             continue
-        thirds.setdefault((a, b), set()).add(c)
-        thirds.setdefault((a, c), set()).add(b)
-        thirds.setdefault((b, c), set()).add(a)
-    rows: dict[int, dict[int, set[int]]] = {}
-    # sorted pairs (u, v), u < v, reach every row in ascending key order
-    for (u, v), ws in sorted(thirds.items()):
-        rows.setdefault(u, {})[v] = ws
-        rows.setdefault(v, {})[u] = ws
+        ra, rb, rc = rows[a], rows[b], rows[c]
+        if b in ra:
+            ra[b].add(c)
+        else:
+            ra[b] = rb[a] = {c}
+        if c in ra:
+            ra[c].add(b)
+        else:
+            ra[c] = rc[a] = {b}
+        if c in rb:
+            rb[c].add(a)
+        else:
+            rb[c] = rc[b] = {a}
     return rows
 
 
 def _complete_plane(
-    rows: dict[int, dict[int, set[int]]], h0: int, h1: int, h2: int
+    r0: dict[int, set[int]], r1: dict[int, set[int]], r2: dict[int, set[int]]
 ) -> tuple[int, int, int, int] | None:
     """The lexicographically first (h3, h4, h5, h6) completing a plane whose
-    line (0, 1, 2) is (h0, h1, h2), or None.
+    line (0, 1, 2) is (h0, h1, h2), or None, given the rows r0, r1 and r2
+    of h0, h1 and h2.
 
     Each point after h3 is fixed by lines through two placed points:
     h4 on (2, 3, 4), h5 on (4, 5, 0) and (1, 3, 5), h6 on (0, 6, 3),
@@ -85,7 +94,6 @@ def _complete_plane(
     order; a row keeps a key only while its set is non-empty, so no
     candidate left out completes a plane.
     """
-    r0, r1, r2 = rows[h0], rows[h1], rows[h2]
     common = r0.keys() & r1.keys() & r2.keys()
     if len(common) < 4:
         return None
@@ -113,27 +121,35 @@ def _first_plane(
     One orientation per edge suffices: the stabilizer of a line in the
     plane's automorphism group permutes that line's three points
     arbitrarily, so a plane through (a, b, c) also maps line (0, 1, 2) onto
-    (a, b, c) in this order. An edge with a vertex outside the table lies
-    on no plane.
+    (a, b, c) in this order. An edge is in the table exactly when its three
+    vertices have rows, and an edge outside it lies on no plane.
 
     Each edge that completes no plane is removed from rows as the scan
     passes it: its third vertex leaves the set of each of its three pairs,
     and a pair whose set empties loses its key in both rows. An edge on no
     plane belongs to no plane, so removing it removes no plane: later edges
     see the same planes, and the same first completions, with fewer dead
-    ends. Deleting keys keeps each row in ascending key order.
+    ends. Both rows of a pair hold one set, so one discard updates both.
     """
     for a, b, c in host.triples():
-        if not (a in rows and b in rows and c in rows):
+        ra, rb, rc = rows.get(a), rows.get(b), rows.get(c)
+        if ra is None or rb is None or rc is None:
             continue
-        rest = _complete_plane(rows, a, b, c)
+        rest = _complete_plane(ra, rb, rc)
         if rest is not None:
             return a, b, c, *rest
-        for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
-            ws = rows[u][v]
-            ws.discard(w)
-            if not ws:
-                del rows[u][v], rows[v][u]
+        ws = ra[b]
+        ws.discard(c)
+        if not ws:
+            del ra[b], rb[a]
+        ws = ra[c]
+        ws.discard(b)
+        if not ws:
+            del ra[c], rc[a]
+        ws = rb[c]
+        ws.discard(a)
+        if not ws:
+            del rb[c], rc[b]
     return None
 
 
@@ -175,16 +191,17 @@ def contains_k53(host: Uniform3Graph) -> tuple[int, ...] | None:
     degree at least 6, so each of its edges is in the table. For a < b < c
     with abc an edge, the candidates for d > c are the common thirds of ab,
     ac and bc, and e is the smallest vertex that closes a triple with each
-    pair from a, b, c, d. The walk meets 5-sets in lexicographic order, so
-    at the first hit every such vertex lies above d.
+    pair from a, b, c, d. Rows keep their keys in no order, so the walk
+    sorts each row and set it draws a, b, c and d from; it meets 5-sets in
+    lexicographic order, so at the first hit every such vertex lies above d.
     """
     rows = _plane_rows(host)
     for a in sorted(rows):
         ra = rows[a]
-        for b, sab in ra.items():
+        for b in sorted(ra):
             if b < a:
                 continue
-            rb = rows[b]
+            sab, rb = ra[b], rows[b]
             for c in sorted(sab):
                 if c < b:
                     continue

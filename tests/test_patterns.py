@@ -148,15 +148,40 @@ def test_plane_scan_drops_the_edges_it_passes():
     assert image[:3] == (8, 9, 10)
     kept = {(u, v): ws for u, row in rows.items() for v, ws in row.items()}
     assert kept == {(u, v): {w} for line in lines for u, v, w in permutations(line)}
-    assert all(list(row) == sorted(row) for row in rows.values())
+    assert all(ws is rows[v][u] for (u, v), ws in kept.items())
     assert image == contains_fano(host) == contains_pattern(host, fano_plane())
+
+
+def plane_table_entries(host):
+    """{(u, v): thirds} over the edges whose three vertices have degree at
+    least 3, both orders of each pair."""
+    degree = host.degrees()
+    entries = {}
+    for t in host.triples():
+        if min(degree[x] for x in t) >= 3:
+            for u, v, w in permutations(t):
+                entries.setdefault((u, v), set()).add(w)
+    return entries
+
+
+def test_plane_table_holds_one_shared_set_per_pair_of_an_entered_edge():
+    rng = random.Random(39)
+    hosts = [random_3graph(n, p, rng) for n in range(7, 15) for p in (0.1, 0.3, 0.6)]
+    hosts.append(Uniform3Graph(41, [(0, 2 * i + 1, 2 * i + 2) for i in range(20)]))
+    for host in hosts:
+        rows = _plane_rows(host)
+        assert rows.keys() == {v for v, d in enumerate(host.degrees()) if d >= 3}
+        entries = {(u, v): ws for u, row in rows.items() for v, ws in row.items()}
+        assert entries == plane_table_entries(host)
+        # the scan's deletions reach both rows of a pair through this sharing
+        assert all(ws is rows[v][u] for (u, v), ws in entries.items())
 
 
 def test_every_fano_line_shares_four_row_keys_and_completes():
     rows = _plane_rows(fano_plane())
     for a, b, c in FANO_EDGES:
         assert rows[a].keys() & rows[b].keys() & rows[c].keys() == set(range(7)) - {a, b, c}
-        assert _complete_plane(rows, a, b, c) is not None
+        assert _complete_plane(rows[a], rows[b], rows[c]) is not None
 
 
 class _Unwalked(dict):
@@ -174,8 +199,7 @@ def test_an_edge_whose_rows_share_three_keys_is_rejected_before_any_walk():
     host = Uniform3Graph(11, [*lines, (2, 6, 7), (5, 8, 9), *combinations(range(7, 11), 3)])
     rows = _plane_rows(host)
     assert rows[0].keys() & rows[1].keys() & rows[2].keys() == {3, 4, 6}
-    rows[2] = _Unwalked(rows[2])
-    assert _complete_plane(rows, 0, 1, 2) is None
+    assert _complete_plane(rows[0], rows[1], _Unwalked(rows[2])) is None
 
 
 def test_the_check_path_builds_no_codegree_or_incidence_table():
@@ -299,6 +323,24 @@ def test_k53_detection():
     assert contains_k53(complete3(4)) is None
     assert contains_k53(bipartite3(4, 4)) is None
     assert contains_k53(complete3(6)) == (0, 1, 2, 3, 4)
+
+
+def test_k53_walk_sorts_rows_that_fill_out_of_key_order():
+    # the one-pass fill meets (0, 1, 5) before (0, 2, 3), so row 0 holds key 5
+    # ahead of 2, 3, 4 and 6: a walk in row order reaches the clique on
+    # {0, 5, 7, 8, 9} first, the lexicographically first one is on
+    # {0, 2, 3, 4, 6}; (1, 2, 7) and (1, 3, 8) keep vertex 1 at degree 3
+    host = Uniform3Graph(
+        10,
+        [
+            (0, 1, 5),
+            (1, 2, 7),
+            (1, 3, 8),
+            *combinations((0, 2, 3, 4, 6), 3),
+            *combinations((0, 5, 7, 8, 9), 3),
+        ],
+    )
+    assert contains_k53(host) == contains_pattern(host, complete3(5)) == (0, 2, 3, 4, 6)
 
 
 @given(st.integers(0, 10**9))

@@ -52,6 +52,7 @@ def test_bench_census_records_seconds_and_traced_peak(tmp_path):
     rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
     assert [row["m"] for row in rows] == [1, 2, 3, 4, 5]
     assert all(row["census"]["seconds"] > 0 and row["traced_peak_mb"] > 0 for row in rows)
+    assert [row["census"]["tables"] for row in rows] == [row["every_block"]["tables"] for row in rows]
 
 
 def test_bench_k4_times_the_detector_and_the_constructor(tmp_path):
