@@ -2,16 +2,13 @@
 """Time one engine and write BENCH_<topic>.json.
 
 census: for each layer count m = 1..5 it times a cold `k4_census(m)`, as
-`verify` first meets it (tables, scan of one outer block per first-matching
-key, witness check), and the scan of every outer block at weight 1, which
-the tests check the key weighting against. Each is the median of three
-runs, and the script asserts that both give the same report apart from the
-blocks they scanned and the timings. Each row records the blocks, the tables
-(distinct popcounts of the first-matching intersection, each tabulated once
-over the inner rows), the inner rows each table reads (the class-product rows)
-and the rows tabulated per second, and a fourth, untimed cold census under
-`tracemalloc` gives its `traced_peak_mb`. At m=5 the cold census takes about
-a hundredth of a second and the every-block scan under a tenth.
+`verify` first meets it (the free-triple and matching tables, the joint
+counts by matching size, and the witness walk and check), the median of
+three runs, all three kept in `runs_s`. Each row records the intersection
+triples the Hall test ran on (`triples`, (m + 1) * 4^m) and the median
+`table_build_s` of the three runs, and a fourth, untimed cold census under
+`tracemalloc` gives its `traced_peak_mb`. At m=5 the cold census takes
+under a millisecond. The per-state oracle in the tests is its cross-check.
 
 fano: for n = 7..14 it times `contains_fano`, `link_triple_violation` and
 `contains_k53`, the kernels on the table of common third vertices, on
@@ -76,7 +73,6 @@ Any other first argument prints that usage line to stderr and exits 2.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import platform
@@ -100,13 +96,6 @@ from fano_l2.patterns import (
     is_bipartite3,
     link_triple_violation,
 )
-
-
-def _report_fields(rep) -> dict:
-    fields = dataclasses.asdict(rep)
-    for name in ("elapsed", "table_build_s", "scan_s", "blocks"):
-        fields.pop(name, None)
-    return fields
 
 
 def _cold_census(m: int):
@@ -135,40 +124,22 @@ def _median_run(fn, *args) -> tuple[list, float, list[float]]:
 def _census_rows() -> list[dict]:
     rows = []
     for m in range(1, 6):
-        (rep, *_), cold_s, cold_runs = _median_run(_cold_census, m)
-        every = [(block, 1) for block in range(4**m)]
-        (full, *_), full_s, full_runs = _median_run(search._census_report, m, every)
-        if _report_fields(rep) != _report_fields(full):
-            raise AssertionError(f"key-block census and every-block scan disagree at m={m}")
-        inner_rows = rep.inner_rows
+        reps, seconds, runs_s = _median_run(_cold_census, m)
+        table_build_s = sorted(rep.table_build_s for rep in reps)[1]
         peak = _traced_peak_mb(_cold_census, m)
         rows.append(
             {
                 "m": m,
-                "inner_rows": inner_rows,
+                "seconds": seconds,
+                "runs_s": runs_s,
                 "traced_peak_mb": peak,
-                "census": {
-                    "seconds": cold_s,
-                    "runs_s": cold_runs,
-                    "table_build_s": rep.table_build_s,
-                    "scan_s": rep.scan_s,
-                    "blocks": rep.blocks,
-                    "tables": rep.tables,
-                    "rows_per_s": rep.tables * inner_rows / cold_s,
-                },
-                "every_block": {
-                    "seconds": full_s,
-                    "runs_s": full_runs,
-                    "blocks": full.blocks,
-                    "tables": full.tables,
-                    "rows_per_s": full.tables * inner_rows / full_s,
-                },
+                "triples": reps[0].triples,
+                "table_build_s": table_build_s,
             }
         )
         print(
-            f"m={m}: {inner_rows} inner rows; cold census {cold_s:.3f}s "
-            f"({rep.blocks} blocks, {rep.tables} tables), every block {full_s:.3f}s "
-            f"({full.blocks} blocks, {full.tables} tables), cold census {peak:.2f} MB traced"
+            f"m={m}: cold census {seconds * 1e3:.2f} ms, {reps[0].triples} triples "
+            f"(tables {table_build_s * 1e3:.2f} ms), {peak:.3f} MB traced"
         )
     return rows
 

@@ -191,11 +191,12 @@ def _cmd_bounds(args) -> int:
         print("grid step must be positive", file=sys.stderr)
         return 2
     header, names, dim, evaluate = _TABLES[args.table]
-    count = ((0.5 + 1e-12) / step + 1) ** dim
-    if count > MAX_ROWS:
+    points = (0.5 + 1e-12) / step + 1
+    # the points per axis first: their power overflows a float on a tiny step
+    if points > MAX_ROWS or points**dim > MAX_ROWS:
         raise ValueError(
-            f"grid step {step:g} gives about {count:.3g} rows, above the cap of "
-            f"{MAX_ROWS}; use a coarser --grid"
+            f"grid step {step:g} gives about {points:.3g} points per axis, above the "
+            f"cap of {MAX_ROWS} rows for the {args.table} table; use a coarser --grid"
         )
     rows = []
     for point in itertools.product(_grid(step), repeat=dim):

@@ -2,10 +2,11 @@
 
 Everything here recomputes extremal values from scratch so the analytic
 formulas and constructions elsewhere in the package can be checked against
-exhaustive ground truth at desk scale: the full 4-vertex multigraph census,
-branch-and-bound for multigraph Turán numbers, two-edge-star maxima over all
-small graphs, the minimum-degree bipartiteness scan, the maximum-norm
-Fano-free search up to eight vertices, and the bipartite norm scan.
+exhaustive ground truth at desk scale: the 4-vertex multigraph census,
+counted through the three matching intersections, branch-and-bound for
+multigraph Turán numbers, two-edge-star maxima over all small graphs, the
+minimum-degree bipartiteness scan, the maximum-norm Fano-free search up to
+eight vertices, and the bipartite norm scan.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import comb, prod
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -52,124 +53,80 @@ class SearchReport:
 #
 # State encoding: the six pair color masks in the fixed order
 #   C(01), C(23), C(02), C(13), C(03), C(12)
-# so the three perfect matchings occupy consecutive slots. The scan iterates
-# the first matching (a1, b1) as an outer block and the other two as the
-# inner part, which makes ascending block-then-inner order the lexicographic
-# order of the full state.
+# so the three perfect matchings occupy consecutive slots, the pairs
+# (a1, b1), (a2, b2), (a3, b3).
 #
-# Everything the census reads from a matching with masks (a, b) is a
-# function of its key (a & b, |a| + |b|, |a| == m or |b| == m): the Hall
-# test of the pattern reads the intersections, the size the popcount sums,
-# and the clauses those and the full-multiplicity flags. So the 4^m pairs
-# of one matching fall into classes (138 at m=5), and the inner part is the
-# product of two class tables: 19,044 rows at m=5 instead of 2^20 states,
-# each row weighted by the c2*c3 states it stands for. Classes come in
-# ascending order of their smallest pair, so rows come in ascending order
-# of their smallest state (min2 << 2m) | min3, and the first row of a block
-# to reach its maximum holds the smallest maximizing state of the block,
-# the one a scan of single states finds.
-#
-# Once the Hall test has kept a row, the size, the histogram and every
-# clause read only the row's cell (s2, s3, i2 != 0, i3 != 0, full23): 968
-# cells at m=5. Relabelling the m layers by one permutation in the four
-# inner masks maps the inner states onto themselves and keeps each state's
-# cell, and its Hall test against i1 = a1 & b1 becomes the test against
-# the relabelled i1. So the free states per cell depend on i1 only through
-# pop(i1), and the scan tabulates them once per popcount, from the i1 of
-# that popcount on the lowest bits (m + 1 tables). Beyond that table a
-# block reads pop(i1), s1 = |a1| + |b1| and whether a1 or b1 is full, so
-# every block of one key (pop(i1), s1, a1 or b1 full) adds the same to
-# every count: the census scans the key's smallest block, weighted by the
-# key's pair count (25 of the 1024 blocks at m=5). The first block in
-# ascending order to reach the maximum is the smallest of its key, so
-# scanning these blocks in ascending order finds the same lexicographically
-# minimal witness as scanning every block. Only a block that beats the
-# maximum goes back to the rows, with its own i1, for its witness, which is
-# the first free row of the block's largest s2 + s3.
+# The pattern test (hall_fits) reads only the matching intersections
+# i_t = a_t & b_t. Fix a matching's intersection i and let p = pop(i): each
+# layer outside i goes on a, on b or on neither, so C(m - p, t) * 2^t of the
+# matching's pairs have size 2p + t, and exactly two of them hold a full
+# pair (one when p = m), both of size m + p. So every count the census
+# reports is a sum over popcount triples (p1, p2, p3) of the pattern-free
+# intersection triples with those popcounts, times one per-matching table
+# for each matching.
 
 _CENSUS_PAIRS = tuple(pair for matching in MATCHINGS for pair in matching)
 
 
-def _matching_classes(m: int) -> dict[tuple[int, int, bool], list[int]]:
-    """Map each class key (a & b, |a| + |b|, a or b full) of one matching's
-    pairs (a, b) to [pair count, smallest pair a << m | b], in ascending
-    order of the smallest pair; the counts sum to 4^m."""
-    pop = [x.bit_count() for x in range(1 << m)]
-    classes: dict[tuple[int, int, bool], list[int]] = {}
-    for pair in range(1 << 2 * m):
-        a, b = divmod(pair, 1 << m)
-        key = (a & b, pop[a] + pop[b], pop[a] == m or pop[b] == m)
-        classes.setdefault(key, [0, pair])[0] += 1
-    return classes
-
-
-def _inner_rows(m: int) -> dict:
-    """The class product for matchings 2 and 3, class2 major: per row the
-    intersections the Hall test reads, its popcount sum s23, its cell and
-    its state count c2*c3 (the counts sum to 16^m); and per cell its key
-    (s2, s3, has_i2, has_i3, full23), in dtypes that fit their ranges at m <= 5."""
-    classes = _matching_classes(m)
-    n = len(classes)
+def _free_triples(m: int) -> np.ndarray:
+    """free[p1, p2, p3]: the intersection triples (i1, i2, i3) that fail the
+    Hall test, by their popcounts. i1 sits on the lowest p1 bits, weighted
+    by C(m, p1), since relabelling the layers keeps the test; i2 and i3 run
+    over all 4^m pairs."""
+    # uint8 holds every mask and every popcount index at m <= 5
     pop = np.array([x.bit_count() for x in range(1 << m)], dtype=np.uint8)
-    inter = np.array([key[0] for key in classes], dtype=np.uint8)
-    sums = np.array([key[1] for key in classes], dtype=np.uint8)
-    full = np.array([key[2] for key in classes], dtype=bool)
-    count = np.array([c for c, _ in classes.values()], dtype=np.int32)
-    i2, i3 = np.repeat(inter, n), np.tile(inter, n)
-    s2, s3 = np.repeat(sums, n), np.tile(sums, n)
-    u23 = i2 | i3
-    has_i2, has_i3 = i2 > 0, i3 > 0
-    full23 = np.repeat(full, n) | np.tile(full, n)
-    shape = (2 * m + 1, 2 * m + 1, 2, 2, 2)
-    cell_s2, cell_s3, *flags = np.unravel_index(np.arange(prod(shape)), shape)
-    return {
-        "pop": pop,
-        "smallest": [pair for _, pair in classes.values()],
-        "classes": n,
-        "count": np.repeat(count, n) * np.tile(count, n),
-        "i2": i2,
-        "i3": i3,
-        "u23": u23,
-        "hall_base": has_i2 & has_i3 & (pop[u23] >= 2),
-        "s23": s2 + s3,
-        "cell": np.ravel_multi_index((s2, s3, has_i2, has_i3, full23), shape).astype(np.int16),
-        "cell_keys": (cell_s2, cell_s3, *(flag.astype(bool) for flag in flags)),
-    }
-
-
-def _free_rows(t: dict, i1: int) -> np.ndarray:
-    """Which inner rows of the table t are pattern-free in a block whose
-    first matching intersects in i1."""
-    pop = t["pop"]
-    if pop[i1] == 0:
-        return np.ones(len(t["count"]), dtype=bool)
-    return ~(
-        t["hall_base"]
-        & (pop[i1 | t["i2"]] >= 2)
-        & (pop[i1 | t["i3"]] >= 2)
-        & (pop[i1 | t["u23"]] >= 3)
+    i1 = ((1 << np.arange(m + 1, dtype=np.uint8)) - 1)[:, None, None]
+    i2 = np.arange(1 << m, dtype=np.uint8)[:, None]
+    i3 = np.arange(1 << m, dtype=np.uint8)
+    fits = (
+        (i1 != 0) & (i2 != 0) & (i3 != 0)
+        & (pop[i1 | i2] >= 2) & (pop[i1 | i3] >= 2) & (pop[i2 | i3] >= 2)
+        & (pop[i1 | i2 | i3] >= 3)
     )
+    popcounts = (pop[i1] * (m + 1) + pop[i2]) * (m + 1) + pop[i3]
+    free = np.bincount(popcounts[~fits], minlength=(m + 1) ** 3).reshape((m + 1,) * 3)
+    return free * np.array([comb(m, p) for p in range(m + 1)])[:, None, None]
 
 
-def _outer_blocks(m: int) -> list[tuple[int, int]]:
-    """One (block, weight) pair per key (pop(a1 & b1), |a1| + |b1|, a1 or b1
-    full) of the first matching: the key's smallest block a1 << m | b1,
-    weighted by its pair count, in ascending block order; the weights sum
-    to 4^m."""
-    blocks: dict[tuple[int, int, bool], list[int]] = {}
-    for (inter, total, full), (count, pair) in _matching_classes(m).items():
-        blocks.setdefault((inter.bit_count(), total, full), [pair, 0])[1] += count
-    return [(block, weight) for block, weight in blocks.values()]
+def _matching_sizes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """pairs[p, s] and full[p, s]: the pairs (a, b) of one matching with a
+    given intersection of popcount p and with |a| + |b| = s, all of them and
+    those with a or b full."""
+    pairs = np.zeros((m + 1, 2 * m + 1), dtype=np.int64)
+    full = np.zeros_like(pairs)
+    for p in range(m + 1):
+        for t in range(m - p + 1):
+            pairs[p, 2 * p + t] = comb(m - p, t) << t
+        full[p, m + p] = 2 if p < m else 1
+    return pairs, full
+
+
+def _first_free_state(m: int, best: int) -> tuple[int, ...]:
+    """The lexicographically smallest pattern-free state of size best, the
+    maximum: the first one a depth-first walk over the six masks, each in
+    ascending order, meets."""
+    pop = [x.bit_count() for x in range(1 << m)]
+
+    def walk(state: tuple[int, ...], so_far: int) -> tuple[int, ...] | None:
+        if len(state) == 6:
+            a1, b1, a2, b2, a3, b3 = state
+            return None if hall_fits(a1 & b1, a2 & b2, a3 & b3) else state
+        for mask in range(1 << m):
+            # cut the branch unless the open pairs, all full, reach best
+            if so_far + pop[mask] + m * (5 - len(state)) >= best:
+                found = walk((*state, mask), so_far + pop[mask])
+                if found:
+                    return found
+        return None
+
+    return walk((), 0)
 
 
 @dataclass(frozen=True, slots=True)
 class CensusReport:
-    """Aggregate over all 4-vertex m-layer states. blocks is the number of
-    outer blocks actually scanned, tables the distinct popcounts of the
-    first-matching intersections among them, each tabulated once over the
-    inner rows, classes the pair classes of one matching and inner_rows the
-    class-product rows each table reads; table_build_s and scan_s time the
-    class tables and the block scan, elapsed the whole report."""
+    """Aggregate over all 4-vertex m-layer states. triples counts the
+    intersection triples (i1, i2, i3) the Hall test ran on, (m + 1) * 4^m;
+    table_build_s times the tables, elapsed the whole report."""
 
     m: int
     states: int
@@ -182,107 +139,9 @@ class CensusReport:
     clause_v_violations: int
     size_histogram: tuple[int, ...]
     witness: str
-    blocks: int
-    tables: int
-    classes: int
-    inner_rows: int
+    triples: int
     table_build_s: float
-    scan_s: float
     elapsed: float
-
-
-def _census_report(m: int, blocks: list[tuple[int, int]]) -> CensusReport:
-    """Census report from a scan of (block, weight) pairs that together
-    count every outer block once: each block counted weight times and each
-    inner row weighted by its state count. The witness, revalidated, is the
-    smallest state of the first block, in the given order, to reach the
-    maximum."""
-    start = time.perf_counter()
-    t = _inner_rows(m)
-    built = time.perf_counter()
-    pop = t["pop"]
-    # per cell, where t["s23"] is per row
-    s2, s3, has_i2, has_i3, full23 = t["cell_keys"]
-    s23 = s2 + s3
-    size_bits = 1 << m
-    hist = np.zeros(6 * m + 1, dtype=np.int64)
-    k4_free = 0
-    viol_i = viol_iii = viol_iv = viol_v = 0
-    best = -1
-    best_state = None
-    # per popcount of the first-matching intersection: the free states per
-    # cell, and per s23
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for block, weight in blocks:
-        a1, b1 = divmod(block, size_bits)
-        i1 = a1 & b1
-        pop_i1 = int(pop[i1])
-        s1 = int(pop[a1]) + int(pop[b1])
-        if pop_i1 not in tables:
-            free = _free_rows(t, (1 << pop_i1) - 1)
-            # float64 weights are exact here: a table counts at most 16^m = 2^20 states
-            cells = np.bincount(t["cell"][free], weights=t["count"][free], minlength=len(s23))
-            by_sum = np.bincount(s23, weights=cells, minlength=4 * m + 1)
-            tables[pop_i1] = cells.astype(np.int64), by_sum.astype(np.int64)
-        cells, by_sum = tables[pop_i1]
-        hist[s1 : s1 + len(by_sum)] += weight * by_sum
-        k4_free += weight * int(by_sum.sum())
-        block_best = s1 + int(np.flatnonzero(by_sum)[-1])
-        if block_best > best:
-            best = block_best
-            row = int(np.argmax(_free_rows(t, i1) & (t["s23"] == block_best - s1)))
-            class2, class3 = divmod(row, t["classes"])
-            best_state = (
-                a1,
-                b1,
-                *divmod(t["smallest"][class2], size_bits),
-                *divmod(t["smallest"][class3], size_bits),
-            )
-        if m == 5:
-            sizes = s23 + s1
-
-            def states(mask) -> int:
-                return int(cells[mask].sum())
-
-            v_i = v_iii = v_v = 0
-            if s1 >= 8:
-                v_i += states((s2 >= 7) & has_i3) + states((s3 >= 7) & has_i2)
-            if s1 >= 7:
-                v_i += states((s2 >= 8) & has_i3) + states((s3 >= 8) & has_i2)
-            if pop_i1 > 0:
-                v_i += states((s2 >= 8) & (s3 >= 7)) + states((s3 >= 8) & (s2 >= 7))
-                v_v += states(s23 >= 17)
-                v_iii += states((sizes >= 23) & has_i2 & has_i3)
-            v_v += states((s1 + s2 >= 17) & has_i3) + states((s1 + s3 >= 17) & has_i2)
-            if pop[a1] < m and pop[b1] < m:
-                viol_iv += weight * states((sizes >= 22) & ~full23)
-            viol_i += weight * v_i
-            viol_iii += weight * v_iii
-            viol_v += weight * v_v
-    scanned = time.perf_counter()
-    witness_mg = MMultigraph.from_masks(4, m, dict(zip(_CENSUS_PAIRS, best_state)))
-    if witness_mg.size != best or contains_k4(witness_mg) is not None:
-        raise AssertionError("census witness failed revalidation")
-    return CensusReport(
-        m=m,
-        states=(1 << m) ** 6,
-        k4_free=k4_free,
-        max_size=best,
-        max_count=int(hist[best]),
-        clause_i_violations=viol_i,
-        clause_iii_violations=viol_iii,
-        clause_iv_violations=viol_iv,
-        clause_v_violations=viol_v,
-        size_histogram=tuple(int(x) for x in hist),
-        witness=write_mgraph(witness_mg),
-        blocks=len(blocks),
-        tables=len(tables),
-        classes=t["classes"],
-        inner_rows=len(t["count"]),
-        table_build_s=built - start,
-        scan_s=scanned - built,
-        elapsed=time.perf_counter() - start,
-    )
 
 
 @functools.cache
@@ -297,16 +156,12 @@ def k4_census(m: int) -> CensusReport:
     size >= 22 forces a full-multiplicity pair, and matching sums adding to
     17 force an empty intersection.
 
-    Every state is counted, but only one outer block per key (pop(a1 & b1),
-    |a1| + |b1|, a1 or b1 full) of the first matching is scanned (25 of the
-    1024 blocks at m=5), weighted by the key's pair count. The inner part is
-    one row per pair of matching classes (19,044 rows standing for 2^20
-    states at m=5), weighted by its state count, and the rows are tabulated
-    into cells once per popcount of the first-matching intersection (6
-    tables at m=5), which each block then reads. The key blocks and the
-    per-popcount tables rest on one argument, relabelling the layers; the
-    block comment above says why they are exact and why the witness is the
-    one a scan of every state finds.
+    Every count is a sum over popcount triples of the three matching
+    intersections, from (m + 1) * 4^m Hall tests and three per-matching
+    tables (the block comment above says why). The Hall test is symmetric
+    in the matchings, so a clause over any two of them is a multiple of the
+    one over the first two. The witness, revalidated, is the first maximum
+    pattern-free state a depth-first walk over ascending masks meets.
 
     Layer counts are limited to 1..5, the range whose values are frozen and
     checked (the clause counts exist for m=5 only); the tables would fit
@@ -315,7 +170,57 @@ def k4_census(m: int) -> CensusReport:
     """
     if not 1 <= m <= 5:
         raise ValueError(f"layer count {m} outside the census range 1..5")
-    return _census_report(m, _outer_blocks(m))
+    start = time.perf_counter()
+    free = _free_triples(m)
+    pairs, full = _matching_sizes(m)
+    built = time.perf_counter()
+
+    def joint(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
+        # pattern-free states by (s1, s2, s3), each table t[p, s] counting
+        # one matching's pairs per intersection of popcount p
+        counts = np.tensordot(t1, free, (0, 0))
+        for t in (t2, t3):
+            counts = np.tensordot(counts, t, (1, 0))
+        return counts
+
+    s1, s2, s3 = np.indices((2 * m + 1,) * 3, dtype=np.uint8)
+    sizes = s1 + s2 + s3
+    counts = joint(pairs, pairs, pairs)
+    hist = np.zeros(6 * m + 1, dtype=np.int64)
+    np.add.at(hist, sizes, counts)
+    best = int(np.flatnonzero(hist)[-1])
+    viol_i = viol_iii = viol_iv = viol_v = 0
+    if m == 5:
+        # with_i counts only the pairs whose intersection is not empty
+        with_i = pairs.copy()
+        with_i[0] = 0
+        third_met = joint(pairs, pairs, with_i)
+        no_full = pairs - full
+        # by symmetry: six ordered matching pairs for clause i, three unordered for v
+        viol_i = 6 * int(third_met[(s1 >= 8) & (s2 >= 7)].sum())
+        viol_iii = int(joint(with_i, with_i, with_i)[sizes >= 23].sum())
+        viol_iv = int(joint(no_full, no_full, no_full)[sizes >= 22].sum())
+        viol_v = 3 * int(third_met[s1 + s2 >= 17].sum())
+    witness = dict(zip(_CENSUS_PAIRS, _first_free_state(m, best)))
+    witness_mg = MMultigraph.from_masks(4, m, witness)
+    if witness_mg.size != best or contains_k4(witness_mg) is not None:
+        raise AssertionError("census witness failed revalidation")
+    return CensusReport(
+        m=m,
+        states=(1 << m) ** 6,
+        k4_free=int(counts.sum()),
+        max_size=best,
+        max_count=int(hist[best]),
+        clause_i_violations=viol_i,
+        clause_iii_violations=viol_iii,
+        clause_iv_violations=viol_iv,
+        clause_v_violations=viol_v,
+        size_histogram=tuple(int(x) for x in hist),
+        witness=write_mgraph(witness_mg),
+        triples=(m + 1) << 2 * m,
+        table_build_s=built - start,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 # ----- branch and bound for multigraph Turán numbers -----------------------------
@@ -357,21 +262,18 @@ def max_k4free_multigraph(
     """Maximum size of a pattern-free m-layer multigraph on n vertices.
 
     The exhaustive engine supports n=4 only and takes no budget: the
-    4-vertex census, which counts every state but scans one outer block per
-    first-matching key, and tabulates one row per pair of matching classes
-    once per popcount of the first-matching intersection, both by the same
-    layer-relabelling argument; params holds its classes, inner_rows,
-    blocks, tables, table_build_s and scan_s. Both engines take 1..5
-    layers. Branch and bound supports n in {4, 5}: depth-first over pair
-    color masks in a fixed order, every pair capped at the multiplicity of
-    the first (every assignment can be relabeled so a maximum-multiplicity
-    pair comes first). The layers are
-    relabeled at every pair, not only the first: the masks placed so far
-    split the m layers into classes (one class at the root; a placed mask
-    splits each class into its part inside and its part outside the mask),
-    and a pair tries only the masks whose bits inside each class are that
-    class's lowest, one per orbit of the layer permutations fixing the
-    placed masks. The first pair therefore tries prefix masks only. The
+    4-vertex census, which counts every state through the popcounts of the
+    three matching intersections; params holds its triples (the Hall tests
+    it ran) and table_build_s. Both engines take 1..5 layers. Branch and
+    bound supports n in {4, 5}: depth-first over pair color masks in a fixed
+    order, every pair capped at the multiplicity of the first (every
+    assignment can be relabeled so a maximum-multiplicity pair comes first).
+    The layers are relabeled at every pair, not only the first: the masks
+    placed so far split the m layers into classes (one class at the root; a
+    placed mask splits each class into its part inside and its part outside
+    the mask), and a pair tries only the masks whose bits inside each class
+    are that class's lowest, one per orbit of the layer permutations fixing
+    the placed masks. The first pair therefore tries prefix masks only. The
     search space, both bounds and the pattern test are invariant under layer
     relabeling, and the search visits states in lexicographic order of their
     per-pair (-popcount, mask) keys; a state that comes first in its orbit
@@ -393,8 +295,8 @@ def max_k4free_multigraph(
     when it cannot beat the incumbent, so the incumbent updates, and the
     witness, are those of the unpruned search. params counts the candidate
     trials by outcome: pattern_prunes, bound_prunes and descents sum to
-    nodes on a complete run. A budget (seconds) turns the report incomplete
-    instead of raising.
+    nodes on a complete run. A budget (seconds, nonnegative) turns the
+    report incomplete instead of raising.
     """
     start = time.perf_counter()
     if engine == "exhaustive":
@@ -412,14 +314,7 @@ def max_k4free_multigraph(
             witness_kind="mgraph",
             nodes=census.states,
             elapsed=time.perf_counter() - start,
-            params={
-                "classes": census.classes,
-                "inner_rows": census.inner_rows,
-                "blocks": census.blocks,
-                "tables": census.tables,
-                "table_build_s": census.table_build_s,
-                "scan_s": census.scan_s,
-            },
+            params={"triples": census.triples, "table_build_s": census.table_build_s},
         )
     if engine != "bnb":
         raise ValueError(f"unknown engine {engine!r}")
@@ -429,6 +324,8 @@ def max_k4free_multigraph(
     # tables below hold 2^m masks
     if not 1 <= m <= 5:
         raise ValueError(f"layer count {m} outside the branch-and-bound range 1..5")
+    if budget is not None and not budget >= 0:  # NaN too: no clock passes it
+        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
 
     pairs = _bnb_pair_order(n)
     index = {p: i for i, p in enumerate(pairs)}
@@ -822,11 +719,14 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     earlier ones deleted. The norm is carried down the recursion beside the
     codegrees, and a deletion is pruned when the norm after it cannot beat
     the incumbent; params counts those bound_prunes. Below seven vertices
-    there is no copy, and the single leaf is the complete graph.
+    there is no copy, and the single leaf is the complete graph. A budget
+    (seconds, nonnegative) turns the report incomplete instead of raising.
     """
     start = time.perf_counter()
     if n < 3 or n > 8:
         raise ValueError("supported vertex counts are 3..8")
+    if budget is not None and not budget >= 0:  # NaN too: no clock passes it
+        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
 
     triples = list(combinations(range(n), 3))
     copies, cover = _fano_cover(n)

@@ -316,8 +316,10 @@ def test_bounds_out_file(tmp_path, capsys):
 
 def test_bounds_grid_over_the_row_cap_exits_2(capsys):
     # 25 million prop23 rows, or 500 million ak rows, would take gigabytes;
-    # the row count is checked before any row is built
-    for table, grid in (("prop23", "1e-4"), ("ak", "1e-9")):
+    # the row count is checked before any row is built. At 1e-300 the
+    # prop23 count, about 5e299 squared, overflows a float, so the points
+    # per axis are checked first
+    for table, grid in (("prop23", "1e-4"), ("ak", "1e-9"), ("prop23", "1e-300")):
         start = time.perf_counter()
         tracemalloc.start()
         try:
@@ -326,7 +328,8 @@ def test_bounds_grid_over_the_row_cap_exits_2(capsys):
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "above the cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "above the cap" in err
         assert peak < 2**20
         assert time.perf_counter() - start < 1.0
 
@@ -350,10 +353,8 @@ def test_search_json_shape(tmp_path, capsys):
 
 
 def test_search_census_json(tmp_path, capsys):
-    # the exhaustive engine is the 4-vertex census: 12 of the 64 outer blocks
-    # (one per first-matching key), 4 popcounts of the first-matching
-    # intersection among them, each tabulated once, and 24 pair classes a
-    # matching and 24 * 24 class-product rows a table stand for all 8^6 states
+    # the exhaustive engine is the 4-vertex census: (3 + 1) * 4^3 = 256
+    # intersection triples through the Hall test stand for all 8^6 states
     out = tmp_path / "census.json"
     argv = ["search", "--objective", "k4multi", "--n", "4", "--m", "3", "--out", str(out)]
     assert main(argv) == 0
@@ -362,10 +363,8 @@ def test_search_census_json(tmp_path, capsys):
     assert (data["optimum"], data["nodes"], data["complete"]) == (15, 8**6, True)
     assert (data["engine"], data["witness_kind"]) == ("exhaustive", "mgraph")
     params = data["params"]
-    assert set(params) == {"classes", "inner_rows", "blocks", "tables", "table_build_s", "scan_s"}
-    assert (params["blocks"], params["tables"], params["classes"], params["inner_rows"]) == (
-        12, 4, 24, 576,
-    )
+    assert set(params) == {"triples", "table_build_s"}
+    assert params["triples"] == 256 and params["table_build_s"] >= 0
     mg = parse_mgraph(data["witness"])
     assert mg.size == 15 and contains_k4(mg) is None
 
@@ -375,6 +374,18 @@ def test_search_budget_zero_reports_incomplete(capsys):
     for flags in (["k4multi", "--n", "4", "--m", "3", "--engine", "bnb"], ["fano-l2", "--n", "7"]):
         assert main(["search", "--objective", *flags, "--budget", "0"]) == 0
         assert "complete=False" in capsys.readouterr().out
+
+
+def test_search_nan_or_negative_budget_exits_2(capsys):
+    # the two objectives that read --budget; a NaN budget once ran without a
+    # deadline and reported complete=True
+    for flags in (["k4multi", "--n", "4", "--m", "3", "--engine", "bnb"], ["fano-l2", "--n", "8"]):
+        for budget in ("nan", "-1"):
+            assert main(["search", "--objective", *flags, "--budget", budget]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: budget must be a nonnegative number of seconds")
+            assert captured.err.count("\n") == 1
 
 
 def test_search_exhaustive_engine_refuses_a_budget(tmp_path, capsys):

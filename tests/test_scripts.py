@@ -51,8 +51,11 @@ def test_bench_census_records_seconds_and_traced_peak(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
     assert [row["m"] for row in rows] == [1, 2, 3, 4, 5]
-    assert all(row["census"]["seconds"] > 0 and row["traced_peak_mb"] > 0 for row in rows)
-    assert [row["census"]["tables"] for row in rows] == [row["every_block"]["tables"] for row in rows]
+    assert all(
+        row["seconds"] > 0 and len(row["runs_s"]) == 3 and row["traced_peak_mb"] > 0
+        for row in rows
+    )
+    assert [row["triples"] for row in rows] == [(m + 1) * 4**m for m in range(1, 6)]
 
 
 def test_bench_k4_times_the_detector_and_the_constructor(tmp_path):

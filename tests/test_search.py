@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from fano_l2.multigraphs import (
     MMultigraph,
     bipartite_construction_5,
     contains_k4,
+    hall_fits,
     turan_layers_5,
 )
 from fano_l2.patterns import contains_fano, is_bipartite3
@@ -46,36 +48,50 @@ def test_census_m4_frozen_values():
     assert witness.size == 20 and contains_k4(witness) is None
 
 
-def full_census(m):
-    # every outer block scanned once, at weight 1
-    return search._census_report(m, [(block, 1) for block in range(4**m)])
-
-
-TIMING_FIELDS = ("elapsed", "table_build_s", "scan_s")
-
-
 def census_fields(rep):
+    # the counts and the witness: the timings vary, and triples is the
+    # census's own work, not something a state-by-state scan reports
     fields = dataclasses.asdict(rep)
-    for name in TIMING_FIELDS:
+    for name in ("elapsed", "table_build_s", "triples"):
         del fields[name]
     return fields
 
 
-def test_orbit_census_matches_full_scan():
-    for m in (1, 2, 3, 4):
-        fast, full = k4_census(m), full_census(m)
-        assert (fast.blocks, full.blocks) == ((3, 7, 12, 18)[m - 1], 4**m)
-        fast_fields, full_fields = census_fields(fast), census_fields(full)
-        del fast_fields["blocks"], full_fields["blocks"]
-        assert fast_fields == full_fields
+def test_free_triples_match_the_hall_test_on_every_triple():
+    # every (i1, i2, i3), 32,768 at m=5, grouped by popcounts, against the
+    # table that puts i1 on its lowest bits and weights it by C(m, p1)
+    for m in range(1, 6):
+        expected = np.zeros((m + 1,) * 3, dtype=np.int64)
+        for i1, i2, i3 in itertools.product(range(1 << m), repeat=3):
+            if not hall_fits(i1, i2, i3):
+                expected[i1.bit_count(), i2.bit_count(), i3.bit_count()] += 1
+        assert np.array_equal(search._free_triples(m), expected)
+        assert k4_census(m).triples == (m + 1) * 4**m
+
+
+def test_matching_sizes_count_every_pair():
+    # all 4^m pairs (a, b) of one matching, grouped by pop(a & b), |a| + |b|
+    # and whether a or b is full, against the closed-form tables, which count
+    # the pairs of one intersection of each popcount
+    for m in range(1, 6):
+        pairs = np.zeros((m + 1, 2 * m + 1), dtype=np.int64)
+        full = np.zeros_like(pairs)
+        for a, b in itertools.product(range(1 << m), repeat=2):
+            p, s = (a & b).bit_count(), a.bit_count() + b.bit_count()
+            pairs[p, s] += 1
+            full[p, s] += m in (a.bit_count(), b.bit_count())
+        per_intersection = np.array([comb(m, p) for p in range(m + 1)])[:, None]
+        closed_pairs, closed_full = search._matching_sizes(m)
+        assert np.array_equal(closed_pairs * per_intersection, pairs)
+        assert np.array_equal(closed_full * per_intersection, full)
+        assert int(pairs.sum()) == 4**m
 
 
 # ----- the per-state oracle ---------------------------------------------------
 #
-# A second census kept apart from the class-row scan it checks: it tabulates
+# A second census kept apart from the factorised one it checks: it tabulates
 # every one of the 2^(4m) inner states of a block (a2, b2, a3, b3) and counts
-# the pattern-free ones state by state, as the census did before its rows
-# were grouped into classes.
+# the pattern-free ones state by state, for each outer block (a1, b1).
 
 
 def oracle_tables(m):
@@ -120,12 +136,10 @@ def oracle_census(m, blocks):
     viol_i = viol_iii = viol_iv = viol_v = 0
     best = -1
     best_state = None
-    popcounts = set()
     for block, weight in blocks:
         a1, b1 = divmod(block, size_bits)
         i1 = a1 & b1
         pop_i1 = int(pop[i1])
-        popcounts.add(pop_i1)
         s1 = int(pop[a1]) + int(pop[b1])
         if pop_i1 >= 1:
             sdr = (
@@ -180,12 +194,6 @@ def oracle_census(m, blocks):
             viol_iii += weight * v_iii
             viol_iv += weight * v_iv
             viol_v += weight * v_v
-    # the classes of one matching, found pair by pair from their keys
-    keys = {
-        (a & b, a.bit_count() + b.bit_count(), m in (a.bit_count(), b.bit_count()))
-        for a in range(size_bits)
-        for b in range(size_bits)
-    }
     witness = write_mgraph(
         MMultigraph.from_masks(
             4, m, {pair: mask for pair, mask in zip(search._CENSUS_PAIRS, best_state) if mask}
@@ -203,46 +211,41 @@ def oracle_census(m, blocks):
         "clause_v_violations": viol_v,
         "size_histogram": tuple(int(x) for x in hist),
         "witness": witness,
-        "blocks": len(blocks),
-        "tables": len(popcounts),
-        "classes": len(keys),
-        "inner_rows": len(keys) ** 2,
     }
 
 
+def key_blocks(m):
+    """One (block, weight) pair per key (pop(a1 & b1), |a1| + |b1|, a1 or b1
+    full) of the first matching: the key's smallest block a1 << m | b1,
+    weighted by its block count, in ascending block order. Relabelling the
+    layers maps the blocks of one key onto each other and keeps every count,
+    and the first block to reach the maximum is the smallest of its key."""
+    keys: dict = {}
+    for block in range(4**m):
+        a1, b1 = divmod(block, 1 << m)
+        sizes = (a1.bit_count(), b1.bit_count())
+        keys.setdefault(((a1 & b1).bit_count(), sum(sizes), m in sizes), []).append(block)
+    return sorted((min(blocks), len(blocks)) for blocks in keys.values())
+
+
 def test_class_rows_match_the_per_state_oracle():
-    # every block at m=1..4; the 25 key blocks at m=5, the only layer count
-    # with clause counts
+    # every block at m=1..4, where the key blocks give the same oracle
+    # fields; the 25 key blocks at m=5, the only layer count with clause
+    # counts, where a scan of every block would take about half a minute
     for m in (1, 2, 3, 4):
-        blocks = [(block, 1) for block in range(4**m)]
-        assert census_fields(search._census_report(m, blocks)) == oracle_census(m, blocks)
-    blocks = search._outer_blocks(5)
+        blocks = key_blocks(m)
+        assert len(blocks) == (3, 7, 12, 18)[m - 1]
+        assert sum(weight for _, weight in blocks) == 4**m
+        every = oracle_census(m, [(block, 1) for block in range(4**m)])
+        assert census_fields(k4_census(m)) == every == oracle_census(m, blocks)
+    blocks = key_blocks(5)
     assert len(blocks) == 25
-    fields = census_fields(k4_census(5))
-    assert fields == oracle_census(5, blocks)
-    assert (fields["tables"], fields["classes"], fields["inner_rows"]) == (6, 138, 19044)
-
-
-def test_class_counts_cover_every_pair_and_state():
-    for m in range(1, 6):
-        classes = search._matching_classes(m)
-        assert sum(count for count, _ in classes.values()) == 4**m
-        rows = search._inner_rows(m)
-        assert rows["classes"] == len(classes)
-        assert len(rows["count"]) == len(classes) ** 2
-        assert int(rows["count"].sum()) == 16**m
-        # each class's smallest pair carries its key, and the smallest
-        # pairs ascend
-        smallest = [pair for _, pair in classes.values()]
-        assert smallest == sorted(smallest)
-        for key, (_, pair) in classes.items():
-            a, b = divmod(pair, 1 << m)
-            assert key == (a & b, a.bit_count() + b.bit_count(), m in (a.bit_count(), b.bit_count()))
+    assert census_fields(k4_census(5)) == oracle_census(5, blocks)
 
 
 def test_cold_census_memory_stays_small():
-    # the class rows replace per-state tables of 2^20 entries, which took a
-    # tracemalloc peak of about 41 MB at m=5
+    # the census tabulates (m + 1) * 4^m intersection triples where per-state
+    # tables of 2^20 entries once took a tracemalloc peak of about 41 MB at m=5
     k4_census.cache_clear()
     tracemalloc.start()
     try:
@@ -254,41 +257,8 @@ def test_cold_census_memory_stays_small():
     assert peak < 8 * 2**20
 
 
-def test_free_rows_depend_on_the_first_intersection_only_through_its_popcount():
-    # the free states per cell for each i1 equal those for the i1 of the
-    # same popcount on the lowest bits, the table the census builds
-    for m in range(1, 6):
-        t = search._inner_rows(m)
-        cells = len(t["cell_keys"][0])
-
-        def per_cell(i1):
-            free = search._free_rows(t, i1)
-            return np.bincount(t["cell"][free], weights=t["count"][free], minlength=cells)
-
-        lowest = [per_cell((1 << k) - 1) for k in range(m + 1)]
-        for i1 in range(1 << m):
-            assert np.array_equal(per_cell(i1), lowest[i1.bit_count()])
-
-
-def test_outer_blocks_are_one_smallest_block_per_key():
-    # group every block by (pop(a1 & b1), |a1| + |b1|, a1 or b1 full): one
-    # entry per key, at its smallest block, weighted by the key's block count
-    for m in range(1, 6):
-        keys: dict = {}
-        for block in range(4**m):
-            a1, b1 = divmod(block, 1 << m)
-            sizes = (a1.bit_count(), b1.bit_count())
-            keys.setdefault(((a1 & b1).bit_count(), sum(sizes), m in sizes), []).append(block)
-        blocks = search._outer_blocks(m)
-        assert sum(weight for _, weight in blocks) == 4**m
-        assert [block for block, _ in blocks] == sorted(block for block, _ in blocks)
-        assert blocks == sorted((min(c), len(c)) for c in keys.values())
-        assert len(blocks) == (3, 7, 12, 18, 25)[m - 1]
-
-
 def test_census_m5_witness_is_pinned():
     rep = k4_census(5)
-    assert rep.blocks == 25
     assert rep.witness == write_mgraph(
         MMultigraph.from_masks(4, 5, dict(zip(search._CENSUS_PAIRS, (0, 31, 31, 31, 31, 31))))
     )
@@ -468,6 +438,20 @@ def test_exhaustive_engine_refuses_a_budget():
 def test_bnb_deadline_before_the_first_leaf_reports_the_empty_state():
     rep = max_k4free_multigraph(4, 3, engine="bnb", budget=0)
     assert (rep.optimum, rep.complete, rep.witness) == (0, False, "mgraph 4 3\n")
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9])
+def test_branch_and_bound_engines_refuse_a_nan_or_negative_budget(budget):
+    # a NaN deadline never passes, so it would run unbounded and report
+    # complete; both engines refuse it, and the negatives
+    runs = (
+        lambda: max_k4free_multigraph(4, 3, engine="bnb", budget=budget),
+        lambda: max_k4free_multigraph(5, 5, engine="bnb", budget=budget),
+        lambda: max_l2_fano_free(8, budget=budget),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="budget must be a nonnegative number of seconds"):
+            run()
 
 
 def test_small_multigraph_turan_values():
