@@ -21,10 +21,13 @@ plane tests agree, and that `contains_k53` returns None on the bipartite
 host and (0, 1, 2, 3, 4) on the complete one.
 
 bnb: times the branch and bound `max_k4free_multigraph(n, m, "bnb")` at
-(4,5), (5,4) and (5,5), three runs each, and records the median seconds with
-the optimum, the candidate trials (`nodes`) and the report's counters (its
-`params`: trials by outcome). The 5-vertex runs include their 4-vertex
-quad-cap search, as a caller sees them.
+(4,5), (5,4) and (5,5), and the plane-free search `max_l2_fano_free(8)`,
+three runs each, and records the median seconds with the optimum, the
+candidate trials or nodes (`nodes`), the report's counters (its `params`:
+trials by outcome, or `bound_prunes`) and `nodes_per_s`. Each row asserts
+that its three runs agree. The 5-vertex runs include their 4-vertex
+quad-cap search, as a caller sees them. The plane-free row is here and not
+under scans, whose `tracemalloc` run would take about 25 times as long.
 
 scans: times the exhaustive scans that `verify` runs: `aes_scan(n)` for
 n = 5..7, a cold `_graph_star_table(7)` (row `_cold_star_table`: its cache
@@ -192,24 +195,29 @@ def _fano_rows() -> list[dict]:
 
 
 def _bnb_rows() -> list[dict]:
+    calls = [(search.max_k4free_multigraph, (n, m, "bnb")) for n, m in ((4, 5), (5, 4), (5, 5))]
+    calls.append((search.max_l2_fano_free, (8,)))
     rows = []
-    for n, m in ((4, 5), (5, 4), (5, 5)):
-        reps, seconds, runs_s = _median_run(search.max_k4free_multigraph, n, m, "bnb")
+    for fn, args in calls:
+        reps, seconds, runs_s = _median_run(fn, *args)
         if len({(rep.optimum, rep.witness, rep.nodes) for rep in reps}) != 1:
-            raise AssertionError(f"branch and bound runs disagree at ({n},{m})")
+            raise AssertionError(f"{fn.__name__}{args} runs disagree")
         rep = reps[0]
         rows.append(
             {
-                "n": n,
-                "m": m,
+                "search": fn.__name__,
+                "n": rep.n,
+                "m": rep.m,
                 "seconds": seconds,
                 "runs_s": runs_s,
                 "optimum": rep.optimum,
                 "nodes": rep.nodes,
+                "nodes_per_s": rep.nodes / seconds,
                 "params": rep.params,
             }
         )
-        print(f"({n},{m}): optimum {rep.optimum}, {rep.nodes} nodes, {seconds:.2f}s {rep.params}")
+        print(f"{fn.__name__}{args}: optimum {rep.optimum}, {rep.nodes} nodes, "
+              f"{seconds:.3f}s {rep.params}")
     return rows
 
 

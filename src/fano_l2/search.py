@@ -66,6 +66,7 @@ class SearchReport:
 # for each matching.
 
 _CENSUS_PAIRS = tuple(pair for matching in MATCHINGS for pair in matching)
+_CLAUSE_THRESHOLDS = (8, 7, 23, 22, 17)  # the m=5 clauses' sizes, in the paper's order
 
 
 def _free_triples(m: int) -> np.ndarray:
@@ -154,7 +155,7 @@ def k4_census(m: int) -> CensusReport:
     zero: ordered matching sums (8,7) force an empty intersection on the
     remaining matching, size >= 23 forces a saturated-family subgraph,
     size >= 22 forces a full-multiplicity pair, and matching sums adding to
-    17 force an empty intersection.
+    17 force an empty intersection (_CLAUSE_THRESHOLDS holds these sizes).
 
     Every count is a sum over popcount triples of the three matching
     intersections, from (m + 1) * 4^m Hall tests and three per-matching
@@ -191,16 +192,17 @@ def k4_census(m: int) -> CensusReport:
     best = int(np.flatnonzero(hist)[-1])
     viol_i = viol_iii = viol_iv = viol_v = 0
     if m == 5:
+        a, b, saturated, full_pair, total = _CLAUSE_THRESHOLDS
         # with_i counts only the pairs whose intersection is not empty
         with_i = pairs.copy()
         with_i[0] = 0
         third_met = joint(pairs, pairs, with_i)
         no_full = pairs - full
         # by symmetry: six ordered matching pairs for clause i, three unordered for v
-        viol_i = 6 * int(third_met[(s1 >= 8) & (s2 >= 7)].sum())
-        viol_iii = int(joint(with_i, with_i, with_i)[sizes >= 23].sum())
-        viol_iv = int(joint(no_full, no_full, no_full)[sizes >= 22].sum())
-        viol_v = 3 * int(third_met[s1 + s2 >= 17].sum())
+        viol_i = 6 * int(third_met[(s1 >= a) & (s2 >= b)].sum())
+        viol_iii = int(joint(with_i, with_i, with_i)[sizes >= saturated].sum())
+        viol_iv = int(joint(no_full, no_full, no_full)[sizes >= full_pair].sum())
+        viol_v = 3 * int(third_met[s1 + s2 >= total].sum())
     witness = dict(zip(_CENSUS_PAIRS, _first_free_state(m, best)))
     witness_mg = MMultigraph.from_masks(4, m, witness)
     if witness_mg.size != best or contains_k4(witness_mg) is not None:
@@ -431,7 +433,6 @@ def max_k4free_multigraph(
                     quad_sums[q] -= p - m
                 if not complete:
                     return
-        masks[depth] = 0
 
     descend(0, 0, ((1 << m) - 1,), m)
     witness_mg = MMultigraph.from_masks(n, m, dict(zip(pairs, best_masks)))
@@ -716,11 +717,13 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     all labeled copies of the plane, and the norm is monotone, so the search
     branches over which of the seven triples of the first uncovered copy
     gets deleted, in ascending order, each later branch banning the triples
-    earlier ones deleted. The norm is carried down the recursion beside the
-    codegrees, and a deletion is pruned when the norm after it cannot beat
-    the incumbent; params counts those bound_prunes. Below seven vertices
-    there is no copy, and the single leaf is the complete graph. A budget
-    (seconds, nonnegative) turns the report incomplete instead of raising.
+    earlier ones deleted. A node is four ints: the uncovered copies, the
+    deleted and the banned triples (masks), and the norm. A deletion's cost
+    is read off the deleted triples sharing a pair with it, and it is
+    pruned when the norm after it cannot beat the incumbent; params counts
+    those bound_prunes. Below seven vertices there is no copy, and the
+    single leaf is the complete graph. A budget (seconds, nonnegative)
+    turns the report incomplete instead of raising.
     """
     start = time.perf_counter()
     if n < 3 or n > 8:
@@ -730,13 +733,9 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
 
     triples = list(combinations(range(n), 3))
     copies, cover = _fano_cover(n)
-    pair_index = {p: i for i, p in enumerate(all_pairs(n))}
-    triple_pairs = [
-        (pair_index[(a, b)], pair_index[(a, c)], pair_index[(b, c)])
-        for a, b, c in triples
-    ]
-    # the complete graph's: every pair in n - 2 triples
-    codegrees = [n - 2] * len(pair_index)
+    # per triple t, the other triples sharing a pair with t
+    shares = [_mask(triples, lambda s: len({*s, *t}) == 4) for t in triples]
+    full_cost = 6 * (n - 2) - 3  # deleting a triple from the complete graph
 
     best = -1
     best_deleted: int | None = None
@@ -760,21 +759,19 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
             bit = 1 << t
             if banned & bit:
                 continue
-            # a pair of codegree d loses d^2 - (d - 1)^2 = 2d - 1
-            p, q, r = triple_pairs[t]
-            dp, dq, dr = codegrees[p], codegrees[q], codegrees[r]
-            cost = 2 * (dp + dq + dr) - 3
+            # a pair of codegree d loses 2d - 1; t lies in an uncovered copy, so
+            # it is not deleted, and its pairs' triples meet only in t, so each
+            # deleted triple sharing a pair with t took 1 off one codegree of t
+            cost = full_cost - 2 * (deleted & shares[t]).bit_count()
             if norm - cost > best:
-                codegrees[p], codegrees[q], codegrees[r] = dp - 1, dq - 1, dr - 1
                 descend(uncovered & ~cover[t], deleted | bit, banned, norm - cost)
-                codegrees[p], codegrees[q], codegrees[r] = dp, dq, dr
                 if not complete:
                     return
             else:
                 bound_prunes += 1
             banned |= bit
 
-    descend((1 << len(copies)) - 1, 0, 0, len(pair_index) * (n - 2) ** 2)
+    descend((1 << len(copies)) - 1, 0, 0, comb(n, 2) * (n - 2) ** 2)
     if best_deleted is None:
         raise AssertionError("no hitting set found")
     # the complement's bits are the kept triples

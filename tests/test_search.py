@@ -125,9 +125,10 @@ def oracle_tables(m):
     }
 
 
-def oracle_census(m, blocks):
+def oracle_census(m, blocks, thresholds=(8, 7, 23, 22, 17)):
     """The CensusReport fields, timings left out, of a state-by-state scan of
-    the given (block, weight) pairs."""
+    the given (block, weight) pairs; at m=5 the clauses use the thresholds
+    (a, b, saturated, full pair, total), the paper's by default."""
     t = oracle_tables(m)
     pop = t["pop"]
     size_bits = 1 << m
@@ -169,27 +170,28 @@ def oracle_census(m, blocks):
                 idx & mask4,
             )
         if m == 5:
+            a, b, saturated, full_pair, total = thresholds
             v_i = v_iii = v_v = 0
             s2, s3 = t["s2"], t["s3"]
             has_i2 = t["pop_i2"] > 0
             has_i3 = t["pop_i3"] > 0
-            if s1 >= 8:
-                v_i += int((free & (s2 >= 7) & has_i3).sum())
-                v_i += int((free & (s3 >= 7) & has_i2).sum())
-            if s1 >= 7:
-                v_i += int((free & (s2 >= 8) & has_i3).sum())
-                v_i += int((free & (s3 >= 8) & has_i2).sum())
+            if s1 >= a:
+                v_i += int((free & (s2 >= b) & has_i3).sum())
+                v_i += int((free & (s3 >= b) & has_i2).sum())
+            if s1 >= b:
+                v_i += int((free & (s2 >= a) & has_i3).sum())
+                v_i += int((free & (s3 >= a) & has_i2).sum())
             if pop_i1 > 0:
-                v_i += int((free & (s2 >= 8) & (s3 >= 7)).sum())
-                v_i += int((free & (s3 >= 8) & (s2 >= 7)).sum())
-                v_v += int((free & (s2 + s3 >= 17)).sum())
-            v_v += int((free & (s1 + s2 >= 17) & has_i3).sum())
-            v_v += int((free & (s1 + s3 >= 17) & has_i2).sum())
+                v_i += int((free & (s2 >= a) & (s3 >= b)).sum())
+                v_i += int((free & (s3 >= a) & (s2 >= b)).sum())
+                v_v += int((free & (s2 + s3 >= total)).sum())
+            v_v += int((free & (s1 + s2 >= total) & has_i3).sum())
+            v_v += int((free & (s1 + s3 >= total) & has_i2).sum())
             if pop_i1 > 0:
                 not_saturated = (t["pop_i2"] > 0) & (t["pop_i3"] > 0)
-                v_iii += int((free & (sizes >= 23) & not_saturated).sum())
+                v_iii += int((free & (sizes >= saturated) & not_saturated).sum())
             full_mu = t["full_mu"] | (pop[a1] == m) | (pop[b1] == m)
-            v_iv = int((free & (sizes >= 22) & ~full_mu).sum())
+            v_iv = int((free & (sizes >= full_pair) & ~full_mu).sum())
             viol_i += weight * v_i
             viol_iii += weight * v_iii
             viol_iv += weight * v_iv
@@ -241,6 +243,21 @@ def test_class_rows_match_the_per_state_oracle():
     blocks = key_blocks(5)
     assert len(blocks) == 25
     assert census_fields(k4_census(5)) == oracle_census(5, blocks)
+
+
+def test_clause_formulas_match_the_oracle_at_lowered_thresholds(monkeypatch):
+    # at the paper's thresholds every clause count is 0, which a wrong
+    # multiplier or mask would keep; lowered ones make all four counts large
+    thresholds = (6, 5, 18, 18, 12)
+    monkeypatch.setattr(search, "_CLAUSE_THRESHOLDS", thresholds)
+    k4_census.cache_clear()
+    try:
+        fields = census_fields(k4_census(5))
+    finally:
+        k4_census.cache_clear()
+    assert fields == oracle_census(5, key_blocks(5), thresholds)
+    counts = [fields[f"clause_{c}_violations"] for c in ("i", "iii", "iv", "v")]
+    assert counts == [166945632, 7948960, 19138930, 96940542]
 
 
 def test_cold_census_memory_stays_small():
