@@ -64,14 +64,21 @@ each check's status and median `elapsed` seconds, one row per registry
 row in suite order, and a last row with the suite's median total seconds,
 its pass and fail counts and the median of the interpreters' own peak RSS
 (`peak_rss_mb`, from `ru_maxrss`). It asserts that the three runs measured
-the same values.
+the same values. With `--against REV` it exports REV's `src` with `git
+archive` into a new directory beside the checkout whose path has the same
+length as the checkout's (peak RSS moves with the path's length), runs the
+interpreters alternately on REV (`before`) and on the checkout (`after`),
+three each, and writes both sides, each with its machine block and its
+`commit`, and `runs`, every interpreter's side, total seconds and peak RSS
+in the order they ran.
 
 The machine (nproc, cpu count) and the Python and NumPy versions are
 recorded with the timings.
 
     python scripts/bench.py [census|fano|bnb|scans|k4|check|verify] [OUT]    default OUT: BENCH_<topic>.json
+    python scripts/bench.py verify [OUT] --against REV
 
-Any other first argument prints that usage line to stderr and exits 2.
+Any other arguments print the usage line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -80,10 +87,13 @@ import json
 import os
 import platform
 import random
+import shutil
+import string
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +109,8 @@ from fano_l2.patterns import (
     is_bipartite3,
     link_triple_violation,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _cold_census(m: int):
@@ -355,17 +367,19 @@ VERIFY_CHILD = (
 )
 
 
-def _verify_rows() -> list[dict]:
-    # the census, the identity pool and the (5,5) branch and bound are cached
-    # per process, so each run gets a fresh interpreter to time them cold
-    reports, peaks_mb = [], []
-    for _ in range(VERIFY_RUNS):
-        proc = subprocess.run(
-            [sys.executable, "-c", VERIFY_CHILD], capture_output=True, text=True, check=True
-        )
-        report, peak_kb = proc.stdout.rstrip("\n").rsplit("\n", 1)
-        reports.append(json.loads(report))
-        peaks_mb.append(int(peak_kb) / 1024)
+def _verify_run(src: Path | None = None) -> tuple[dict, float]:
+    """One fresh interpreter's report and peak RSS in MB, importing the
+    package from `src` if given, else from the inherited PYTHONPATH."""
+    env = None if src is None else {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_CHILD], capture_output=True, text=True, check=True, env=env
+    )
+    report, peak_kb = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    return json.loads(report), int(peak_kb) / 1024
+
+
+def _verify_summary(runs: list[tuple[dict, float]]) -> list[dict]:
+    reports = [report for report, _ in runs]
     measured = {json.dumps([(c["check_id"], c["measured"]) for c in r["checks"]]) for r in reports}
     if len(measured) != 1:
         raise AssertionError("verify runs measured different values")
@@ -378,7 +392,7 @@ def _verify_rows() -> list[dict]:
         )
         print(f"{check['check_id']}: {check['status']} {runs_s[1] * 1e3:.1f} ms")
     runs_s = sorted(r["elapsed"] for r in reports)
-    peaks_mb.sort()
+    peaks_mb = sorted(peak for _, peak in runs)
     rows.append(
         {"suite": "all", "seed": 0, "passed": reports[0]["passed"],
          "failed": reports[0]["failed"], "seconds": runs_s[1], "runs_s": runs_s,
@@ -389,6 +403,59 @@ def _verify_rows() -> list[dict]:
         f"{runs_s[1]:.3f}s, {peaks_mb[1]:.2f} MB peak RSS"
     )
     return rows
+
+
+def _verify_rows() -> list[dict]:
+    # the census, the identity pool and the (5,5) branch and bound are cached
+    # per process, so each run gets a fresh interpreter to time them cold
+    return _verify_summary([_verify_run() for _ in range(VERIFY_RUNS)])
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+@contextmanager
+def _exported_src(rev: str):
+    """REV's `src`, exported into a new directory beside the checkout whose
+    name has the same length as the checkout's, removed on exit."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+    ).stdout
+    pick = random.Random()
+    while True:
+        name = "".join(pick.choices(string.ascii_lowercase, k=len(ROOT.name)))
+        sibling = ROOT.with_name(name)
+        try:
+            sibling.mkdir()
+            break
+        except FileExistsError:
+            continue
+    try:
+        subprocess.run(["tar", "-x", "-C", str(sibling)], input=archive, check=True)
+        yield sibling / "src"
+    finally:
+        shutil.rmtree(sibling)
+
+
+def _verify_against(rev: str) -> tuple[list[dict], list[dict], list[dict]]:
+    """The `before` rows (REV), the `after` rows (the checkout) and every
+    run in the order run, the two sides alternating."""
+    sides: dict[str, list[tuple[dict, float]]] = {"before": [], "after": []}
+    order = []
+    with _exported_src(rev) as rev_src:
+        for _ in range(VERIFY_RUNS):
+            for side, src in (("before", rev_src), ("after", ROOT / "src")):
+                report, peak_mb = _verify_run(src)
+                sides[side].append((report, peak_mb))
+                order.append({"side": side, "seconds": report["elapsed"], "peak_rss_mb": peak_mb})
+    rows = {}
+    for side, runs in sides.items():
+        print(f"--- {side}")
+        rows[side] = _verify_summary(runs)
+    return rows["before"], rows["after"], order
 
 
 TOPICS = {
@@ -402,15 +469,21 @@ TOPICS = {
 }
 
 
+USAGE = f"usage: bench.py [{'|'.join(TOPICS)}] [OUT], or bench.py verify [OUT] --against REV"
+
+
 def main() -> int:
     args = sys.argv[1:]
-    if args and args[0] not in TOPICS:
-        print(f"usage: bench.py [{'|'.join(TOPICS)}] [OUT]", file=sys.stderr)
+    rev = None
+    if args[:1] == ["verify"] and args[-2:-1] == ["--against"]:
+        rev = args.pop()
+        args.pop()
+    if len(args) > 2 or args and args[0] not in TOPICS or any(a.startswith("--") for a in args):
+        print(USAGE, file=sys.stderr)
         return 2
     topic = args.pop(0) if args else "census"
     out = Path(args[0] if args else f"BENCH_{topic}.json")
-    rows = TOPICS[topic]()
-    payload = {
+    side = {
         "topic": topic,
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -419,8 +492,23 @@ def main() -> int:
         },
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "rows": rows,
     }
+    if rev is None:
+        payload = {**side, "rows": TOPICS[topic]()}
+    else:
+        try:
+            commit = _git("rev-parse", "--short", "--verify", f"{rev}^{{commit}}")
+            tree = _git("describe", "--always", "--dirty")
+        except subprocess.CalledProcessError as exc:
+            print(f"error: {exc.stderr.strip()}", file=sys.stderr)
+            return 2
+        before, after, runs = _verify_against(commit)
+        payload = {
+            "topic": topic,
+            "before": {**side, "rows": before, "commit": commit},
+            "after": {**side, "rows": after, "commit": tree},
+            "runs": runs,
+        }
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0

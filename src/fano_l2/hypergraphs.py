@@ -59,13 +59,21 @@ class Uniform3Graph:
     """Immutable 3-uniform hypergraph on vertices 0..n-1.
 
     Construction validates and sorts the triples and counts the vertex
-    degrees. The codegree table, which every norm, star count and degree
-    expansion reads, and the per-vertex link lists (the other two vertices
-    of each triple through the vertex), which the per-vertex degree routes
-    read, are built on first read: the plane and K5^3 kernels and the
-    2-colouring read only the sorted triples and the degrees. The codegree
-    table maps each covered pair (u, v), u < v, to its codegree, both
-    Python ints, in ascending pair order; it is counted in one NumPy pass.
+    degrees. The package's own builders skip the validation and the sort
+    and only count, as their triples are canonical (increasing int triples
+    inside 0..n-1, in lexicographic order, none repeated) by construction:
+    `bipartite3` (and so `balanced_bipartite3`) lists them with three
+    increasing ranges, `complete3` and `random_3graph` take them, all or a
+    filtered part, from `combinations(range(n), 3)`, and `remove_vertex`
+    relabels a host's canonical triples increasingly. Input from outside
+    the package keeps every check. The codegree table, which every norm,
+    star count and degree expansion reads, and the per-vertex link lists
+    (the other two vertices of each triple through the vertex), which the
+    per-vertex degree routes read, are built on first read: the plane and
+    K5^3 kernels and the 2-colouring read only the sorted triples and the
+    degrees. The codegree table maps each covered pair (u, v), u < v, to
+    its codegree, both Python ints, in ascending pair order; it is counted
+    in one NumPy pass.
     """
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()) -> None:
@@ -85,9 +93,24 @@ class Uniform3Graph:
             pass
         if vertices is None:
             _raise_first_invalid(n, items)
-        counts = Counter(vertices)
+        self._fill(n, canon, vertices)
+
+    @classmethod
+    def _canonical(cls, n: int, canon: Iterable[Triple]) -> Uniform3Graph:
+        """A host on triples known to be canonical, stored without the checks
+        and the sort of construction."""
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        host = cls.__new__(cls)
+        host._fill(n, canon)
+        return host
+
+    def _fill(self, n: int, canon: Iterable[Triple], vertices: Iterable[int] | None = None):
+        """Store canonical triples and count the degrees, from `vertices` (the
+        triples' vertices, three per triple) if the caller has them."""
         self.n = n
         self._triples = tuple(canon)
+        counts = Counter(chain.from_iterable(self._triples) if vertices is None else vertices)
         self._degree = tuple(map(counts.get, range(n), repeat(0, n)))
 
     @cached_property
@@ -132,6 +155,8 @@ class Uniform3Graph:
         return self._triples
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside range")
         return self._degree[v]
 
     def degrees(self) -> tuple[int, ...]:
@@ -142,7 +167,11 @@ class Uniform3Graph:
         return self._codegree.get(pair, 0)
 
     def remove_vertex(self, v: int) -> Uniform3Graph:
-        """Delete v and its edges; remaining vertices shift down to 0..n-2."""
+        """Delete v and its edges; remaining vertices shift down to 0..n-2.
+
+        The shift is strictly increasing, so it keeps each surviving triple
+        increasing, keeps their lexicographic order and maps no two of them
+        to one: the relabelled triples are canonical and skip the checks."""
         n = self.n
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside range")
@@ -153,7 +182,7 @@ class Uniform3Graph:
             for a, b, c in self._triples
             if v != a and v != b and v != c
         ]
-        return Uniform3Graph(n - 1, kept)
+        return Uniform3Graph._canonical(n - 1, kept)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -214,7 +243,7 @@ class Uniform3Graph:
 
 def complete3(n: int) -> Uniform3Graph:
     """All triples on n vertices."""
-    return Uniform3Graph(n, combinations(range(n), 3))
+    return Uniform3Graph._canonical(n, combinations(range(n), 3))
 
 
 def bipartite3(a: int, b: int) -> Uniform3Graph:
@@ -225,7 +254,7 @@ def bipartite3(a: int, b: int) -> Uniform3Graph:
     n = a + b
     # x runs over the first part and z over the second, so each triple is
     # crossing, and the three ranges list them in lexicographic order
-    return Uniform3Graph(
+    return Uniform3Graph._canonical(
         n,
         [(x, y, z) for x in range(a) for y in range(x + 1, n) for z in range(max(y + 1, a), n)],
     )
@@ -276,4 +305,6 @@ def bn_min_l2_degree(n: int) -> int:
 def random_3graph(n: int, edge_prob: float, rng) -> Uniform3Graph:
     """Each triple kept independently with the given probability; rng is any
     object with a ``random()`` method (typically random.Random with a seed)."""
-    return Uniform3Graph(n, [t for t in combinations(range(n), 3) if rng.random() < edge_prob])
+    return Uniform3Graph._canonical(
+        n, [t for t in combinations(range(n), 3) if rng.random() < edge_prob]
+    )

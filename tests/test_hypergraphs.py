@@ -201,11 +201,54 @@ def test_remove_vertex_matches_the_per_triple_shift():
             assert h.remove_vertex(v) == Uniform3Graph(h.n - 1, kept)
 
 
-def test_remove_vertex_rejects_a_vertex_outside_the_range():
-    h = Uniform3Graph(4, [(0, 1, 2)])
-    for v in (-1, 4, 9):
-        with pytest.raises(ValueError, match=rf"^vertex {v} outside range$"):
-            h.remove_vertex(v)
+def test_vertex_queries_reject_a_vertex_outside_the_range():
+    # a negative index would read vertex n + v's entry from the end
+    for h in (Uniform3Graph(4, [(0, 1, 2)]), bipartite3(2, 2)):
+        for query in (h.remove_vertex, h.degree, h.l2_degree_expanded, h.star_degree):
+            for v in (-1, 4, 9):
+                with pytest.raises(ValueError, match=rf"^vertex {v} outside range$"):
+                    query(v)
+
+
+def _assert_canonical(h):
+    # the validating constructor sorts and checks the host's own triples;
+    # a builder that skipped it must already have handed them over that way
+    again = Uniform3Graph(h.n, list(h.triples()))
+    assert h == again
+    assert h.degrees() == again.degrees()
+
+
+def test_builders_emit_canonical_triples():
+    hosts = [bipartite3(a, b) for a in range(9) for b in range(9)]
+    hosts += [complete3(n) for n in range(11)]
+    hosts += [
+        random_3graph(n, p, random.Random(seed))
+        for seed in range(3)
+        for n in (0, 3, 7, 12)
+        for p in (0.2, 0.5, 0.9)
+    ]
+    for h in hosts:
+        _assert_canonical(h)
+
+
+def test_remove_vertex_emits_canonical_triples():
+    rng = random.Random(11)
+    hosts = [random_3graph(n, rng.uniform(0.2, 0.8), rng) for n in range(4, 13)]
+    for h in hosts + [bipartite3(4, 3)]:
+        for v in range(h.n):
+            _assert_canonical(h.remove_vertex(v))
+
+
+def test_builders_keep_their_error_messages():
+    count = r"^vertex count must be nonnegative, got -2$"
+    for build in (complete3, balanced_bipartite3, lambda n: random_3graph(n, 0.5, random.Random(0))):
+        with pytest.raises(ValueError, match=count):
+            build(-2)
+    for a, b in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match=r"^part sizes must be nonnegative$"):
+            bipartite3(a, b)
+    with pytest.raises(ValueError, match=r"^vertex 7 outside range$"):
+        bipartite3(4, 3).remove_vertex(7)
 
 
 def test_random_3graph_edge_prob_extremes(rng):

@@ -1,10 +1,14 @@
 """Smoke tests: the benchmark script runs from a checkout with `src` on the path."""
 
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from fano_l2.verify import _CHECKS
 
@@ -21,13 +25,19 @@ def run_bench(topic, out):
 
 def test_bench_rejects_an_unknown_topic_before_running(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench.py"), "fanoo"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr == "usage: bench.py [census|fano|bnb|scans|k4|check|verify] [OUT]\n"
-    assert list(tmp_path.iterdir()) == []
+    # `--against` reads REV after the `verify` topic and its OUT, nowhere else
+    for args in (["fanoo"], ["census", "--against", "HEAD"], ["verify", "--against"],
+                 ["verify", "a", "b"]):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench.py"), *args],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "usage: bench.py [census|fano|bnb|scans|k4|check|verify] [OUT], "
+            "or bench.py verify [OUT] --against REV\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_scans_records_seconds_and_traced_peak(tmp_path):
@@ -114,3 +124,52 @@ def test_bench_verify_times_every_check_in_fresh_runs(tmp_path):
     assert total["seconds"] > 0
     assert len(total["runs_peak_rss_mb"]) == 3
     assert total["peak_rss_mb"] == sorted(total["runs_peak_rss_mb"])[1] > 0
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="exports the commit with git archive")
+def test_bench_verify_against_alternates_a_commit_and_the_checkout(tmp_path, monkeypatch):
+    # a throwaway repository of the package: the test needs no `.git` of
+    # its own checkout; the checkout then runs one `roots` row fewer than
+    # its commit, so each side's rows show which source it imported
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "scripts", tree / "scripts", ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(tree), "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    verify_py = tree / "src" / "fano_l2" / "verify.py"
+    verify_py.write_text(verify_py.read_text(encoding="utf-8") + "_CHECKS = _CHECKS[1:]\n",
+                         encoding="utf-8")
+
+    spec = importlib.util.spec_from_file_location("tree_bench", tree / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    child = bench.VERIFY_CHILD.replace("run_suite('all'", "run_suite('roots'")
+    assert child != bench.VERIFY_CHILD
+    monkeypatch.setattr(bench, "VERIFY_CHILD", child)
+    out = tmp_path / "verify.json"
+    monkeypatch.setattr(sys, "argv", ["bench.py", "verify", str(out), "--against", "HEAD"])
+    assert bench.main() == 0
+
+    data = json.loads(out.read_text(encoding="utf-8"))
+    before, after = data["before"], data["after"]
+    assert (before["commit"], after["commit"]) == (head, f"{head}-dirty")
+    assert before["machine"] == after["machine"] and set(before["machine"]) == {
+        "nproc", "cpu_count", "processor"
+    }
+    def roots(checks):
+        return [c.check_id for c in checks if c.check_id.startswith("roots.")]
+
+    assert [row["check"] for row in before["rows"][:-1]] == roots(_CHECKS)
+    assert [row["check"] for row in after["rows"][:-1]] == roots(_CHECKS[1:])
+    assert roots(_CHECKS[1:]) != roots(_CHECKS)
+    assert [run["side"] for run in data["runs"]] == ["before", "after"] * bench.VERIFY_RUNS
+    for side, rows in (("before", before["rows"]), ("after", after["rows"])):
+        runs = [run for run in data["runs"] if run["side"] == side]
+        assert rows[-1]["runs_s"] == sorted(run["seconds"] for run in runs)
+        assert rows[-1]["runs_peak_rss_mb"] == sorted(run["peak_rss_mb"] for run in runs)
+    # the export beside the checkout is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree", "verify.json"]
