@@ -14,11 +14,10 @@ with a trailing newline.
 from __future__ import annotations
 
 from itertools import chain
-from operator import lt
 from typing import NoReturn
 
 from .graphs import SimpleGraph
-from .hypergraphs import Uniform3Graph
+from .hypergraphs import Uniform3Graph, _is_canonical
 from .multigraphs import MMultigraph
 
 
@@ -82,20 +81,21 @@ def _raise_first_invalid_edge(n: int, body) -> NoReturn:
 
 
 def parse_3graph(text: str) -> Uniform3Graph:
-    """The 3-graph in text. The parser checks in bulk that each edge line is
-    three increasing integers; the `Uniform3Graph` constructor checks the
-    vertex range and repeated edges. Only when a check fails are the lines
-    read one by one, to name the first bad line."""
+    """The 3-graph in text. The edge lines are read in bulk into int triples
+    and sorted; if they pass the constructor's canonical-edge test, the host
+    is built on them with no second check. Otherwise the lines are read one
+    by one to name the first bad line."""
     (n,), body = _header(text, "3graph", (0,))
     rows = [tokens for _lineno, tokens in body]
     if set(map(len, rows)) <= {3}:
         try:
             flat = list(map(int, chain.from_iterable(rows)))
-            A, B, C = flat[0::3], flat[1::3], flat[2::3]
-            if all(map(lt, A, B)) and all(map(lt, B, C)):
-                return Uniform3Graph(n, list(zip(A, B, C)))
         except ValueError:
             pass
+        else:
+            canon = sorted(zip(flat[0::3], flat[1::3], flat[2::3]))
+            if _is_canonical(n, canon):
+                return Uniform3Graph._canonical(n, canon)
     _raise_first_invalid_edge(n, body)
 
 

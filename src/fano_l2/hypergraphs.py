@@ -19,54 +19,57 @@ from functools import cached_property
 from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import eq, lt
-from typing import Iterable, NoReturn
+from typing import Iterable
 
 Triple = tuple[int, int, int]
 
 
-def _raise_first_invalid(n: int, items) -> NoReturn:
-    """Raise the error of the first invalid triple, in input order."""
-    seen: set[tuple] = set()
-    for t in items:
+def _sorted_checked(n: int, items) -> list[Triple]:
+    """The edge list in canonical order, each triple sorted and checked in
+    input order; raises the error of the first invalid triple."""
+    seen: set[Triple] = set()
+    for t in map(tuple, items):
         if not set(map(type, t)) <= {int}:
-            raise ValueError(f"non-integer vertex in {tuple(t)}")
+            raise ValueError(f"non-integer vertex in {t}")
         tt = tuple(sorted(t))
         if len(tt) != 3 or len(set(tt)) != 3:
-            raise ValueError(f"not a 3-element vertex set: {tuple(t)}")
+            raise ValueError(f"not a 3-element vertex set: {t}")
         if not (0 <= tt[0] and tt[2] < n):
             raise ValueError(f"edge {tt} outside vertex range 0..{n - 1}")
         if tt in seen:
             raise ValueError(f"duplicate edge {tt}")
         seen.add(tt)
-    raise AssertionError("edge checks rejected a valid edge list")
+    return sorted(seen)
 
 
-def _checked_vertices(n: int, canon: list) -> list[int] | None:
-    """The vertices of a sorted edge list, three per edge, or None unless
-    each edge is an increasing int triple inside 0..n-1 and no edge repeats."""
+def _is_canonical(n: int, canon: list) -> bool:
+    """Whether a sorted edge list is canonical: each edge an increasing int
+    triple inside 0..n-1, and no edge repeated."""
     if not set(map(len, canon)) <= {3} or any(map(eq, canon, islice(canon, 1, None))):
-        return None
+        return False
     flat = list(chain.from_iterable(canon))
     if not set(map(type, flat)) <= {int}:
-        return None
+        return False
     A, B, C = flat[0::3], flat[1::3], flat[2::3]
-    if all(map(lt, A, B)) and all(map(lt, B, C)) and (not canon or (0 <= A[0] and max(C) < n)):
-        return flat
-    return None
+    return all(map(lt, A, B)) and all(map(lt, B, C)) and (not canon or (0 <= A[0] and max(C) < n))
 
 
 class Uniform3Graph:
     """Immutable 3-uniform hypergraph on vertices 0..n-1.
 
-    Construction validates and sorts the triples and counts the vertex
-    degrees. The package's own builders skip the validation and the sort
-    and only count, as their triples are canonical (increasing int triples
-    inside 0..n-1, in lexicographic order, none repeated) by construction:
-    `bipartite3` (and so `balanced_bipartite3`) lists them with three
-    increasing ranges, `complete3` and `random_3graph` take them, all or a
-    filtered part, from `combinations(range(n), 3)`, and `remove_vertex`
-    relabels a host's canonical triples increasingly. Input from outside
-    the package keeps every check. The codegree table, which every norm,
+    Construction sorts and validates the triples and counts the vertex
+    degrees. Tuples are sorted as given and checked by one bulk test,
+    `_is_canonical`, which `parse_3graph` shares; other input, or input the
+    test rejects, is sorted and checked triple by triple, which names the
+    first invalid triple. The package's own builders skip the validation
+    and the sort and only count, as their triples are canonical
+    (increasing int triples inside 0..n-1, in lexicographic order, none
+    repeated) by construction: `bipartite3` (and so `balanced_bipartite3`)
+    lists them with three increasing ranges, `complete3` and
+    `random_3graph` take them, all or a filtered part, from
+    `combinations(range(n), 3)`, and `remove_vertex` relabels a host's
+    canonical triples increasingly. Input from outside the package keeps
+    every check. The codegree table, which every norm,
     star count and degree expansion reads, and the per-vertex link lists
     (the other two vertices of each triple through the vertex), which the
     per-vertex degree routes read, are built on first read: the plane and
@@ -80,20 +83,15 @@ class Uniform3Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         items = triples if isinstance(triples, (list, tuple)) else list(triples)
-        vertices = None
-        try:
-            if set(map(type, items)) <= {tuple}:
-                # increasing tuples, what most callers pass, are kept as they are
+        canon = None
+        if set(map(type, items)) <= {tuple}:  # what most callers pass
+            try:
                 canon = sorted(items)
-                vertices = _checked_vertices(n, canon)
-            if vertices is None:
-                canon = sorted(map(tuple, map(sorted, items)))
-                vertices = _checked_vertices(n, canon)
-        except TypeError:  # vertices that do not compare, such as 1 and "2"
-            pass
-        if vertices is None:
-            _raise_first_invalid(n, items)
-        self._fill(n, canon, vertices)
+            except TypeError:  # vertices that do not compare, such as 1 and "2"
+                pass
+        if canon is None or not _is_canonical(n, canon):
+            canon = _sorted_checked(n, items)
+        self._fill(n, canon)
 
     @classmethod
     def _canonical(cls, n: int, canon: Iterable[Triple]) -> Uniform3Graph:
@@ -105,12 +103,11 @@ class Uniform3Graph:
         host._fill(n, canon)
         return host
 
-    def _fill(self, n: int, canon: Iterable[Triple], vertices: Iterable[int] | None = None):
-        """Store canonical triples and count the degrees, from `vertices` (the
-        triples' vertices, three per triple) if the caller has them."""
+    def _fill(self, n: int, canon: Iterable[Triple]):
+        """Store canonical triples and count the degrees."""
         self.n = n
         self._triples = tuple(canon)
-        counts = Counter(chain.from_iterable(self._triples) if vertices is None else vertices)
+        counts = Counter(chain.from_iterable(self._triples))
         self._degree = tuple(map(counts.get, range(n), repeat(0, n)))
 
     @cached_property

@@ -236,17 +236,20 @@ def _bnb_pair_order(n: int) -> list[tuple[int, int]]:
     return order
 
 
+@functools.cache
 def _split_classes(classes: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """The layer partition `classes` refined by mask: each class splits into
     its layers inside and outside the mask, empty parts dropped, sorted."""
     return tuple(sorted(part for c in classes for part in (c & mask, c & ~mask) if part))
 
 
+@functools.cache
 def _class_prefix_masks(m: int, classes: tuple[int, ...], limit: int) -> list[int]:
     """The layer masks of popcount at most limit, in non-increasing popcount
     order (ties ascending), whose bits inside each class of the layer
     partition `classes` are that class's lowest bits: one mask per orbit of
-    the layer permutations that fix every class, the smallest of its orbit."""
+    the layer permutations that fix every class, the smallest of its orbit.
+    Cached, so the list is shared: callers only read it."""
     return [
         x
         for x in sorted(range(1 << m), key=lambda x: (-x.bit_count(), x))
@@ -370,10 +373,6 @@ def max_k4free_multigraph(
     nodes = pattern_prunes = bound_prunes = descents = 0
     deadline = None if budget is None else start + budget
     complete = True
-    # candidate lists by (layer classes, popcount limit) and class splits by
-    # (layer classes, mask), each built on first use
-    options: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    splits: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
     def descend(depth: int, size: int, classes: tuple[int, ...], limit: int) -> None:
         nonlocal best, best_masks, nodes, complete
@@ -396,12 +395,8 @@ def max_k4free_multigraph(
             rest += min(quad_cap, quad_sums[q])
         open_sums = [quad_sums[q] - m for q in mine]
         checks = completes_at[depth]
-        key = (classes, limit)
-        candidates = options.get(key)
-        if candidates is None:
-            candidates = options[key] = _class_prefix_masks(m, classes, limit)
         last = -1
-        for mask in candidates:
+        for mask in _class_prefix_masks(m, classes, limit):
             nodes += 1
             p = pop[mask]
             if p != last:
@@ -425,10 +420,7 @@ def max_k4free_multigraph(
                 for q in mine:
                     quad_sums[q] += p - m
                 # every later pair is capped at the first pair's count
-                split = splits.get((classes, mask))
-                if split is None:
-                    split = splits[classes, mask] = _split_classes(classes, mask)
-                descend(depth + 1, size + p, split, pop[masks[0]])
+                descend(depth + 1, size + p, _split_classes(classes, mask), pop[masks[0]])
                 for q in mine:
                     quad_sums[q] -= p - m
                 if not complete:
@@ -853,7 +845,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         sigma = part1 + part2
         for hit in block_hits.get(a, ()):
             maximizers.add(_relabel(hit, sigma))
-    host_size = bipartite3((n + 1) // 2, n // 2).edge_count
+    host_size = comb(n, 3) - comb((n + 1) // 2, 3) - comb(n // 2, 3)
     witness = Uniform3Graph(n, min(maximizers))
     if witness.lp_norm(2) != best or is_bipartite3(witness) is None:
         raise AssertionError("bipartite witness failed revalidation")

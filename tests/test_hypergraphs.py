@@ -9,7 +9,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from fano_l2 import verify
+from fano_l2 import formats, hypergraphs, verify
+from fano_l2.formats import parse_3graph, write_3graph
 from fano_l2.graphs import SimpleGraph
 from fano_l2.hypergraphs import (
     Uniform3Graph,
@@ -20,6 +21,7 @@ from fano_l2.hypergraphs import (
     complete3,
     random_3graph,
 )
+from fano_l2.search import bipartite_l2_scan, max_l2_fano_free
 
 from helpers import has_edge, link, star_participation_oracle, two_edge_stars, uniform3_fields_oracle
 
@@ -302,6 +304,45 @@ def test_constructor_matches_the_per_triple_oracle(seed):
     _assert_codegree_table(h, expected)
     assert h._links == expected["_links"]
     assert h._degree == expected["_degree"]
+
+
+def test_triples_given_as_iterators_are_read_once():
+    # each triple is read into a tuple before it is checked, so a one-shot
+    # triple is neither lost to a failed bulk test nor reported as empty
+    assert Uniform3Graph(3, [iter((2, 1, 0))]).triples() == ((0, 1, 2),)
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1, 2\)$"):
+        Uniform3Graph(3, [iter((0, 1, 2)), iter((2, 1, 0))])
+
+
+class _PerTriplePath(Exception):
+    pass
+
+
+def test_canonical_traffic_takes_only_the_bulk_test(monkeypatch):
+    # the per-triple walks of the constructor and the parser run in Python;
+    # the checked hosts the package itself builds or parses must all pass
+    # the bulk test, so neither walk may run here
+    def refuse(*_args):
+        raise _PerTriplePath
+
+    monkeypatch.setattr(hypergraphs, "_sorted_checked", refuse)
+    monkeypatch.setattr(formats, "_raise_first_invalid_edge", refuse)
+    rng = random.Random(44)
+    for seed in range(40):
+        host = random_3graph(rng.randrange(13), rng.uniform(0.1, 0.9), random.Random(seed))
+        header, *lines = write_3graph(host).splitlines()
+        rng.shuffle(lines)
+        for text in (write_3graph(host), "\n".join([header, *lines])):
+            parsed = parse_3graph(text)
+            assert parsed == host and parsed.degrees() == host.degrees()
+    assert verify.run_suite("identities", seed=0).overall == "pass"
+    assert max_l2_fano_free(7).optimum == 410
+    assert bipartite_l2_scan(6).optimum == 198
+    # the patch bites: unsorted triples and a bad line take the walks
+    with pytest.raises(_PerTriplePath):
+        Uniform3Graph(3, [(2, 1, 0)])
+    with pytest.raises(_PerTriplePath):
+        parse_3graph("3graph 3\n0 1 3\n")
 
 
 def _assert_codegree_table(h, expected):
