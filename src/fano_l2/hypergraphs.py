@@ -57,19 +57,17 @@ def _is_canonical(n: int, canon: list) -> bool:
 class Uniform3Graph:
     """Immutable 3-uniform hypergraph on vertices 0..n-1.
 
-    Construction sorts and validates the triples and counts the vertex
-    degrees. Tuples are sorted as given and checked by one bulk test,
-    `_is_canonical`, which `parse_3graph` shares; other input, or input the
-    test rejects, is sorted and checked triple by triple, which names the
-    first invalid triple. The package's own builders skip the validation
-    and the sort and only count, as their triples are canonical
-    (increasing int triples inside 0..n-1, in lexicographic order, none
-    repeated) by construction: `bipartite3` (and so `balanced_bipartite3`)
-    lists them with three increasing ranges, `complete3` and
-    `random_3graph` take them, all or a filtered part, from
-    `combinations(range(n), 3)`, and `remove_vertex` relabels a host's
-    canonical triples increasingly. Input from outside the package keeps
-    every check. The codegree table, which every norm,
+    Construction is for outside input: it sorts and checks the triples one
+    by one, naming the first invalid triple, and counts the vertex degrees.
+    The package's own hosts are canonical (increasing int triples inside
+    0..n-1, in lexicographic order, none repeated) by construction and are
+    stored by `_canonical`, which only counts: `bipartite3` (and so
+    `balanced_bipartite3`) lists them with three increasing ranges,
+    `complete3` and `random_3graph` take them, all or a filtered part, from
+    `combinations(range(n), 3)`, `remove_vertex` relabels a host's triples
+    increasingly, `parse_3graph` keeps text that passes `_is_canonical`,
+    and the search witnesses and verify's deletion subsets are sorted or
+    filtered canonical lists. The codegree table, which every norm,
     star count and degree expansion reads, and the per-vertex link lists
     (the other two vertices of each triple through the vertex), which the
     per-vertex degree routes read, are built on first read: the plane and
@@ -82,16 +80,7 @@ class Uniform3Graph:
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        items = triples if isinstance(triples, (list, tuple)) else list(triples)
-        canon = None
-        if set(map(type, items)) <= {tuple}:  # what most callers pass
-            try:
-                canon = sorted(items)
-            except TypeError:  # vertices that do not compare, such as 1 and "2"
-                pass
-        if canon is None or not _is_canonical(n, canon):
-            canon = _sorted_checked(n, items)
-        self._fill(n, canon)
+        self._fill(n, _sorted_checked(n, triples))
 
     @classmethod
     def _canonical(cls, n: int, canon: Iterable[Triple]) -> Uniform3Graph:

@@ -767,7 +767,7 @@ def max_l2_fano_free(n: int, budget: float | None = None) -> SearchReport:
     if best_deleted is None:
         raise AssertionError("no hitting set found")
     # the complement's bits are the kept triples
-    host = Uniform3Graph(n, _members(triples, ~best_deleted))
+    host = Uniform3Graph._canonical(n, _members(triples, ~best_deleted))
     if host.lp_norm(2) != best or contains_fano(host) is not None:
         raise AssertionError("maximum-norm witness failed revalidation")
     return SearchReport(
@@ -846,7 +846,7 @@ def bipartite_l2_scan(n: int) -> SearchReport:
         for hit in block_hits.get(a, ()):
             maximizers.add(_relabel(hit, sigma))
     host_size = comb(n, 3) - comb((n + 1) // 2, 3) - comb(n // 2, 3)
-    witness = Uniform3Graph(n, min(maximizers))
+    witness = Uniform3Graph._canonical(n, min(maximizers))
     if witness.lp_norm(2) != best or is_bipartite3(witness) is None:
         raise AssertionError("bipartite witness failed revalidation")
     return SearchReport(

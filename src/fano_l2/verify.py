@@ -150,7 +150,7 @@ def _check_deletion_lipschitz(seed: int):
     bad = 0
     for H in _identity_pool(seed):
         triples = [t for t in H.triples() if rng.random() < 0.7]
-        sub = type(H)(H.n, triples)
+        sub = type(H)._canonical(H.n, triples)
         drop = H.edge_count - sub.edge_count
         if H.lp_norm(2) - sub.lp_norm(2) > 6 * H.n * drop:
             bad += 1

@@ -308,25 +308,27 @@ def test_constructor_matches_the_per_triple_oracle(seed):
 
 def test_triples_given_as_iterators_are_read_once():
     # each triple is read into a tuple before it is checked, so a one-shot
-    # triple is neither lost to a failed bulk test nor reported as empty
+    # triple is not reported as empty
     assert Uniform3Graph(3, [iter((2, 1, 0))]).triples() == ((0, 1, 2),)
     with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1, 2\)$"):
         Uniform3Graph(3, [iter((0, 1, 2)), iter((2, 1, 0))])
 
 
-class _PerTriplePath(Exception):
+class _Refused(Exception):
     pass
+
+
+def _refuse(*_args):
+    raise _Refused
 
 
 def test_canonical_traffic_takes_only_the_bulk_test(monkeypatch):
     # the per-triple walks of the constructor and the parser run in Python;
-    # the checked hosts the package itself builds or parses must all pass
-    # the bulk test, so neither walk may run here
-    def refuse(*_args):
-        raise _PerTriplePath
-
-    monkeypatch.setattr(hypergraphs, "_sorted_checked", refuse)
-    monkeypatch.setattr(formats, "_raise_first_invalid_edge", refuse)
+    # the hosts the package makes itself, verify's subsets and the search
+    # witnesses included, are stored by `_canonical`, and parsed canonical
+    # text passes the parser's bulk test, so neither walk may run here
+    monkeypatch.setattr(hypergraphs, "_sorted_checked", _refuse)
+    monkeypatch.setattr(formats, "_raise_first_invalid_edge", _refuse)
     rng = random.Random(44)
     for seed in range(40):
         host = random_3graph(rng.randrange(13), rng.uniform(0.1, 0.9), random.Random(seed))
@@ -335,14 +337,34 @@ def test_canonical_traffic_takes_only_the_bulk_test(monkeypatch):
         for text in (write_3graph(host), "\n".join([header, *lines])):
             parsed = parse_3graph(text)
             assert parsed == host and parsed.degrees() == host.degrees()
-    assert verify.run_suite("identities", seed=0).overall == "pass"
+    assert verify.run_suite("all", seed=0).overall == "pass"
     assert max_l2_fano_free(7).optimum == 410
     assert bipartite_l2_scan(6).optimum == 198
     # the patch bites: unsorted triples and a bad line take the walks
-    with pytest.raises(_PerTriplePath):
+    with pytest.raises(_Refused):
         Uniform3Graph(3, [(2, 1, 0)])
-    with pytest.raises(_PerTriplePath):
+    with pytest.raises(_Refused):
         parse_3graph("3graph 3\n0 1 3\n")
+
+
+def test_the_constructor_checks_every_input_triple_by_triple(monkeypatch):
+    # one path for outside input: even canonical tuple lists skip the bulk
+    # test, which only the parser still calls; formats holds its own
+    # reference to the test, patched so the check below can show the patch
+    # bites
+    monkeypatch.setattr(hypergraphs, "_is_canonical", _refuse)
+    monkeypatch.setattr(formats, "_is_canonical", _refuse)
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randrange(12)
+        triples = [t for t in combinations(range(n), 3) if rng.random() < 0.5]
+        h, stored = Uniform3Graph(n, triples), Uniform3Graph._canonical(n, triples)
+        assert h._triples == stored._triples and h._degree == stored._degree
+        assert list(h._codegree.items()) == list(stored._codegree.items())
+    assert Uniform3Graph(3, [(2, 1, 0)]).triples() == ((0, 1, 2),)
+    # the patch bites: the parser's bulk test reads it
+    with pytest.raises(_Refused):
+        parse_3graph("3graph 3\n0 1 2\n")
 
 
 def _assert_codegree_table(h, expected):
