@@ -301,7 +301,8 @@ def max_k4free_multigraph(
     witness, are those of the unpruned search. params counts the candidate
     trials by outcome: pattern_prunes, bound_prunes and descents sum to
     nodes on a complete run. A budget (seconds, nonnegative) turns the
-    report incomplete instead of raising.
+    report incomplete instead of raising; the clock is read at trial 0 and
+    then at the first entry 4,096 or more trials after the last read.
     """
     start = time.perf_counter()
     if engine == "exhaustive":
@@ -372,14 +373,17 @@ def max_k4free_multigraph(
     quad_sums = [6 * m] * quad_count
     nodes = pattern_prunes = bound_prunes = descents = 0
     deadline = None if budget is None else start + budget
+    next_poll = 0
     complete = True
 
     def descend(depth: int, size: int, classes: tuple[int, ...], limit: int) -> None:
-        nonlocal best, best_masks, nodes, complete
+        nonlocal best, best_masks, nodes, next_poll, complete
         nonlocal pattern_prunes, bound_prunes, descents
-        if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
-            complete = False
-            return
+        if deadline is not None and nodes >= next_poll:
+            next_poll = nodes + 4096
+            if time.perf_counter() > deadline:
+                complete = False
+                return
         if depth == total:
             if size > best:
                 best = size
@@ -453,8 +457,7 @@ def max_k4free_multigraph(
 
 
 def _check_scan_capacity(n: int) -> None:
-    # n=8 would take 128 (star table) and 45 (triangle-free growth) times n=7's
-    # time, in the same memory, and no value there is frozen or checked
+    # n=8 would take 128 (star table) and 45 (triangle-free growth) times n=7's time
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > 7:
@@ -477,21 +480,17 @@ def _relabel(triples, perm) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted([tuple(sorted((perm[a], perm[b], perm[c]))) for a, b, c in triples]))
 
 
-def _star_half(
-    n: int, pairs, shift: int, width: int, reverse: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _star_half(n: int, pairs, shift: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every mask of `width` edge bits from `shift` over pairs: the
-    degree it gives each vertex v, packed in byte v (byte 7 - v if
-    reverse), its two-edge-star count and its edge count."""
+    degree it gives each vertex (int16, one column per vertex), its
+    two-edge-star count and its edge count."""
     masks = np.arange(1 << width, dtype=np.uint32)
-    packed = np.zeros(len(masks), dtype=np.uint64)
-    stars = np.zeros(len(masks), dtype=np.uint64)
+    degrees = np.empty((len(masks), n), dtype=np.int16)
     for v in range(n):
         inc = _mask(pairs, lambda p: v in p) >> shift & ((1 << width) - 1)
-        degree = np.bitwise_count(masks & np.uint32(inc)).astype(np.uint64)
-        packed |= degree << np.uint64(8 * (7 - v if reverse else v))
-        stars += (degree * degree - degree) // 2
-    return packed, stars, np.bitwise_count(masks)
+        degrees[:, v] = np.bitwise_count(masks & np.uint32(inc))
+    stars = (degrees * (degrees - 1) // 2).sum(axis=1, dtype=np.int16)
+    return degrees, stars, np.bitwise_count(masks)
 
 
 @functools.cache
@@ -506,36 +505,36 @@ def _graph_star_table(n: int) -> dict:
     the halves alone. It is evaluated per pair of edge counts of the two
     halves, in lows x highs blocks of about _BLOCK entries, never per graph.
 
-    The cross term comes from one product of packed degrees: PL[low] holds
-    DL[low, v] in byte v and PH[high] holds DH[high, v] in byte 7 - v, so
-    DL[low, v] * DH[high, w] lands in byte 7 + v - w, and byte 7, the top
-    one, is sum_v DL[low, v] * DH[high, v]. Each byte of the product sums at
-    most n terms of at most 6 * 6, at most 252 < 256 at the n <= 7 that
-    _check_scan_capacity allows, so no byte carries into the next, and the
-    wrap-around mod 2^64 drops only the bytes above the top one."""
+    The cross term of a block is one integer einsum of the lows' degree
+    rows with the highs' degree columns, copied contiguous once per high
+    edge count. Every block value is a graph's two-edge-star count, at most
+    7 * C(6, 2) = 105 at the n <= 7 that _check_scan_capacity allows, and
+    every partial sum is smaller, so int16 holds the whole computation.
+    einsum on integers runs NumPy's own loop: a float matmul would give the
+    same values but fault in BLAS workspace on its first call, and an
+    integer matmul, or an einsum over a strided view, is slower."""
     _check_scan_capacity(n)
     pairs = all_pairs(n)
     nbits = len(pairs)
     low_bits = nbits // 2
-    pl, sl, low_edges = _star_half(n, pairs, 0, low_bits, reverse=False)
-    ph, sh, high_edges = _star_half(n, pairs, low_bits, nbits - low_bits, reverse=True)
+    dl, sl, low_edges = _star_half(n, pairs, 0, low_bits)
+    dh, sh, high_edges = _star_half(n, pairs, low_bits, nbits - low_bits)
     # lows by edge count, ascending within a count: rows bounds[l]:bounds[l+1]
     order = np.argsort(low_edges, kind="stable")
-    pl, sl = pl[order], sl[order]
+    dl, sl = dl[order], sl[order]
     bounds = np.searchsorted(low_edges[order], np.arange(low_bits + 2))
     # one buffer, reshaped per block; a block holds at least one row
-    block_buf = np.empty(max(_BLOCK, int(np.bincount(high_edges).max())), dtype=np.uint64)
+    block_buf = np.empty(max(_BLOCK, int(np.bincount(high_edges).max())), dtype=np.int16)
     table: dict[int, tuple[int, int]] = {}
     for h in range(nbits - low_bits + 1):
         highs = np.flatnonzero(high_edges == h)
-        ph_h, sh_h = ph[highs], sh[highs]
+        dh_h, sh_h = np.ascontiguousarray(dh[highs].T), sh[highs]
         rows = max(1, _BLOCK // len(highs))
         for l in range(low_bits + 1):
             for lo in range(bounds[l], bounds[l + 1], rows):
                 hi = min(lo + rows, bounds[l + 1])
                 block = block_buf[: (hi - lo) * len(highs)].reshape(hi - lo, len(highs))
-                np.multiply(pl[lo:hi, None], ph_h, out=block)
-                block >>= np.uint64(56)
+                np.einsum("ij,jk->ik", dl[lo:hi], dh_h, out=block)
                 block += sl[lo:hi, None]
                 block += sh_h
                 best = int(block.max())

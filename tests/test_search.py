@@ -457,6 +457,45 @@ def test_bnb_deadline_before_the_first_leaf_reports_the_empty_state():
     assert (rep.optimum, rep.complete, rep.witness) == (0, False, "mgraph 4 3\n")
 
 
+class _ExpiringClock:
+    """A stand-in for search.time whose perf_counter reads 0.0 the first k
+    times and 2.0 after, so a budget of 1.0 runs out at read k + 1."""
+
+    def __init__(self, k):
+        self.k = k
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return 0.0 if self.reads <= self.k else 2.0
+
+
+def test_budgeted_engines_read_the_clock_on_a_fixed_cadence(monkeypatch):
+    # the (5,5) run, stopped at each clock read in turn, stops at the trial
+    # count of that read: the first read comes at trial 0, and each later
+    # one at most 4096 + 2^m trials after it, as no entry may skip a poll
+    stops = []
+    for k in itertools.count(1):
+        monkeypatch.setattr(search, "time", _ExpiringClock(k))
+        rep = max_k4free_multigraph(5, 5, engine="bnb", budget=1.0)
+        stops.append(rep.nodes)
+        if rep.complete:
+            break
+    assert stops[0] == 0 and stops[-1] == 33490
+    polls = sorted(set(stops))
+    assert all(4096 <= b - a <= 4096 + 2**5 for a, b in zip(polls, polls[1:-1]))
+    assert 0 < polls[-1] - polls[-2] <= 4096 + 2**5
+    # unbudgeted, it reads only the start and end of itself and its quad-cap run
+    monkeypatch.setattr(search, "time", _ExpiringClock(0))
+    assert max_k4free_multigraph(5, 5, engine="bnb").complete and search.time.reads == 4
+    # the plane-free search reads the clock once to set its deadline, then
+    # every 1,024 nodes
+    for k in (1, 2, 3, 50):
+        monkeypatch.setattr(search, "time", _ExpiringClock(k))
+        rep = max_l2_fano_free(8, budget=1.0)
+        assert (rep.nodes, rep.complete) == (1024 * k, False)
+
+
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9])
 def test_branch_and_bound_engines_refuse_a_nan_or_negative_budget(budget):
     # a NaN deadline never passes, so it would run unbounded and report
@@ -541,23 +580,25 @@ def test_star_table_matches_the_per_edge_count_loop():
         assert data["states"] == 2 ** comb(n, 2)
 
 
-def test_packed_cross_term_is_the_degree_dot_product():
-    # the top byte of PL[low] * PH[high] is sum_v dl_v * dh_v, with the
-    # degrees counted here bit by bit: every (low, high) pair at n = 5, a
-    # seeded sample of pairs at n = 7
+def test_star_half_degrees_give_the_cross_term():
+    # the row dot product of the two halves' degree columns is
+    # sum_v dl_v * dh_v, with the degrees counted here bit by bit: every
+    # (low, high) pair at n = 5, a seeded sample of pairs at n = 7
     rng = random.Random(7)
     for n, sample in ((5, None), (7, 5000)):
         pairs = all_pairs(n)
         low_bits = len(pairs) // 2
-        pl, _, _ = search._star_half(n, pairs, 0, low_bits, reverse=False)
-        ph, _, _ = search._star_half(n, pairs, low_bits, len(pairs) - low_bits, reverse=True)
+        dl, _, _ = search._star_half(n, pairs, 0, low_bits)
+        dh, _, _ = search._star_half(n, pairs, low_bits, len(pairs) - low_bits)
+        assert dl.dtype == dh.dtype == np.int16
+        assert dl.shape == (1 << low_bits, n) and dh.shape == (1 << len(pairs) - low_bits, n)
         if sample is None:
-            lows = np.repeat(np.arange(len(pl)), len(ph))
-            highs = np.tile(np.arange(len(ph)), len(pl))
+            lows = np.repeat(np.arange(len(dl)), len(dh))
+            highs = np.tile(np.arange(len(dh)), len(dl))
         else:
-            lows = np.array([rng.randrange(len(pl)) for _ in range(sample)])
-            highs = np.array([rng.randrange(len(ph)) for _ in range(sample)])
-        cross = pl[lows] * ph[highs] >> np.uint64(56)
+            lows = np.array([rng.randrange(len(dl)) for _ in range(sample)])
+            highs = np.array([rng.randrange(len(dh)) for _ in range(sample)])
+        cross = (dl[lows] * dh[highs]).sum(axis=1)
 
         def degrees(mask):
             return [sum(mask >> i & 1 for i, p in enumerate(pairs) if v in p) for v in range(n)]
